@@ -66,7 +66,9 @@ from .stiefel_example import (
     build_stiefel,
     stiefel_report,
 )
-from .cli_interface import main
+# the CLI layer loads with the package; its entry point is
+# ``artifact.cli_interface:main`` (also ``python -m artifact.cli_interface``)
+from . import cli_interface  # noqa: F401
 
 __all__ = [
     "__version__",
@@ -109,5 +111,4 @@ __all__ = [
     "StiefelSpec",
     "build_stiefel",
     "stiefel_report",
-    "main",
 ]

@@ -54,6 +54,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -61,22 +62,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .flat_model import (
+from ..flat_model import (
     KForm,
     REEB_INDEX,
-    basis_keys,
     calibrate_model,
     calibration_constants,
     standard_two_form_families,
 )
-from .form_decomposition import (
+from ..form_decomposition import (
+    _SYMBOL_RANK,
     complex_components,
     eigenspace_projectors,
     from_complex_components,
     project_vectors,
     t_eta_matrix,
 )
-from .lie_algebra import (
+from ..lie_algebra import (
     BRACKET_NORM_BOUND,
     LieAlgebraSpec,
     algebra_from_basis,
@@ -90,7 +91,7 @@ from .lie_algebra import (
     norm_vec,
     subalgebra_spec,
 )
-from .gauge_fields import (
+from ..gauge_fields import (
     GValuedForm,
     f_components_from_gform,
     g_norm,
@@ -103,7 +104,7 @@ from .gauge_fields import (
     two_zero_from_v_coefficients,
     w_coefficients_from_gform,
 )
-from .weitzenbock_engine import (
+from ..weitzenbock_engine import (
     TransverseRicci,
     TwoZeroEndo,
     V_QUAD_TO_OPERATOR_FACTOR,
@@ -117,7 +118,7 @@ from .weitzenbock_engine import (
     v_basis_quad_form,
     vanishing_report,
 )
-from .ym_stability import (
+from ..ym_stability import (
     OneFormSection,
     RicciTensor7,
     algebraic_second_variation,
@@ -125,13 +126,13 @@ from .ym_stability import (
     curvature_quad_paths,
     stability_report,
 )
-from .deformation_symbols import (
+from ..deformation_symbols import (
     BASIC_B,
     FULL_C,
     batch_exactness,
     build_quotient_spaces,
 )
-from .stiefel_example import (
+from ..stiefel_example import (
     build_stiefel,
     indefiniteness_search,
     sdci_verify,
@@ -172,10 +173,6 @@ _DEFAULT_SEED = 0
 _DEFAULT_SAMPLES = 10000
 _DEFAULT_TOL = 1e-9
 _DEFAULT_FORMAT = "json"
-
-# canonical ordering of complex coframe symbols: holomorphic first,
-# conjugates second, the vertical symbol last
-_SYMBOL_ORDER = {1: 0, 2: 1, 3: 2, -1: 3, -2: 4, -3: 5, 0: 6}
 
 
 class InputError(Exception):
@@ -299,18 +296,28 @@ def load_payload(path: str | None) -> dict:
     return payload
 
 
+def _finite(number, field: str) -> float:
+    try:
+        out = float(number)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise InputError(f"field {field!r}: numbers must be finite")
+    return out
+
+
 def _complex_scalar(value, field: str) -> complex:
     if isinstance(value, bool):
         raise InputError(f"field {field!r}: expected a number")
     if isinstance(value, (int, float)):
-        return complex(float(value), 0.0)
+        return complex(_finite(value, field), 0.0)
     if (
         isinstance(value, list)
         and len(value) == 2
         and all(isinstance(v, (int, float)) for v in value)
         and not any(isinstance(v, bool) for v in value)
     ):
-        return complex(float(value[0]), float(value[1]))
+        return complex(_finite(value[0], field), _finite(value[1], field))
     raise InputError(
         f"field {field!r}: expected a number or a two-element [re, im] array"
     )
@@ -431,7 +438,7 @@ def _parse_complex_key(key: str) -> tuple:
             f"field 'components': key {key!r} must name two distinct symbols"
         )
     for s in symbols:
-        if s not in _SYMBOL_ORDER:
+        if s not in _SYMBOL_RANK:
             raise InputError(
                 f"field 'components': symbol {s} in key {key!r} is outside "
                 f"-3..3"
@@ -491,7 +498,7 @@ def parse_gform(payload: dict) -> GValuedForm:
                 value, algebra.dim, f"components.{key}"
             )
             ordered = tuple(
-                sorted(symbols, key=lambda s: _SYMBOL_ORDER[s])
+                sorted(symbols, key=lambda s: _SYMBOL_RANK[s])
             )
             sign = 1.0 if ordered == symbols else -1.0
             current = table.get(ordered)
@@ -566,6 +573,8 @@ def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError("Out of range float values are not allowed")
         return repr(value)
     return str(value)
 
@@ -584,10 +593,15 @@ def _flatten(prefix: str, value, rows: list):
 
 
 def encode_report(report: dict, format: str) -> str:
-    """Deterministic serialization: sorted keys, fixed layout."""
+    """Deterministic serialization: sorted keys, fixed layout.
+
+    Raises ``ValueError`` when the report holds a non-finite number, which
+    standard JSON cannot carry.
+    """
     data = to_jsonable(report)
     if format == "json":
-        return json.dumps(data, sort_keys=True, indent=2) + "\n"
+        return json.dumps(data, sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
     rows: list = []
     _flatten("", data, rows)
     buffer = io.StringIO()
@@ -600,8 +614,11 @@ def encode_report(report: dict, format: str) -> str:
 def _write_output(text: str, path: str | None):
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write output file {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -622,20 +639,10 @@ def _cmd_calibrate(cfg: JobConfig, model) -> tuple:
     return report, True
 
 
-def _stack_coefficients(F: GValuedForm) -> np.ndarray:
-    keys = basis_keys(2)
-    arr = np.zeros((len(keys), F.algebra.dim), dtype=complex)
-    for idx, key in enumerate(keys):
-        vec = F.coeffs.get(key)
-        if vec is not None:
-            arr[idx] = vec
-    return arr
-
-
 def _cmd_decompose(cfg: JobConfig, model) -> tuple:
     payload = load_payload(cfg.input_path)
     F = parse_gform(payload)
-    arr = _stack_coefficients(F)
+    arr = F.to_matrix()
     parts = project_vectors(arr, model)
     gram = F.algebra.gram
 
@@ -1227,11 +1234,11 @@ def run(cfg: JobConfig) -> int:
     handler = _HANDLERS[cfg.command]
     try:
         report, ok = handler(cfg, model)
+        text = encode_report(report, cfg.format)
     except InputError:
         raise
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    text = encode_report(report, cfg.format)
     _write_output(text, cfg.output_path)
     return 0 if ok else 1
 
@@ -1249,6 +1256,3 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -46,6 +46,7 @@ from .flat_model import (
     REEB_INDEX,
     basis_keys,
     calibrate_model,
+    left_wedge_matrix,
     standard_two_form_families,
     wedge,
 )
@@ -90,16 +91,7 @@ def wedge_matrix(xi_form: KForm, from_degree: int) -> np.ndarray:
     """Coordinate matrix of ``alpha -> xi ^ alpha`` on ``from_degree`` forms."""
     if xi_form.degree != 1:
         raise ValueError("the covector must be a 1-form")
-    source = basis_keys(from_degree)
-    target_keys = basis_keys(from_degree + 1)
-    position = {key: row for row, key in enumerate(target_keys)}
-    out = np.zeros((len(target_keys), len(source)))
-    for col, key in enumerate(source):
-        image = wedge(xi_form, KForm.basis(*key))
-        for tkey, value in image.coeffs.items():
-            if value != 0:
-                out[position[tkey], col] += value.real
-    return out
+    return left_wedge_matrix(xi_form, from_degree).real
 
 
 def covector_form(xi) -> KForm:

@@ -13,10 +13,13 @@ the candidate conventions and keeps the unique tuple that satisfies the
 anchor constraints listed in its docstring.  The winning model is the default
 used across the package.
 
-Forms are represented sparsely by :class:`KForm`: a map from strictly
-increasing index tuples to complex coefficients.  The metric is the identity
-in this coframe, so the inner product of two forms is the coefficientwise
-Hermitian dot product and the Hodge star is a signed complement map.
+Forms are represented densely by :class:`KForm`: a complex coefficient vector
+over the lexicographic monomial basis :func:`basis_keys` of their degree.
+The wedge product, the Hodge and transverse stars and the Reeb contraction
+run from index tables built once at import from those bases.  The metric is
+the identity in this coframe, so the inner product of two forms is the
+Hermitian dot product of their vectors and the Hodge star is a signed
+permutation.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ __all__ = [
     "KForm",
     "ContactModel",
     "wedge",
+    "left_wedge_matrix",
     "hodge_star",
     "transverse_star",
     "contract_reeb",
@@ -41,6 +45,7 @@ __all__ = [
     "form_norm",
     "basis_keys",
     "sort_key_sign",
+    "mixing_matrix",
     "calibrate_model",
     "calibration_constants",
     "standard_two_form_families",
@@ -94,49 +99,161 @@ def sort_key_sign(indices):
     return tuple(idx), sign
 
 
-class KForm:
-    """Sparse alternating form on the model fiber.
+# ---------------------------------------------------------------------------
+# Index tables
+# ---------------------------------------------------------------------------
+#
+# A monomial is also a 7-bit mask (bit i-1 for index i).  The sign of sorting
+# the concatenation of two increasing keys is the parity of the pairs
+# (i in the first, j in the second) with i > j.
 
-    Coefficients are complex; keys are strictly increasing tuples drawn from
-    ``1..7``.  A degree-0 form stores its single value under the empty tuple.
+_REEB_BIT = 1 << (REEB_INDEX - 1)
+_HORIZONTAL_BITS = _REEB_BIT - 1
+_FULL_BITS = 2 * _REEB_BIT - 1
+
+_MASKS = {
+    k: np.array([sum(1 << (i - 1) for i in key) for key in keys],
+                dtype=np.int64)
+    for k, keys in _BASIS_KEYS.items()
+}
+_POSITION_OF_MASK = np.zeros(_FULL_BITS + 1, dtype=np.int64)
+for _masks in _MASKS.values():
+    _POSITION_OF_MASK[_masks] = np.arange(len(_masks))
+
+# _LATER[i, j] = 1 when index i + 1 comes after index j + 1
+_LATER = np.tril(np.ones((7, 7), dtype=np.int64), -1)
+
+
+def _members(masks: np.ndarray) -> np.ndarray:
+    """0/1 membership rows (one per mask) over the indices 1..7."""
+    return (masks[:, None] >> np.arange(7)) & 1
+
+
+def _wedge_table(p: int, q: int) -> tuple:
+    """(target, left, right, sign) over every disjoint pair of monomials."""
+    a, b = _members(_MASKS[p]), _members(_MASKS[q])
+    left, right = np.nonzero(a @ b.T == 0)
+    inversions = (a @ _LATER @ b.T)[left, right]
+    target = _POSITION_OF_MASK[_MASKS[p][left] | _MASKS[q][right]]
+    return (
+        target.astype(np.int16),
+        left.astype(np.int16),
+        right.astype(np.int16),
+        (1 - 2 * (inversions % 2)).astype(np.int8),
+    )
+
+
+_WEDGE = {(p, q): _wedge_table(p, q) for p in range(8) for q in range(8 - p)}
+
+
+def _signed_map(source_masks: np.ndarray, target_masks: np.ndarray,
+                sign, target_degree: int) -> tuple:
+    """(source, target, sign, size) of a map between monomial bases."""
+    return (
+        _POSITION_OF_MASK[source_masks].astype(np.int16),
+        _POSITION_OF_MASK[target_masks].astype(np.int16),
+        np.asarray(sign, dtype=np.int8),
+        len(_BASIS_KEYS[target_degree]),
+    )
+
+
+def _complement_map(degree: int, span: int) -> tuple:
+    """Signed complement ``key -> span minus key`` on the keys in ``span``."""
+    masks = _MASKS[degree][(_MASKS[degree] & ~span) == 0]
+    complements = span ^ masks
+    inversions = np.einsum(
+        "ri,ij,rj->r", _members(masks), _LATER, _members(complements)
+    )
+    return _signed_map(masks, complements, 1 - 2 * (inversions % 2),
+                       bin(span).count("1") - degree)
+
+
+def _reeb_map(degree: int) -> tuple:
+    """``key -> key minus 7`` on vertical keys; 7 is last, past degree-1."""
+    masks = _MASKS[degree][(_MASKS[degree] & _REEB_BIT) != 0]
+    sign = np.full(len(masks), (-1) ** (degree - 1))
+    return _signed_map(masks, masks ^ _REEB_BIT, sign, degree - 1)
+
+
+_HODGE = {k: _complement_map(k, _FULL_BITS) for k in range(8)}
+_TRANSVERSE = {k: _complement_map(k, _HORIZONTAL_BITS) for k in range(7)}
+_REEB = {k: _reeb_map(k) for k in range(1, 8)}
+_VERTICAL = {k: (masks & _REEB_BIT) != 0 for k, masks in _MASKS.items()}
+
+
+def _apply_signed_map(table: tuple, array: np.ndarray,
+                      scale: int = 1) -> np.ndarray:
+    """Image of coefficient rows (axis 0) under a signed map, as a new
+    array; targets the map misses are zero."""
+    source, target, sign, size = table
+    out = np.zeros((size,) + array.shape[1:], dtype=complex)
+    factor = (sign * scale).reshape((-1,) + (1,) * (array.ndim - 1))
+    out[target] = array[source] * factor
+    return out
+
+
+def _locate(degree: int, key: tuple) -> tuple:
+    """(position, sign) of the monomial ``key`` given in any order; sign 0
+    for a repeated index."""
+    if len(key) != degree:
+        raise ValueError(
+            f"key {key} has length {len(key)}, expected {degree}"
+        )
+    position = _KEY_POSITION[degree].get(key)
+    if position is not None:
+        return position, 1
+    skey, sign = sort_key_sign(key)
+    if sign == 0:
+        return 0, 0
+    for idx in skey:
+        if idx not in _ALL_INDICES:
+            raise ValueError(f"index {idx} outside 1..7 in key {key}")
+    return _KEY_POSITION[degree][skey], sign
+
+
+# ---------------------------------------------------------------------------
+# Forms
+# ---------------------------------------------------------------------------
+
+
+class KForm:
+    """Alternating form on the model fiber.
+
+    ``vector`` holds the complex coefficients over ``basis_keys(degree)``; a
+    degree-0 form holds its single value at the empty key.  The constructor
+    takes ``{key: value}`` with keys in any order (a repeated index
+    contributes nothing).  Arithmetic returns new forms and never shares an
+    operand's array.
     """
 
-    __slots__ = ("degree", "coeffs")
+    __slots__ = ("degree", "vector")
 
     def __init__(self, degree: int, coeffs=None):
         if not 0 <= degree <= 7:
             raise ValueError(f"degree must be in 0..7, got {degree}")
-        self.degree = degree
-        self.coeffs: dict = {}
+        vector = np.zeros(len(_BASIS_KEYS[degree]), dtype=complex)
         if coeffs:
             for key, value in coeffs.items():
-                self._accumulate(tuple(key), complex(value))
+                position, sign = _locate(degree, tuple(key))
+                if sign:
+                    vector[position] += sign * complex(value)
+        self.degree = degree
+        self.vector = vector
 
-    def _accumulate(self, key: tuple, value: complex) -> None:
-        if len(key) != self.degree:
-            raise ValueError(
-                f"key {key} has length {len(key)}, expected {self.degree}"
-            )
-        skey, sign = sort_key_sign(key)
-        if sign == 0:
-            return
-        for idx in skey:
-            if idx not in _ALL_INDICES:
-                raise ValueError(f"index {idx} outside 1..7 in key {key}")
-        new = self.coeffs.get(skey, 0j) + sign * value
-        if new == 0:
-            self.coeffs.pop(skey, None)
-        else:
-            self.coeffs[skey] = new
+    @classmethod
+    def _wrap(cls, degree: int, vector: np.ndarray) -> "KForm":
+        """A form owning ``vector``, which the caller must not share."""
+        out = cls.__new__(cls)
+        out.degree = degree
+        out.vector = vector
+        return out
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def basis(cls, *indices) -> "KForm":
         """The coframe monomial ``e^{i1} ^ ... ^ e^{ik}``."""
-        out = cls(len(indices))
-        out._accumulate(tuple(indices), 1.0)
-        return out
+        return cls(len(indices), {indices: 1.0})
 
     @classmethod
     def zero(cls, degree: int) -> "KForm":
@@ -144,103 +261,86 @@ class KForm:
 
     @classmethod
     def constant(cls, value) -> "KForm":
-        out = cls(0)
-        out._accumulate((), complex(value))
-        return out
+        return cls(0, {(): value})
 
     @classmethod
     def from_vector(cls, degree: int, vector) -> "KForm":
-        vec = np.asarray(vector)
         keys = basis_keys(degree)
+        vec = np.array(vector, dtype=complex)
         if vec.shape != (len(keys),):
             raise ValueError(
                 f"expected vector of length {len(keys)}, got {vec.shape}"
             )
-        out = cls(degree)
-        for key, value in zip(keys, vec):
-            if value != 0:
-                out.coeffs[key] = complex(value)
-        return out
+        return cls._wrap(degree, vec)
 
     # -- linear structure -----------------------------------------------
 
     def copy(self) -> "KForm":
-        out = KForm(self.degree)
-        out.coeffs = dict(self.coeffs)
-        return out
+        return KForm._wrap(self.degree, self.vector.copy())
 
     def __add__(self, other: "KForm") -> "KForm":
         if not isinstance(other, KForm):
             return NotImplemented
         if other.degree != self.degree:
             raise ValueError("cannot add forms of different degree")
-        out = self.copy()
-        for key, value in other.coeffs.items():
-            new = out.coeffs.get(key, 0j) + value
-            if new == 0:
-                out.coeffs.pop(key, None)
-            else:
-                out.coeffs[key] = new
-        return out
+        return KForm._wrap(self.degree, self.vector + other.vector)
 
     def __sub__(self, other: "KForm") -> "KForm":
-        return self + (-1.0) * other
+        if not isinstance(other, KForm):
+            return NotImplemented
+        return self + (-other)
 
     def __neg__(self) -> "KForm":
-        return (-1.0) * self
+        return KForm._wrap(self.degree, -self.vector)
 
     def __mul__(self, scalar) -> "KForm":
-        out = KForm(self.degree)
-        s = complex(scalar)
-        if s != 0:
-            out.coeffs = {k: s * v for k, v in self.coeffs.items()}
-        return out
+        return KForm._wrap(self.degree, self.vector * complex(scalar))
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "KForm":
-        out = KForm(self.degree)
-        out.coeffs = {k: v.conjugate() for k, v in self.coeffs.items()}
-        return out
+        return KForm._wrap(self.degree, self.vector.conj())
 
     # -- inspection -----------------------------------------------------
 
     def coefficient(self, *indices) -> complex:
         """Signed coefficient of the monomial with the given indices."""
         skey, sign = sort_key_sign(indices)
-        if sign == 0:
+        position = _KEY_POSITION[self.degree].get(skey)
+        if sign == 0 or position is None:
             return 0j
-        return sign * self.coeffs.get(skey, 0j)
+        return sign * complex(self.vector[position])
 
     def terms(self):
-        """Sorted (key, coefficient) pairs."""
-        return sorted(self.coeffs.items())
+        """Sorted (key, coefficient) pairs of the nonzero coefficients."""
+        pairs = zip(_BASIS_KEYS[self.degree], self.vector.tolist())
+        return [(key, value) for key, value in pairs if value]
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(v) <= tol for v in self.coeffs.values())
+        return bool(np.all(np.abs(self.vector) <= tol))
 
     def is_horizontal(self) -> bool:
-        return all(REEB_INDEX not in key for key in self.coeffs)
+        return not np.any(self.vector[_VERTICAL[self.degree]])
 
     def to_vector(self) -> np.ndarray:
-        keys = _KEY_POSITION[self.degree]
-        vec = np.zeros(len(keys), dtype=complex)
-        for key, value in self.coeffs.items():
-            vec[keys[key]] = value
-        return vec
+        return self.vector.copy()
 
     def norm(self) -> float:
-        return float(np.sqrt(sum(abs(v) ** 2 for v in self.coeffs.values())))
+        return float(np.sqrt(np.vdot(self.vector, self.vector).real))
 
     def evaluate(self, *vectors) -> complex:
-        """Evaluate on ``degree`` tangent vectors (length-7 arrays)."""
+        """Evaluate on ``degree`` tangent vectors (length-7 arrays).
+
+        Sums coefficient times determinant minor over the monomials: the
+        independent route the table-driven kernel is checked against.
+        """
         if len(vectors) != self.degree:
             raise ValueError(
                 f"need {self.degree} vectors, got {len(vectors)}"
             )
         mats = [np.asarray(v, dtype=complex) for v in vectors]
         total = 0j
-        for key, value in self.coeffs.items():
+        for key, value in self.terms():
             minor = np.array(
                 [[vec[idx - 1] for vec in mats] for idx in key], dtype=complex
             )
@@ -248,32 +348,51 @@ class KForm:
         return total
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        terms = self.terms()
+        if not terms:
             return f"KForm({self.degree}, 0)"
         bits = []
-        for key, value in self.terms():
+        for key, value in terms:
             label = "e" + "".join(str(i) for i in key) if key else "1"
             bits.append(f"{value:+.4g}*{label}")
         return f"KForm({self.degree}, {' '.join(bits)})"
+
+
+def _wedge_vectors(p: int, a: np.ndarray, q: int, b: np.ndarray) -> np.ndarray:
+    target, left, right, sign = _WEDGE[p, q]
+    terms = a[left] * b[right] * sign
+    size = len(_BASIS_KEYS[p + q])
+    out = np.empty(size, dtype=complex)
+    out.real = np.bincount(target, terms.real, size)
+    out.imag = np.bincount(target, terms.imag, size)
+    return out
 
 
 def wedge(*forms: KForm) -> KForm:
     """Exterior product of any number of forms."""
     if not forms:
         raise ValueError("wedge needs at least one form")
-    acc = forms[0]
+    degree, acc = forms[0].degree, forms[0].vector.copy()
     for nxt in forms[1:]:
-        degree = acc.degree + nxt.degree
-        if degree > 7:
+        if degree + nxt.degree > 7:
             raise ValueError("wedge degree exceeds the fiber dimension")
-        out = KForm(degree)
-        for ka, va in acc.coeffs.items():
-            for kb, vb in nxt.coeffs.items():
-                if set(ka) & set(kb):
-                    continue
-                out._accumulate(ka + kb, va * vb)
-        acc = out
-    return acc
+        acc = _wedge_vectors(degree, acc, nxt.degree, nxt.vector)
+        degree += nxt.degree
+    return KForm._wrap(degree, acc)
+
+
+def left_wedge_matrix(a: KForm, degree: int) -> np.ndarray:
+    """Complex matrix of ``b -> a ^ b`` from ``degree``-forms, lex bases."""
+    if a.degree + degree > 7:
+        raise ValueError("wedge degree exceeds the fiber dimension")
+    target, left, right, sign = _WEDGE[a.degree, degree]
+    out = np.zeros(
+        (len(_BASIS_KEYS[a.degree + degree]), len(_BASIS_KEYS[degree])),
+        dtype=complex,
+    )
+    # each (target, right) pair fixes the left monomial: no sums needed
+    out[target, right] = a.vector[left] * sign
+    return out
 
 
 def form_inner(a: KForm, b: KForm, model=None) -> complex:
@@ -285,16 +404,22 @@ def form_inner(a: KForm, b: KForm, model=None) -> complex:
     """
     if a.degree != b.degree:
         raise ValueError("inner product needs forms of equal degree")
-    total = 0j
-    for key, value in a.coeffs.items():
-        other = b.coeffs.get(key)
-        if other is not None:
-            total += value * other.conjugate()
-    return total
+    return complex(np.vdot(b.vector, a.vector))
 
 
 def form_norm(a: KForm, model=None) -> float:
     return a.norm()
+
+
+_PAIR_ROWS, _PAIR_COLS = np.array(_BASIS_KEYS[2]).T - 1
+
+
+def _two_form_matrix(vector: np.ndarray) -> np.ndarray:
+    """Antisymmetric 7x7 matrix ``A`` with ``a(X, Y) = X^T A Y``."""
+    out = np.zeros((7, 7), dtype=vector.dtype)
+    out[_PAIR_ROWS, _PAIR_COLS] = vector
+    out[_PAIR_COLS, _PAIR_ROWS] = -vector
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,13 +429,23 @@ class ContactModel:
     ``orientation_sign`` fixes the volume form ``sign * e1^...^e7``;
     ``deta`` is the differential of the contact form (a horizontal 2-form);
     ``phi`` is the 7x7 matrix of the endomorphism that rotates each
-    horizontal plane and kills the Reeb direction.
+    horizontal plane and kills the Reeb direction.  The model keeps
+    read-only copies of both arrays, so that caches keyed on
+    :meth:`signature` cannot go stale.
     """
 
     orientation_sign: int
     deta: KForm
     phi: np.ndarray
     label: str = "calibrated"
+
+    def __post_init__(self):
+        deta = self.deta.copy()
+        deta.vector.flags.writeable = False
+        phi = np.array(self.phi)
+        phi.flags.writeable = False
+        object.__setattr__(self, "deta", deta)
+        object.__setattr__(self, "phi", phi)
 
     # -- basic fields ----------------------------------------------------
 
@@ -351,13 +486,7 @@ class ContactModel:
         """Pullback of a 1-form through ``phi``: ``(a o Phi)``."""
         if oneform.degree != 1:
             raise ValueError("phi_pullback acts on 1-forms")
-        out = KForm(1)
-        for (a,), value in oneform.coeffs.items():
-            for b in _ALL_INDICES:
-                entry = self.phi[a - 1, b - 1]
-                if entry != 0:
-                    out._accumulate((b,), value * entry)
-        return out
+        return KForm._wrap(1, self.phi.T @ oneform.vector)
 
     def complex_coframe(self) -> list:
         """The three (1, 0)-forms ``dz^j = e^{2j-1} - i * e^{2j-1} o Phi``."""
@@ -369,15 +498,8 @@ class ContactModel:
 
     def transverse_gram(self) -> np.ndarray:
         """Gram matrix of ``(X, Y) -> (1/2) deta(X, Phi Y)`` on ``H``."""
-        gram = np.zeros((6, 6))
-        basis_vectors = np.eye(7)
-        for a in range(6):
-            for b in range(6):
-                phib = self.phi @ basis_vectors[b]
-                gram[a, b] = 0.5 * self.deta.evaluate(
-                    basis_vectors[a], phib
-                ).real
-        return gram
+        deta = _two_form_matrix(self.deta.vector.real)
+        return 0.5 * (deta @ self.phi)[:6, :6]
 
 
 def hodge_star(a: KForm, model: ContactModel) -> KForm:
@@ -385,13 +507,10 @@ def hodge_star(a: KForm, model: ContactModel) -> KForm:
 
     Complex-linear; characterized by ``x ^ star(conj y) = <x, y> vol``.
     """
-    out = KForm(7 - a.degree)
-    sigma = model.orientation_sign
-    for key, value in a.coeffs.items():
-        complement = tuple(i for i in _ALL_INDICES if i not in key)
-        _, sign = sort_key_sign(key + complement)
-        out._accumulate(complement, sigma * sign * value)
-    return out
+    return KForm._wrap(
+        7 - a.degree,
+        _apply_signed_map(_HODGE[a.degree], a.vector, model.orientation_sign),
+    )
 
 
 def transverse_star(a: KForm, model: ContactModel) -> KForm:
@@ -404,27 +523,21 @@ def transverse_star(a: KForm, model: ContactModel) -> KForm:
         raise ValueError("transverse_star expects a horizontal form")
     if a.degree > 6:
         raise ValueError("horizontal forms have degree at most 6")
-    out = KForm(6 - a.degree)
-    sigma = model.orientation_sign
-    for key, value in a.coeffs.items():
-        complement = tuple(i for i in HORIZONTAL_INDICES if i not in key)
-        _, sign = sort_key_sign(key + complement)
-        out._accumulate(complement, sigma * sign * value)
-    return out
+    return KForm._wrap(
+        6 - a.degree,
+        _apply_signed_map(
+            _TRANSVERSE[a.degree], a.vector, model.orientation_sign
+        ),
+    )
 
 
 def contract_reeb(a: KForm, model: ContactModel = None) -> KForm:
     """Interior product with the Reeb vector (the ``e7`` direction)."""
     if a.degree == 0:
         return KForm.zero(0)
-    out = KForm(a.degree - 1)
-    for key, value in a.coeffs.items():
-        if REEB_INDEX not in key:
-            continue
-        # the Reeb index is maximal, hence always last in an increasing key
-        sign = (-1) ** (len(key) - 1)
-        out._accumulate(key[:-1], sign * value)
-    return out
+    return KForm._wrap(
+        a.degree - 1, _apply_signed_map(_REEB[a.degree], a.vector)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +585,14 @@ def standard_two_form_families() -> dict:
 # Calibration
 # ---------------------------------------------------------------------------
 
+# (orientation sign, deta scale, phi rotation sign), in search order
+_CONVENTIONS = tuple(
+    itertools.product((1, -1), (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0), (1, -1))
+)
+
+
 def _candidate_model(sigma: int, kappa: float, s: int) -> ContactModel:
-    deta = kappa * (
-        KForm.basis(1, 2) + KForm.basis(3, 4) + KForm.basis(5, 6)
-    )
+    deta = KForm(2, {plane: kappa for plane in PLANES})
     phi = np.zeros((7, 7))
     for odd, even in PLANES:
         phi[even - 1, odd - 1] = s
@@ -488,79 +605,86 @@ def _candidate_model(sigma: int, kappa: float, s: int) -> ContactModel:
     )
 
 
-def _mixing_operator_matrix(model: ContactModel) -> np.ndarray:
-    """Matrix of ``a -> star(eta ^ deta ^ a)`` on 2-forms, lex basis."""
-    keys = basis_keys(2)
-    mat = np.zeros((len(keys), len(keys)))
-    for col, key in enumerate(keys):
-        image = hodge_star(
-            wedge(model.eta, model.deta, KForm.basis(*key)), model
-        )
-        for row_key, value in image.coeffs.items():
-            mat[_KEY_POSITION[2][row_key], col] = value.real
-    return mat
+def mixing_matrix(model: ContactModel) -> np.ndarray:
+    """Matrix of the mixing operator ``a -> star(eta ^ deta ^ a)`` on
+    2-forms, lex basis: the Hodge star's signed permutation applied to the
+    rows of the left multiplication by ``eta ^ deta``."""
+    to_five = left_wedge_matrix(wedge(model.eta, model.deta), 2)
+    mat = _apply_signed_map(_HODGE[5], to_five, model.orientation_sign).real
+    # the entries are exact; adding 0.0 turns -0.0 into 0.0, whose sign
+    # would otherwise reach the last digits of the eigenvectors LAPACK picks
+    return mat + 0.0
 
 
 _EXPECTED_MULTIPLICITIES = {1.0: 8, -1.0: 6, -2.0: 1, 0.0: 6}
 
 
-def _spectrum_multiplicities(mat: np.ndarray, tol: float):
-    evals = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-    counts = {key: 0 for key in _EXPECTED_MULTIPLICITIES}
-    stray = []
-    for ev in evals:
-        for target in counts:
-            if abs(ev - target) <= tol:
-                counts[target] += 1
-                break
-        else:
-            stray.append(float(ev))
-    return counts, stray
+def _spectrum_ok(evals: np.ndarray, tol: float) -> np.ndarray:
+    """Per stack entry: every eigenvalue within ``tol`` of a target and the
+    target multiplicities as expected (the targets lie far apart, so an
+    eigenvalue matches at most one)."""
+    targets = np.array(list(_EXPECTED_MULTIPLICITIES))
+    hits = np.abs(evals[..., None] - targets) <= tol
+    counts = hits.sum(axis=-2)
+    expected = np.array(list(_EXPECTED_MULTIPLICITIES.values()))
+    return hits.any(axis=-1).all(axis=-1) & (counts == expected).all(axis=-1)
 
 
-def _check_candidate(model: ContactModel) -> dict:
+def _transposed(stack: np.ndarray) -> np.ndarray:
+    return stack.transpose(0, 2, 1)
+
+
+def _check_candidates(models: list) -> list:
+    """Acceptance rows of the candidate models, checked together.
+
+    The eigen-residuals of the families are ``F @ M.T - lambda F`` over
+    the stacked family vectors ``F`` and candidate mixing matrices ``M``.
+    """
     tol = 1e-10
-    mat = _mixing_operator_matrix(model)
-    symmetric = bool(np.max(np.abs(mat - mat.T)) <= 1e-12)
-    counts, stray = _spectrum_multiplicities(mat, tol)
-    spectrum_ok = symmetric and not stray and counts == _EXPECTED_MULTIPLICITIES
-
-    families = standard_two_form_families()
-
-    def _eigen_resid(form: KForm, expected: float) -> float:
-        image = hodge_star(wedge(model.eta, model.deta, form), model)
-        return (image - expected * form).norm()
-
-    w_ok = all(_eigen_resid(f, 1.0) <= tol for f in families["w"])
-    v_ok = all(_eigen_resid(f, -1.0) <= tol for f in families["v"])
-    omega_ok = _eigen_resid(model.deta, -2.0) <= tol * max(
-        model.deta.norm(), 1.0
+    mats = np.stack([mixing_matrix(m) for m in models])
+    symmetric = np.max(np.abs(mats - _transposed(mats)), axis=(1, 2)) <= 1e-12
+    spectrum_ok = symmetric & _spectrum_ok(
+        np.linalg.eigvalsh(0.5 * (mats + _transposed(mats))), tol
     )
 
-    gram = model.transverse_gram()
-    gram_sym = np.max(np.abs(gram - gram.T)) <= 1e-12
-    metric_pd = gram_sym and bool(np.min(np.linalg.eigvalsh(gram)) > 1e-12)
+    def eigen_resid(stacked: np.ndarray, expected: float) -> np.ndarray:
+        """(candidate, row) norms of ``F @ M.T - expected * F``."""
+        image = stacked @ _transposed(mats)
+        return np.linalg.norm(image - expected * stacked, axis=-1)
 
-    coframe_ok = True
-    for j in (1, 2, 3):
-        dz = _fixed_dz(j)
-        resid = (model.phi_pullback(dz) - 1j * dz).norm()
-        if resid > 1e-12:
-            coframe_ok = False
-            break
+    families = standard_two_form_families()
+    w = np.stack([f.vector for f in families["w"]])
+    v = np.stack([f.vector for f in families["v"]])
+    w_ok = np.all(eigen_resid(w, 1.0) <= tol, axis=-1)
+    v_ok = np.all(eigen_resid(v, -1.0) <= tol, axis=-1)
+    detas = np.stack([m.deta.vector for m in models])
+    omega_ok = eigen_resid(detas[:, None, :], -2.0)[:, 0] <= tol * np.maximum(
+        np.linalg.norm(detas, axis=-1), 1.0
+    )
 
-    return {
-        "label": model.label,
-        "spectrum_ok": spectrum_ok,
-        "w_plus_one": w_ok,
-        "v_minus_one": v_ok,
-        "omega_minus_two": omega_ok,
-        "transverse_metric_pd": metric_pd,
-        "coframe_type_ok": coframe_ok,
-        "accepted": all(
-            (spectrum_ok, w_ok, v_ok, omega_ok, metric_pd, coframe_ok)
-        ),
-    }
+    grams = np.stack([m.transverse_gram() for m in models])
+    gram_sym = np.max(np.abs(grams - _transposed(grams)), axis=(1, 2)) <= 1e-12
+    metric_pd = gram_sym & (np.linalg.eigvalsh(grams)[:, 0] > 1e-12)
+
+    dz = np.stack([_fixed_dz(j).vector for j in (1, 2, 3)], axis=1)
+    phis = np.stack([m.phi for m in models])
+    coframe_resid = np.linalg.norm(_transposed(phis) @ dz - 1j * dz, axis=1)
+    coframe_ok = np.all(coframe_resid <= 1e-12, axis=-1)
+
+    rows = []
+    for i, model in enumerate(models):
+        checks = {
+            "spectrum_ok": bool(spectrum_ok[i]),
+            "w_plus_one": bool(w_ok[i]),
+            "v_minus_one": bool(v_ok[i]),
+            "omega_minus_two": bool(omega_ok[i]),
+            "transverse_metric_pd": bool(metric_pd[i]),
+            "coframe_type_ok": bool(coframe_ok[i]),
+        }
+        rows.append(
+            {"label": model.label, **checks, "accepted": all(checks.values())}
+        )
+    return rows
 
 
 def calibrate_model(with_report: bool = False):
@@ -580,16 +704,9 @@ def calibrate_model(with_report: bool = False):
 
     Raises :class:`CalibrationError` unless exactly one candidate survives.
     """
-    rows = []
-    winners = []
-    for sigma in (1, -1):
-        for kappa in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0):
-            for s in (1, -1):
-                candidate = _candidate_model(sigma, kappa, s)
-                row = _check_candidate(candidate)
-                rows.append(row)
-                if row["accepted"]:
-                    winners.append(candidate)
+    candidates = [_candidate_model(*convention) for convention in _CONVENTIONS]
+    rows = _check_candidates(candidates)
+    winners = [m for m, row in zip(candidates, rows) if row["accepted"]]
     if len(winners) != 1:
         raise CalibrationError(
             f"expected exactly one surviving convention, got {len(winners)}"

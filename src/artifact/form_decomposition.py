@@ -25,19 +25,17 @@ import numpy as np
 from .flat_model import (
     CalibrationError,
     ContactModel,
-    HORIZONTAL_INDICES,
     KForm,
     REEB_INDEX,
-    basis_keys,
     hodge_star,
-    standard_two_form_families,
+    mixing_matrix,
+    sort_key_sign,
     wedge,
 )
 
 __all__ = [
     "TwoFormSplit",
     "BidegreeSplit",
-    "standard_bases",
     "t_eta_apply",
     "t_eta_matrix",
     "eigenspace_projectors",
@@ -61,28 +59,6 @@ PRESENCE_TOLERANCE = 1e-10
 
 _EIGEN_MATCH_TOLERANCE = 1e-8
 
-_TWO_FORM_KEYS = basis_keys(2)
-_TWO_FORM_POS = {key: pos for pos, key in enumerate(_TWO_FORM_KEYS)}
-
-
-def standard_bases(model: ContactModel) -> dict:
-    """Reference spanning sets for the four blocks of 2-forms.
-
-    Returns a dict with the 8-member ``w`` family (+1 block), the 6-member
-    ``v`` family (-1 block), the distinguished 2-form ``omega`` (the -2
-    line, equal to ``deta``), and the 6 vertical monomials ``eta ^ e^a``.
-    """
-    families = standard_two_form_families()
-    vertical = [
-        wedge(model.eta, KForm.basis(a)) for a in HORIZONTAL_INDICES
-    ]
-    return {
-        "w": families["w"],
-        "v": families["v"],
-        "omega": model.omega,
-        "vertical": vertical,
-    }
-
 
 def t_eta_apply(a: KForm, model: ContactModel) -> KForm:
     """Apply the mixing operator ``a -> star(eta ^ deta ^ a)`` to a 2-form."""
@@ -100,11 +76,7 @@ def t_eta_matrix(model: ContactModel) -> np.ndarray:
     sig = model.signature()
     cached = _MATRIX_CACHE.get(sig)
     if cached is None:
-        mat = np.zeros((21, 21))
-        for col, key in enumerate(_TWO_FORM_KEYS):
-            image = t_eta_apply(KForm.basis(*key), model)
-            for row_key, value in image.coeffs.items():
-                mat[_TWO_FORM_POS[row_key], col] = value.real
+        mat = mixing_matrix(model)
         asym = float(np.max(np.abs(mat - mat.T)))
         if asym > 1e-12:
             raise CalibrationError(
@@ -285,8 +257,6 @@ def complex_symbols_to_real(symbols: tuple) -> tuple:
     """
     cached = _SYMBOL_EXPANSION_CACHE.get(symbols)
     if cached is None:
-        from .flat_model import sort_key_sign
-
         partial = {(): 1.0 + 0j}
         for symbol in symbols:
             grown: dict = {}
@@ -311,7 +281,7 @@ def complex_components(a: KForm, model: ContactModel = None) -> dict:
     the form equals the sum of ``coeff * symbol monomial`` over the dict.
     """
     out: dict = {}
-    for key, value in a.coeffs.items():
+    for key, value in a.terms():
         for symbols, coeff in real_key_to_complex(key):
             new = out.get(symbols, 0j) + coeff * value
             if new == 0:
@@ -325,11 +295,11 @@ def from_complex_components(
     components: dict, degree: int, model: ContactModel = None
 ) -> KForm:
     """Inverse of :func:`complex_components`."""
-    out = KForm(degree)
+    coeffs: dict = {}
     for symbols, coeff in components.items():
         for key, factor in complex_symbols_to_real(symbols):
-            out._accumulate(key, complex(coeff) * factor)
-    return out
+            coeffs[key] = coeffs.get(key, 0j) + complex(coeff) * factor
+    return KForm(degree, coeffs)
 
 
 @dataclass

@@ -197,16 +197,14 @@ class GValuedForm:
         and returns an (n, n) object array of :class:`KForm`.
         """
         n = self.algebra.matrix_dim
+        entries = np.zeros((n, n, len(basis_keys(self.degree))), dtype=complex)
+        for row, vec in enumerate(self.to_matrix()):
+            if np.any(vec):
+                entries[:, :, row] = matrix_of(self.algebra, vec)
         grid = np.empty((n, n), dtype=object)
         for i in range(n):
             for j in range(n):
-                grid[i, j] = KForm(self.degree)
-        for key, vec in self.coeffs.items():
-            mat = matrix_of(self.algebra, vec)
-            for i in range(n):
-                for j in range(n):
-                    if mat[i, j]:
-                        grid[i, j]._accumulate(key, mat[i, j])
+                grid[i, j] = KForm.from_vector(self.degree, entries[i, j])
         return grid
 
     def _check(self, other: "GValuedForm") -> None:
@@ -225,7 +223,7 @@ def gform_from_terms(
         if form.degree != degree:
             raise ValueError("term degree does not match")
         vec = np.asarray(vector, dtype=complex)
-        for key, value in form.coeffs.items():
+        for key, value in form.terms():
             out.accumulate(key, value * vec)
     return out
 
@@ -307,11 +305,12 @@ def g_wedge_bracket_entry_path(
                 acc = acc + wedge(pe[h, j], qe[i, h])
                 acc = acc - sign * wedge(qe[h, j], pe[i, h])
             grid[i, j] = acc
+    entries = np.array(
+        [[grid[i, j].vector for j in range(n)] for i in range(n)]
+    )
     out = GValuedForm(algebra, total_degree)
-    for key in basis_keys(total_degree):
-        mat = np.array(
-            [[grid[i, j].coefficient(*key) for j in range(n)] for i in range(n)]
-        )
+    for row, key in enumerate(basis_keys(total_degree)):
+        mat = entries[:, :, row]
         if np.any(mat):
             out.coeffs[key] = coeffs_of(algebra, mat)
     return out
@@ -320,8 +319,9 @@ def g_wedge_bracket_entry_path(
 def g_wedge_scalar(F: GValuedForm, form: KForm) -> GValuedForm:
     """Wedge an algebra-valued form with a scalar form on the right."""
     out = GValuedForm(F.algebra, F.degree + form.degree)
+    terms = form.terms()
     for key, vec in F.coeffs.items():
-        for key2, value in form.coeffs.items():
+        for key2, value in terms:
             out.accumulate(key + key2, value * vec)
     return out
 
@@ -504,18 +504,8 @@ _FAMILIES = standard_two_form_families()
 
 # Gram matrix of the w family: orthogonal except the last two members,
 # which share one monomial.
-_W_GRAM = np.array(
-    [
-        [
-            sum(
-                (wa.coeffs.get(key, 0) * np.conj(value)).real
-                for key, value in wb.coeffs.items()
-            )
-            for wb in _FAMILIES["w"]
-        ]
-        for wa in _FAMILIES["w"]
-    ]
-)
+_W_VECTORS = np.stack([w.vector for w in _FAMILIES["w"]])
+_W_GRAM = (_W_VECTORS @ _W_VECTORS.conj().T).real
 
 
 def gform_from_w_coefficients(algebra: LieAlgebraSpec, a_rows) -> GValuedForm:
@@ -540,7 +530,7 @@ def w_coefficients_from_gform(
     rows = []
     for w in _FAMILIES["w"]:
         vec = np.zeros(F.algebra.dim, dtype=complex)
-        for key, value in w.coeffs.items():
+        for key, value in w.terms():
             coeff = F.coeffs.get(key)
             if coeff is not None:
                 vec = vec + coeff * np.conj(value)
@@ -677,7 +667,7 @@ def omega_component(F: GValuedForm, model: ContactModel) -> np.ndarray:
     omega = model.omega
     omega_sq = 0.0
     vec = np.zeros(F.algebra.dim, dtype=complex)
-    for key, value in omega.coeffs.items():
+    for key, value in omega.terms():
         omega_sq += abs(value) ** 2
         coeff = F.coeffs.get(key)
         if coeff is not None:

@@ -6,6 +6,10 @@ commands.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -409,6 +413,63 @@ class TestExitCodes:
         )
         assert main(["calibrate"]) == 1
         capsys.readouterr()
+
+    @staticmethod
+    def _assert_one_line_input_error(capsys):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.strip().splitlines()[-1].startswith("input error")
+
+    def test_nan_coefficient_exits_two(self, tmp_path, capsys):
+        payload = dict(SD_PAYLOAD, components={"w1": [float("nan"), 0.0, 0.0]})
+        path = write_json(tmp_path, "nan.json", payload)
+        for command in ("decompose", "classify", "spectrum"):
+            assert main([command, "--input", path]) == 2
+            self._assert_one_line_input_error(capsys)
+
+    def test_non_finite_scalar_rejected_at_parse(self):
+        for value in (float("inf"), [0.0, float("-inf")], 10**400):
+            payload = dict(SD_PAYLOAD, components={"w1": [value, 0.0, 0.0]})
+            with pytest.raises(InputError, match="finite"):
+                parse_gform(payload)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_report_exits_two(self, tmp_path, capsys):
+        # finite input whose report overflows to inf / nan
+        payload = dict(SD_PAYLOAD, components={"w1": [1e308, 1e308, 0.0]})
+        path = write_json(tmp_path, "big.json", payload)
+        for command in ("decompose", "classify"):
+            for fmt in ("json", "csv"):
+                assert main([command, "--input", path, "--format", fmt]) == 2
+                self._assert_one_line_input_error(capsys)
+
+    def test_encode_report_rejects_non_finite(self):
+        for fmt in ("json", "csv"):
+            with pytest.raises(ValueError):
+                encode_report({"x": float("nan")}, fmt)
+
+    def test_unwritable_output_exits_two(self, capsys):
+        argv = ["calibrate", "--output", "/nonexistent/dir/x.json"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: cannot write output file")
+        assert "Traceback" not in err
+
+
+def test_module_entry_point_runs_without_runpy_warning():
+    import artifact
+
+    src = str(Path(artifact.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning",
+         "-m", "artifact.cli_interface", "calibrate"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["vertical_index"] == 7
 
 
 # ---------------------------------------------------------------------------

@@ -144,10 +144,8 @@ class TestCovectorHelpers:
         xi = covector_form(vec)
         mat = wedge_matrix(xi, 2)
         keys2 = basis_keys(2)
-        alpha = KForm(2)
         coords = rng.standard_normal(len(keys2))
-        for key, value in zip(keys2, coords):
-            alpha.coeffs[key] = value
+        alpha = KForm(2, dict(zip(keys2, coords)))
         image = wedge(xi, alpha)
         assert np.allclose(mat @ coords, image.to_vector().real)
 

@@ -4,9 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from artifact.flat_model import (
     HORIZONTAL_INDICES,
+    ContactModel,
     KForm,
     REEB_INDEX,
     basis_keys,
@@ -130,16 +132,21 @@ def test_wedge_bilinear():
 # ---------------------------------------------------------------------------
 
 
-def _star_oracle(form: KForm, orientation: int) -> KForm:
-    """Signed-complement star computed with the inversion-count parity."""
-    out = KForm(7 - form.degree)
-    for key, value in form.coeffs.items():
+def _star_oracle(form: KForm, orientation: int, span=range(1, 8)) -> KForm:
+    """Signed-complement star computed with the inversion-count parity.
+
+    ``span`` is the set of indices whose volume form the star refers to:
+    all seven for the Hodge star, the horizontal six for the transverse
+    star.
+    """
+    coeffs = {}
+    for key, value in form.terms():
         complement = tuple(
-            i for i in range(1, 8) if i not in key
+            i for i in span if i not in key
         )
         sign = _inversion_sign(key + complement)
-        out._accumulate(complement, orientation * sign * value)
-    return out
+        coeffs[complement] = orientation * sign * value
+    return KForm(len(span) - form.degree, coeffs)
 
 
 def test_hodge_star_matches_oracle(model):
@@ -149,6 +156,28 @@ def test_hodge_star_matches_oracle(model):
         lhs = hodge_star(form, model)
         rhs = _star_oracle(form, model.orientation_sign)
         assert (lhs - rhs).norm() == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(degree=st.integers(0, 7), seed=st.integers(0, 2**32 - 1),
+       orientation=st.sampled_from((1, -1)))
+def test_stars_match_oracle_on_random_forms(degree, seed, orientation):
+    calibrated = calibrate_model()
+    model = ContactModel(orientation, calibrated.deta, calibrated.phi)
+    rng = np.random.default_rng(seed)
+    form = _random_form(rng, degree)
+    # sparse inputs reach the table rows one at a time
+    form.vector[rng.random(form.vector.shape) < 0.5] = 0.0
+    assert (hodge_star(form, model)
+            - _star_oracle(form, orientation)).norm() == 0.0
+    if degree == 7:
+        return
+    horizontal = KForm(degree, {
+        key: value for key, value in form.terms() if REEB_INDEX not in key
+    })
+    assert (transverse_star(horizontal, model)
+            - _star_oracle(horizontal, orientation, HORIZONTAL_INDICES)
+            ).norm() == 0.0
 
 
 def test_hodge_star_involution(model):
@@ -239,9 +268,7 @@ def test_transverse_star_double_star_signs(model):
         if not keys:
             continue
         coeffs = rng.standard_normal(len(keys))
-        form = KForm(degree)
-        for key, c in zip(keys, coeffs):
-            form._accumulate(key, complex(c))
+        form = KForm(degree, dict(zip(keys, coeffs)))
         twice = transverse_star(transverse_star(form, model), model)
         expected = form * ((-1.0) ** (degree * (6 - degree)))
         assert (twice - expected).norm() <= 1e-12 * max(form.norm(), 1.0)
@@ -291,6 +318,36 @@ def test_calibrated_contact_form(model):
     assert (model.deta - expected).norm() == 0.0
     assert (model.omega - expected).norm() == 0.0
     assert model.omega.norm() == pytest.approx(np.sqrt(3.0))
+
+
+def test_calibrated_model_is_read_only(model):
+    with pytest.raises(ValueError):
+        model.phi[1, 0] = 0.0
+    with pytest.raises(ValueError):
+        model.deta.vector[0] = 1.0
+    assert model.signature() == (1, -1.0, -1)
+
+
+def test_model_keeps_its_own_arrays():
+    phi = np.zeros((7, 7))
+    deta = KForm.basis(1, 2)
+    model = ContactModel(1, deta, phi)
+    assert not np.shares_memory(model.phi, phi)
+    assert not np.shares_memory(model.deta.vector, deta.vector)
+    assert phi.flags.writeable and deta.vector.flags.writeable
+
+
+def test_form_arithmetic_returns_fresh_arrays(model):
+    a = model.deta
+    results = (
+        a + a, a - a, -a, 2.0 * a, a * 1j, a.conjugate(), a.copy(),
+        model.omega, wedge(a), KForm.from_vector(2, a.vector),
+    )
+    for out in results:
+        assert not np.shares_memory(out.vector, a.vector)
+        out.vector[0] = 1.0
+    assert a.vector[0] == -1.0
+    assert not np.shares_memory(a.to_vector(), a.vector)
 
 
 def test_calibrated_volume_positive(model):
@@ -350,9 +407,7 @@ def test_frozen_w_family():
     families = standard_two_form_families()
     assert len(families["w"]) == 8
     for index, terms in _W_EXPECTED.items():
-        expected = KForm(2)
-        for key, coeff in terms:
-            expected._accumulate(key, complex(coeff))
+        expected = KForm(2, dict(terms))
         assert (families["w"][index - 1] - expected).norm() == 0.0
 
 
@@ -360,9 +415,7 @@ def test_frozen_v_family():
     families = standard_two_form_families()
     assert len(families["v"]) == 6
     for index, terms in _V_EXPECTED.items():
-        expected = KForm(2)
-        for key, coeff in terms:
-            expected._accumulate(key, complex(coeff))
+        expected = KForm(2, dict(terms))
         assert (families["v"][index - 1] - expected).norm() == 0.0
 
 

@@ -226,8 +226,7 @@ class TestWedgeBracket:
     def test_wedge_scalar(self, su2):
         rng = np.random.default_rng(24)
         A = random_gform(su2, 1, rng)
-        form = KForm(1)
-        form.coeffs[(3,)] = 1.0
+        form = KForm(1, {(3,): 1.0})
         out = g_wedge_scalar(A, form)
         for key, vec in A.coeffs.items():
             if 3 in key:
@@ -497,7 +496,7 @@ class TestComplexComponents:
         assert np.allclose(out, u, atol=1e-14)
         # pairing definition: <F, omega> = u ||omega||^2
         total = np.zeros(3, dtype=complex)
-        for key, value in model.omega.coeffs.items():
+        for key, value in model.omega.terms():
             total += F.vector_at(*key) * np.conj(value)
         norm_sq = form_inner(model.omega, model.omega).real
         assert np.allclose(total / norm_sq, out)
@@ -645,10 +644,7 @@ class TestScalarConsistency:
         for column in F.to_matrix().T:
             if not np.any(column):
                 continue
-            form = KForm(2)
-            for key, value in zip(basis_keys(2), column):
-                if value != 0:
-                    form.coeffs[key] = value
+            form = KForm(2, dict(zip(basis_keys(2), column)))
             assert characterize(form, model)["label"] == "IN_8"
 
     def test_lie_element_wrapper(self, su2):
