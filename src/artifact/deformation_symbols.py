@@ -32,6 +32,18 @@ horizontal derivatives, so its symbols collapse at vertical covectors;
 for horizontal covectors the ranks are ``(d, 5d)`` and the final stage
 has a cokernel of dimension ``2d``, which is reported without further
 interpretation.
+
+Sweeps over many covectors run along the sample axis.  The maps are
+linear in the covector, so :func:`build_quotient_spaces` stores each one
+as a tensor over the seven basis covectors; a block of covectors is
+contracted with it in one einsum, and one stacked singular value
+decomposition per map gives the ranks of the whole block.  Blocks hold at
+most ``SAMPLE_BLOCK`` covectors, which bounds memory for any sample
+count.  The single-covector functions :func:`symbol_maps`,
+:func:`basic_symbol_maps` and :func:`exactness_report` build each map from
+the wedge with the covector itself; they are the oracle routes the
+batched sweep is tested against, and they produce the full reports of any
+covector the sweep finds failing.
 """
 
 from __future__ import annotations
@@ -55,6 +67,7 @@ __all__ = [
     "FULL_C",
     "BASIC_B",
     "RANK_RELATIVE_THRESHOLD",
+    "SAMPLE_BLOCK",
     "QuotientSpaces",
     "build_quotient_spaces",
     "wedge_matrix",
@@ -72,6 +85,10 @@ BASIC_B = "BASIC_B"
 
 # singular values below this fraction of the largest one count as zero
 RANK_RELATIVE_THRESHOLD = 1e-9
+
+# covectors per block of a sweep: the stacked maps of a block take a few
+# megabytes, whatever the sample count
+SAMPLE_BLOCK = 4096
 
 _HORIZONTAL_COUNT = 6
 
@@ -112,6 +129,10 @@ class QuotientSpaces:
     ``l2_basis`` spans the orthogonal complement of the +1 block in the
     2-forms; ``l3_basis`` spans the contact wedge of the -1 and -2
     blocks inside the 3-forms.
+
+    ``full_symbol_tensors`` and ``basic_symbol_tensors`` hold the symbol
+    maps of each complex as tensors ``T`` of shape ``(7, target,
+    source)``: the map at a covector ``xi`` is ``sum_a xi[a] T[a]``.
     """
 
     model: ContactModel
@@ -120,6 +141,8 @@ class QuotientSpaces:
     basic2_basis: np.ndarray = field(repr=False)
     ideal2_basis: np.ndarray = field(repr=False)
     ideal3_basis: np.ndarray = field(repr=False)
+    full_symbol_tensors: tuple = field(repr=False)
+    basic_symbol_tensors: tuple = field(repr=False)
 
     @property
     def scalar_dims(self) -> tuple:
@@ -184,13 +207,29 @@ def build_quotient_spaces(model: ContactModel | None = None) -> QuotientSpaces:
     ]
     ideal3 = horizontal_triples + [wedge(eta, form) for form in w_forms]
 
+    l2_basis = _columns_from_forms(l2, 2)
+    l3_basis = _columns_from_forms(l3_forms, 3)
+    basic2_basis = _columns_from_forms(basic2, 2)
+    # wedge matrices of the seven basis covectors, stacked on axis 0
+    axes = [covector_form(row) for row in np.eye(7)]
+    w1 = np.stack([wedge_matrix(xi, 1) for xi in axes])
+    w2 = np.stack([wedge_matrix(xi, 2) for xi in axes])
     spaces = QuotientSpaces(
         model=model,
-        l2_basis=_columns_from_forms(l2, 2),
-        l3_basis=_columns_from_forms(l3_forms, 3),
-        basic2_basis=_columns_from_forms(basic2, 2),
+        l2_basis=l2_basis,
+        l3_basis=l3_basis,
+        basic2_basis=basic2_basis,
         ideal2_basis=_columns_from_forms(ideal2, 2),
         ideal3_basis=_columns_from_forms(ideal3, 3),
+        full_symbol_tensors=(
+            np.eye(7)[:, :, None],
+            l2_basis.T @ w1,
+            l3_basis.T @ w2 @ l2_basis,
+        ),
+        basic_symbol_tensors=(
+            np.eye(7)[:, :_HORIZONTAL_COUNT, None],
+            basic2_basis.T @ w1[:, :, :_HORIZONTAL_COUNT],
+        ),
     )
     for matrix, label in (
         (spaces.l2_basis, "2-form quotient"),
@@ -219,11 +258,20 @@ def numerical_rank(
     matrix = np.asarray(matrix, dtype=float)
     if matrix.size == 0:
         return 0
-    values = np.linalg.svd(matrix, compute_uv=False)
-    top = values.max(initial=0.0)
-    if top == 0.0:
-        return 0
-    return int(np.sum(values > threshold * top))
+    return int(_stacked_ranks(matrix, threshold))
+
+
+def _stacked_ranks(stack: np.ndarray, threshold: float) -> np.ndarray:
+    """Ranks of a stack of matrices (last two axes) by one stacked SVD.
+
+    A singular value counts when it exceeds ``threshold`` times the
+    largest one of its matrix; a matrix whose largest value is zero has
+    rank zero.
+    """
+    values = np.linalg.svd(stack, compute_uv=False)
+    top = values.max(axis=-1, initial=0.0)
+    count = np.sum(values > threshold * top[..., None], axis=-1)
+    return np.where(top == 0.0, 0, count)
 
 
 def _expand(matrix: np.ndarray, d: int) -> np.ndarray:
@@ -277,7 +325,7 @@ def basic_symbol_maps(xi, q: QuotientSpaces, d: int = 1) -> tuple:
     return (_expand(b0, d), _expand(b1, d))
 
 
-def _stage_rows(dims, ranks, maps) -> list:
+def _stage_rows(dims, ranks) -> list:
     """Per-stage rank, kernel, cokernel and exactness bookkeeping.
 
     Stage ``k`` sits at the ``k``-th space of the sequence; exactness
@@ -285,17 +333,17 @@ def _stage_rows(dims, ranks, maps) -> list:
     incoming one (injectivity at the start, surjectivity at the end).
     """
     rows = []
-    count = len(dims)
-    for k in range(count):
+    maps = len(ranks)
+    for k in range(len(dims)):
         incoming = ranks[k - 1] if k >= 1 else 0
-        outgoing_rank = ranks[k] if k < len(maps) else 0
-        kernel = dims[k] - outgoing_rank if k < len(maps) else dims[k]
+        outgoing_rank = ranks[k] if k < maps else 0
+        kernel = dims[k] - outgoing_rank if k < maps else dims[k]
         exact = kernel == incoming
         rows.append(
             {
                 "stage": k,
                 "dim": int(dims[k]),
-                "outgoing_rank": int(outgoing_rank) if k < len(maps) else None,
+                "outgoing_rank": int(outgoing_rank) if k < maps else None,
                 "kernel_dim": int(kernel),
                 "image_in": int(incoming),
                 "cokernel_dim": int(dims[k] - incoming),
@@ -327,7 +375,7 @@ def exactness_report(
         float(np.max(np.abs(maps[k + 1] @ maps[k])))
         for k in range(len(maps) - 1)
     ]
-    stages = _stage_rows(dims, ranks, maps)
+    stages = _stage_rows(dims, ranks)
     exact_all = all(row["exact"] for row in stages)
     degenerate = any(rank == 0 for rank in ranks)
     report = {
@@ -346,6 +394,24 @@ def exactness_report(
         "rank_threshold": float(threshold),
     }
     return report
+
+
+def _covector_blocks(seed: int, samples: int):
+    """The swept covectors, in blocks of at most ``SAMPLE_BLOCK``.
+
+    The seven axis covectors come first, then ``samples`` seeded normal
+    draws.  A draw of norm at most 1e-6 is rejected and the next one is
+    taken, exactly as when drawing one covector at a time: a block of
+    draws reads the same stream as the draws made one by one.
+    """
+    yield np.eye(7)
+    rng = np.random.default_rng(seed)
+    remaining = samples
+    while remaining > 0:
+        draws = rng.normal(size=(min(remaining, SAMPLE_BLOCK), 7))
+        kept = draws[np.linalg.norm(draws, axis=1) > 1e-6]
+        remaining -= len(kept)
+        yield kept
 
 
 def batch_exactness(
@@ -368,43 +434,98 @@ def batch_exactness(
     failures.  For the basic complex the roles flip: horizontal
     covectors must be exact at the first two stages while vertical
     covectors collapse both maps to zero.
+
+    The sweep runs in blocks of ``SAMPLE_BLOCK`` covectors: each map is
+    the contraction of the block with its symbol tensor, and one stacked
+    SVD per map gives the ranks at ``d = 1``.  A coefficient algebra of
+    dimension ``d`` tensors every map with the identity, which multiplies
+    each rank by ``d``.  The stage rows are worked out once per rank
+    pattern and ``d``.  Every covector and ``d`` counts as one report, as
+    in a loop of :func:`exactness_report` (the oracle route); the first
+    three failures are reported in full by that function.
     """
-    rng = np.random.default_rng(seed)
-    covectors = [np.eye(7)[k] for k in range(7)]
-    while len(covectors) < samples + 7:
-        vec = rng.normal(size=7)
-        if np.linalg.norm(vec) > 1e-6:
-            covectors.append(vec)
-    failures = []
+    # a swept covector passes when these leading stages are exact
+    if which == FULL_C:
+        tensors, dims_at, checked = q.full_symbol_tensors, q.dims, None
+    elif which == BASIC_B:
+        tensors, dims_at, checked = q.basic_symbol_tensors, q.basic_dims, 2
+    else:
+        raise ValueError(f"unknown complex tag {which!r}")
+    if any(d < 1 for d in dims):
+        raise ValueError("coefficient dimension must be at least 1")
+    per_covector = len(dims)
+    verdicts = {}
+
+    def verdict(pattern: tuple) -> tuple:
+        """Exactness everywhere and at the checked stages, per d."""
+        if pattern not in verdicts:
+            rows = [
+                _stage_rows(dims_at(d), [d * r for r in pattern])
+                for d in dims
+            ]
+            verdicts[pattern] = (
+                [all(row["exact"] for row in stages) for stages in rows],
+                [
+                    all(row["exact"] for row in stages[:checked])
+                    for stages in rows
+                ],
+            )
+        return verdicts[pattern]
+
+    total = 0
+    failures = 0
+    failure_reports = []
     rank_patterns = {}
-    vertical_reports = []
-    horizontal_reports = []
-    for vec in covectors:
-        is_horizontal = vec[_HORIZONTAL_COUNT] == 0.0
-        is_vertical = bool(np.max(np.abs(vec[:_HORIZONTAL_COUNT])) == 0.0)
-        for d in dims:
-            report = exactness_report(vec, q, which, d, threshold)
-            pattern = tuple(r // d for r in report["ranks"])
-            rank_patterns[pattern] = rank_patterns.get(pattern, 0) + 1
-            if which == FULL_C:
-                if is_horizontal:
-                    horizontal_reports.append(report)
-                elif not report["exact_everywhere"]:
-                    failures.append(report)
-            else:
-                if is_vertical:
-                    vertical_reports.append(report)
-                elif not all(
-                    row["exact"] for row in report["stages"][:2]
-                ):
-                    failures.append(report)
+    probe_count = 0
+    probe_patterns = set()
+    probe_exact = True
+    for block in _covector_blocks(seed, samples):
+        total += len(block)
+        if not per_covector or not len(block):
+            continue
+        ranks = np.stack(
+            [
+                _stacked_ranks(
+                    np.einsum("na,aij->nij", block, tensor), threshold
+                )
+                for tensor in tensors
+            ],
+            axis=1,
+        )
+        patterns, inverse, counts = np.unique(
+            ranks, axis=0, return_inverse=True, return_counts=True
+        )
+        patterns = [tuple(int(r) for r in row) for row in patterns]
+        inverse = inverse.reshape(-1)
+        for pattern, count in zip(patterns, counts):
+            rank_patterns[pattern] = (
+                rank_patterns.get(pattern, 0) + per_covector * int(count)
+            )
+        if which == FULL_C:
+            probed = block[:, _HORIZONTAL_COUNT] == 0.0
+        else:
+            probed = ~np.any(block[:, :_HORIZONTAL_COUNT], axis=1)
+        passed = np.array([verdict(p)[1] for p in patterns])[inverse]
+        probe_count += per_covector * int(np.sum(probed))
+        for index in np.unique(inverse[probed]):
+            pattern = patterns[index]
+            probe_patterns.add(pattern)
+            probe_exact = probe_exact and all(verdict(pattern)[0])
+        failed = ~passed & ~probed[:, None]
+        failures += int(np.sum(failed))
+        for row, column in np.argwhere(failed)[: 3 - len(failure_reports)]:
+            failure_reports.append(
+                exactness_report(
+                    block[row], q, which, int(dims[column]), threshold
+                )
+            )
     out = {
         "which": which,
         "seed": int(seed),
-        "samples": int(len(covectors)),
+        "samples": int(total),
         "coefficient_dims": [int(d) for d in dims],
-        "failures": len(failures),
-        "failure_reports": failures[:3],
+        "failures": failures,
+        "failure_reports": failure_reports,
         "rank_patterns": {
             "x".join(str(r) for r in key): count
             for key, count in sorted(rank_patterns.items())
@@ -413,27 +534,17 @@ def batch_exactness(
     }
     if which == FULL_C:
         out["horizontal_probe"] = {
-            "count": len(horizontal_reports),
+            "count": probe_count,
             "rank_patterns": sorted(
-                {
-                    "x".join(
-                        str(r // rep["coefficient_dim"])
-                        for r in rep["ranks"]
-                    )
-                    for rep in horizontal_reports
-                }
+                "x".join(str(r) for r in key) for key in probe_patterns
             ),
-            "exact_everywhere": bool(
-                horizontal_reports
-                and all(r["exact_everywhere"] for r in horizontal_reports)
-            ),
+            "exact_everywhere": bool(probe_count and probe_exact),
         }
     if which == BASIC_B:
         out["vertical_degenerate"] = bool(
-            vertical_reports
-            and all(r["degenerate"] for r in vertical_reports)
+            probe_count and all(0 in key for key in probe_patterns)
         )
-        out["vertical_count"] = len(vertical_reports)
+        out["vertical_count"] = probe_count
     return out
 
 

@@ -61,6 +61,7 @@ __all__ = [
     "g_wedge_bracket_entry_path",
     "g_wedge_scalar",
     "two_zero_from_v_coefficients",
+    "two_zero_stack_from_v_coefficients",
     "v_coefficients_from_two_zero",
     "f_components_from_w",
     "w_from_f_components",
@@ -381,12 +382,33 @@ def two_zero_from_v_coefficients(
     algebra: LieAlgebraSpec, b_rows
 ) -> TwoZeroSection:
     """Section with components built from coefficients on the v family."""
-    b = _as_rows(algebra, b_rows, 6)
+    phi12, phi13, phi23 = two_zero_stack_from_v_coefficients(
+        algebra, _as_rows(algebra, b_rows, 6)
+    )
     return TwoZeroSection(
-        algebra=algebra,
-        phi12=(b[0] - 1j * b[1]) / 2.0,
-        phi13=(b[2] - 1j * b[3]) / 2.0,
-        phi23=(b[4] - 1j * b[5]) / 2.0,
+        algebra=algebra, phi12=phi12, phi13=phi13, phi23=phi23
+    )
+
+
+def two_zero_stack_from_v_coefficients(
+    algebra: LieAlgebraSpec, b_rows
+) -> np.ndarray:
+    """Components of many sections built from v-family coefficients.
+
+    ``b_rows`` has shape ``(..., 6, dim)``, its leading axes running over
+    sections.  The result has shape ``(3, ..., dim)``: entry ``k`` is
+    ``(b[..., 2k, :] - i b[..., 2k + 1, :]) / 2``, the components phi_12,
+    phi_13 and phi_23 of every section.  For one section it equals
+    ``two_zero_from_v_coefficients(algebra, b_rows).stacked()``.
+    """
+    b = np.asarray(b_rows, dtype=complex)
+    if b.ndim < 2 or b.shape[-2:] != (6, algebra.dim):
+        raise ValueError(
+            f"expected a (..., 6, {algebra.dim}) coefficient array"
+        )
+    return np.stack(
+        [(b[..., 2 * k, :] - 1j * b[..., 2 * k + 1, :]) / 2.0
+         for k in range(3)]
     )
 
 

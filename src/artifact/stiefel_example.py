@@ -48,10 +48,12 @@ from .gauge_fields import (
     instanton_classify,
     omega_component,
     two_zero_from_v_coefficients,
+    two_zero_stack_from_v_coefficients,
 )
 from .weitzenbock_engine import (
     TransverseRicci,
     quad_form_F,
+    quad_form_F_stack,
     v_basis_quad_form,
     vanishing_report,
 )
@@ -60,6 +62,7 @@ from .ym_stability import RicciTensor7, stability_report
 __all__ = [
     "STIEFEL_EINSTEIN_Y",
     "SDCI_TOLERANCE",
+    "SAMPLE_BLOCK",
     "StiefelSpec",
     "build_stiefel",
     "gauge_algebra",
@@ -75,6 +78,10 @@ STIEFEL_EINSTEIN_Y = (9.0 / 16.0, 3.0 / 8.0, 3.0 / 8.0)
 
 # residual budget for certifying the curvature type
 SDCI_TOLERANCE = 1e-12
+
+# random sections per block of the sign search: bounds its memory to a
+# few megabytes, whatever the sample count
+SAMPLE_BLOCK = 4096
 
 # ambient Einstein constants in dimension 7: Ricci = 6 g, transverse
 # Ricci = 8 g on the horizontal distribution
@@ -254,6 +261,12 @@ def indefiniteness_search(
     curvature component and the quadratic form evaluates to plus or
     minus 4 at the Einstein point.  A seeded random search confirms
     that both signs also occur in generic directions.
+
+    The random sections are drawn and evaluated in blocks of
+    ``SAMPLE_BLOCK``: one ``(block, 6, dim)`` normal draw, which reads
+    the same stream as one ``(6, dim)`` draw per section, and one call of
+    :func:`quad_form_F_stack` per block.  The analytic witnesses go
+    through the per-section oracle route :func:`quad_form_F`.
     """
     if samples < 1:
         raise ValueError("need at least one random sample")
@@ -286,11 +299,14 @@ def indefiniteness_search(
     rng = np.random.default_rng(seed)
     best_positive = 0.0
     best_negative = 0.0
-    for _ in range(samples):
-        rows = rng.normal(size=(6, gauge.dim))
-        quad = quad_form_F(fc, two_zero_from_v_coefficients(gauge, rows))
-        best_positive = max(best_positive, quad)
-        best_negative = min(best_negative, quad)
+    for start in range(0, samples, SAMPLE_BLOCK):
+        count = min(SAMPLE_BLOCK, samples - start)
+        rows = rng.normal(size=(count, 6, gauge.dim))
+        quads = quad_form_F_stack(
+            fc, two_zero_stack_from_v_coefficients(gauge, rows)
+        )
+        best_positive = max(best_positive, float(quads.max()))
+        best_negative = min(best_negative, float(quads.min()))
 
     indefinite = (
         witnesses["plus"]["quad"] > 0.0 and witnesses["minus"]["quad"] < 0.0

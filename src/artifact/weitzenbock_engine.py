@@ -53,6 +53,7 @@ __all__ = [
     "apply_F_xi_path",
     "quad_form_F",
     "quad_form_F_complex",
+    "quad_form_F_stack",
     "v_basis_quad_form",
     "V_QUAD_TO_OPERATOR_FACTOR",
     "build_R_operator",
@@ -325,8 +326,42 @@ def quad_form_F_complex(fc: FComponents, section: TwoZeroSection) -> complex:
 
 
 def quad_form_F(fc: FComponents, section: TwoZeroSection) -> float:
-    """Real part of :func:`quad_form_F_complex`."""
+    """Real part of :func:`quad_form_F_complex`.
+
+    The per-section oracle route for :func:`quad_form_F_stack`.
+    """
     return float(quad_form_F_complex(fc, section).real)
+
+
+def quad_form_F_stack(fc: FComponents, phi) -> np.ndarray:
+    """Real curvature quadratic form on a stack of sections.
+
+    ``phi`` has shape ``(3, ..., dim)``: ``phi[0]``, ``phi[1]`` and
+    ``phi[2]`` hold the components phi_12, phi_13 and phi_23 of every
+    section, so one section enters as ``section.stacked()``.  Evaluates
+    the bracket route of :func:`quad_form_F_complex` over all leading
+    axes at once and returns its real part, one value per section.  It
+    applies the same contractions in the same order as the per-section
+    oracle route :func:`quad_form_F`; only the summation order inside a
+    contraction may differ, which moves results by rounding.
+    """
+    algebra = fc.algebra
+    phi = np.asarray(phi, dtype=complex)
+    if phi.ndim < 2 or phi.shape[0] != 3 or phi.shape[-1] != algebra.dim:
+        raise ValueError(f"expected a (3, ..., {algebra.dim}) section stack")
+    phi12, phi13, phi23 = (np.ascontiguousarray(part) for part in phi)
+
+    def pairing(u, v, mu, nu):
+        re_part = (fc.at(mu, nu) + np.conj(fc.at(mu, nu))) / 2.0
+        bracket = np.einsum("...i,...j,ijk->...k", u, v, algebra.structure)
+        return bracket @ algebra.gram @ np.conj(re_part)
+
+    total = 2.0 * (
+        pairing(phi13, phi23, 1, 2)
+        + pairing(phi12, phi23, 3, 1)
+        + pairing(phi12, phi13, 2, 3)
+    )
+    return total.real
 
 
 def v_basis_quad_form(algebra: LieAlgebraSpec, b_rows, a_rows) -> float:

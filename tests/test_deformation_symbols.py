@@ -3,10 +3,15 @@
 Rank patterns are checked against hand-derived values at axis covectors
 and generic random ones, compositions against exact zero, and the
 quotient bases against independent span and orthogonality oracles.
+The batched sweep is checked against the per-covector loop it replaced,
+kept here as the oracle route.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from artifact import deformation_symbols
 
 from artifact.flat_model import (
     KForm,
@@ -19,6 +24,7 @@ from artifact.deformation_symbols import (
     BASIC_B,
     FULL_C,
     RANK_RELATIVE_THRESHOLD,
+    SAMPLE_BLOCK,
     basic_symbol_maps,
     batch_exactness,
     build_quotient_spaces,
@@ -339,3 +345,221 @@ class TestBatchExactness:
         first = batch_exactness(spaces, FULL_C, seed=3, samples=10)
         second = batch_exactness(spaces, FULL_C, seed=3, samples=10)
         assert first == second
+
+
+# ---------------------------------------------------------------------------
+# Batched sweep against the per-covector oracle route
+# ---------------------------------------------------------------------------
+
+SWEEP_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+def _oracle_covectors(seed, samples):
+    """Axis covectors, then seeded draws one at a time with rejection."""
+    rng = np.random.default_rng(seed)
+    covectors = [np.eye(7)[k] for k in range(7)]
+    while len(covectors) < samples + 7:
+        vec = rng.normal(size=7)
+        if np.linalg.norm(vec) > 1e-6:
+            covectors.append(vec)
+    return covectors
+
+
+def _oracle_reports(q, which, covectors, dims, threshold):
+    """One exactness_report per covector and coefficient dimension."""
+    return [
+        [exactness_report(vec, q, which, d, threshold) for d in dims]
+        for vec in covectors
+    ]
+
+
+def _oracle_sweep(which, seed, covectors, reports, dims):
+    """The per-covector loop of batch_exactness, kept as the oracle."""
+    failures = []
+    rank_patterns = {}
+    vertical_reports = []
+    horizontal_reports = []
+    for vec, per_d in zip(covectors, reports):
+        is_horizontal = vec[6] == 0.0
+        is_vertical = bool(np.max(np.abs(vec[:6])) == 0.0)
+        for d, report in zip(dims, per_d):
+            pattern = tuple(r // d for r in report["ranks"])
+            rank_patterns[pattern] = rank_patterns.get(pattern, 0) + 1
+            if which == FULL_C:
+                if is_horizontal:
+                    horizontal_reports.append(report)
+                elif not report["exact_everywhere"]:
+                    failures.append(report)
+            else:
+                if is_vertical:
+                    vertical_reports.append(report)
+                elif not all(
+                    row["exact"] for row in report["stages"][:2]
+                ):
+                    failures.append(report)
+    out = {
+        "which": which,
+        "seed": int(seed),
+        "samples": int(len(covectors)),
+        "coefficient_dims": [int(d) for d in dims],
+        "failures": len(failures),
+        "failure_reports": failures[:3],
+        "rank_patterns": {
+            "x".join(str(r) for r in key): count
+            for key, count in sorted(rank_patterns.items())
+        },
+        "all_exact": not failures,
+    }
+    if which == FULL_C:
+        out["horizontal_probe"] = {
+            "count": len(horizontal_reports),
+            "rank_patterns": sorted(
+                {
+                    "x".join(
+                        str(r // rep["coefficient_dim"])
+                        for r in rep["ranks"]
+                    )
+                    for rep in horizontal_reports
+                }
+            ),
+            "exact_everywhere": bool(
+                horizontal_reports
+                and all(r["exact_everywhere"] for r in horizontal_reports)
+            ),
+        }
+    if which == BASIC_B:
+        out["vertical_degenerate"] = bool(
+            vertical_reports
+            and all(r["degenerate"] for r in vertical_reports)
+        )
+        out["vertical_count"] = len(vertical_reports)
+    return out
+
+
+def _oracle(q, which, seed, covectors, dims, threshold):
+    reports = _oracle_reports(q, which, covectors, dims, threshold)
+    return _oracle_sweep(which, seed, covectors, reports, dims)
+
+
+_WHICH = st.sampled_from([FULL_C, BASIC_B])
+_DIMS = st.sampled_from([(1, 3), (1,), (2,), (3, 1, 4), ()])
+# a large cut makes ranks drop, so failures and their reports show up
+_THRESHOLDS = st.sampled_from([RANK_RELATIVE_THRESHOLD, 0.3, 0.9])
+
+
+class TestBatchedSweepOracle:
+    @SWEEP_SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        block=st.integers(1, 6),
+        extra=st.integers(-1, 1),
+        blocks=st.integers(0, 3),
+        which=_WHICH,
+        dims=_DIMS,
+        threshold=_THRESHOLDS,
+    )
+    def test_matches_per_covector_loop(
+        self, spaces, seed, block, extra, blocks, which, dims, threshold
+    ):
+        # sample counts at and next to multiples of a reduced block size
+        samples = max(0, blocks * block + extra)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(deformation_symbols, "SAMPLE_BLOCK", block)
+            got = batch_exactness(
+                spaces, which, seed, samples, dims, threshold
+            )
+        covectors = _oracle_covectors(seed, samples)
+        assert got == _oracle(spaces, which, seed, covectors, dims, threshold)
+
+    @SWEEP_SETTINGS
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 2**32 - 1),
+                st.sampled_from([1.0, 1e-6, 1e3]),
+                st.sampled_from([None, 0, 3, 5, 6]),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        split=st.integers(1, 5),
+        which=_WHICH,
+        dims=_DIMS,
+    )
+    def test_scaled_and_axis_covectors(
+        self, spaces, rows, split, which, dims
+    ):
+        # generic, horizontal and vertical draws at three scales, plus
+        # scaled axis covectors, fed to the sweep in blocks of ``split``
+        covectors = []
+        for seed, scale, axis in rows:
+            if axis is None:
+                vec = np.random.default_rng(seed).normal(size=7)
+                kind = seed % 3
+                if kind == 1:
+                    vec[6] = 0.0
+                elif kind == 2:
+                    vec[:6] = 0.0
+            else:
+                vec = np.eye(7)[axis]
+            covectors.append(scale * vec)
+        stack = np.array(covectors)
+        blocks = [stack[i:i + split] for i in range(0, len(stack), split)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                deformation_symbols,
+                "_covector_blocks",
+                lambda seed, samples: iter(blocks),
+            )
+            got = batch_exactness(spaces, which, 0, 0, dims)
+        assert got == _oracle(
+            spaces, which, 0, covectors, dims, RANK_RELATIVE_THRESHOLD
+        )
+
+    @pytest.fixture(scope="class")
+    def full_size(self, spaces):
+        """Oracle reports for one block and two more covectors, at d=1."""
+        covectors = _oracle_covectors(11, SAMPLE_BLOCK + 1)
+        return covectors, {
+            which: _oracle_reports(
+                spaces, which, covectors, (1,), RANK_RELATIVE_THRESHOLD
+            )
+            for which in (FULL_C, BASIC_B)
+        }
+
+    @pytest.mark.parametrize("which", [FULL_C, BASIC_B])
+    @pytest.mark.parametrize(
+        "samples", [0, 1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1]
+    )
+    def test_block_boundaries(self, spaces, full_size, which, samples):
+        covectors, reports = full_size
+        got = batch_exactness(spaces, which, 11, samples, (1,))
+        count = samples + 7
+        want = _oracle_sweep(
+            which, 11, covectors[:count], reports[which][:count], (1,)
+        )
+        assert got == want
+
+    @pytest.mark.parametrize("which", [FULL_C, BASIC_B])
+    def test_sweep_independent_of_block_size(self, spaces, which):
+        # a sweep over more than one block reports what the same sweep
+        # gives when cut into smaller blocks
+        samples = SAMPLE_BLOCK + 100
+        whole = batch_exactness(spaces, which, 5, samples)
+        for block in (97, 1000):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(deformation_symbols, "SAMPLE_BLOCK", block)
+                assert batch_exactness(spaces, which, 5, samples) == whole
+
+
+class TestKroneckerRank:
+    """The sweep reports ``d * rank(M)`` for the map ``M (x) I_d``."""
+
+    @pytest.mark.parametrize("xi", [GENERIC_XI, HORIZONTAL_XI, VERTICAL_XI],
+                             ids=["generic", "horizontal", "vertical"])
+    def test_rank_of_kronecker_product(self, spaces, xi):
+        maps = symbol_maps(xi, spaces) + basic_symbol_maps(xi, spaces)
+        for matrix in maps:
+            rank = numerical_rank(matrix)
+            for d in range(1, 5):
+                assert numerical_rank(np.kron(matrix, np.eye(d))) == d * rank

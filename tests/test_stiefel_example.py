@@ -3,12 +3,15 @@
 The example's numbers are rigid: the curvature coefficient, its norms,
 the sign witnesses, and the structural facts about the fiber algebra
 are all exact at the Einstein metric scales, so most assertions here
-use exact equality rather than tolerances.
+use exact equality rather than tolerances.  The batched sign search is
+checked against the per-sample loop it replaced, kept here as the oracle
+route.
 """
 
 import numpy as np
 import pytest
 
+from artifact import stiefel_example
 from artifact.flat_model import calibrate_model
 from artifact.gauge_fields import (
     f_components_from_gform,
@@ -20,7 +23,9 @@ from artifact.gauge_fields import (
     gform_from_two_zero,
 )
 from artifact.lie_algebra import norm_vec
+from artifact.weitzenbock_engine import quad_form_F
 from artifact.stiefel_example import (
+    SAMPLE_BLOCK,
     SDCI_TOLERANCE,
     STIEFEL_EINSTEIN_Y,
     StiefelSpec,
@@ -225,6 +230,89 @@ class TestIndefiniteness:
     def test_sample_count_enforced(self, spec, model):
         with pytest.raises(ValueError):
             indefiniteness_search(spec, model, samples=0)
+
+
+def _oracle_quads(spec, model, seed, samples):
+    """Per-sample draws and quadratic forms, one section at a time."""
+    F = alpha_curvature(spec, model)
+    gauge = F.algebra
+    fc = f_components_from_gform(F, model)
+    rng = np.random.default_rng(seed)
+    quads = []
+    for _ in range(samples):
+        rows = rng.normal(size=(6, gauge.dim))
+        section = two_zero_from_v_coefficients(gauge, rows)
+        quads.append(quad_form_F(fc, section))
+    return quads
+
+
+def _oracle_random(seed, quads):
+    """The per-sample loop of the random sign search, kept as the oracle."""
+    best_positive = 0.0
+    best_negative = 0.0
+    for quad in quads:
+        best_positive = max(best_positive, quad)
+        best_negative = min(best_negative, quad)
+    return {
+        "seed": seed,
+        "samples": len(quads),
+        "best_positive": best_positive,
+        "best_negative": best_negative,
+    }
+
+
+class TestBatchedSearchOracle:
+    # the fiber algebra has structure constants 0 and +-1 and Gram matrix
+    # 6 I, and each real curvature component has one nonzero entry, so
+    # every contraction sums at most two nonzero terms and the batched
+    # values equal the per-sample ones exactly
+
+    @pytest.fixture(scope="class")
+    def oracle_quads(self, spec, model):
+        return {
+            seed: _oracle_quads(spec, model, seed, SAMPLE_BLOCK + 1)
+            for seed in (0, 3, 2024)
+        }
+
+    @pytest.mark.parametrize("seed", [0, 3, 2024])
+    @pytest.mark.parametrize(
+        "samples", [1, 2, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1]
+    )
+    def test_matches_per_sample_loop(
+        self, spec, model, oracle_quads, seed, samples
+    ):
+        got = indefiniteness_search(spec, model, seed=seed, samples=samples)
+        want = _oracle_random(seed, oracle_quads[seed][:samples])
+        assert got["random"] == want
+
+    def test_matches_away_from_einstein(self, model):
+        spec = build_stiefel(1.0, 2.0, 0.5)
+        got = indefiniteness_search(spec, model, seed=9, samples=300)
+        quads = _oracle_quads(spec, model, 9, 300)
+        assert got["random"] == _oracle_random(9, quads)
+
+    def test_search_independent_of_block_size(self, spec, model):
+        samples = SAMPLE_BLOCK + 100
+        whole = indefiniteness_search(spec, model, seed=4, samples=samples)
+        for block in (7, 97, 1000):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(stiefel_example, "SAMPLE_BLOCK", block)
+                assert indefiniteness_search(
+                    spec, model, seed=4, samples=samples
+                ) == whole
+
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_block_draws_read_the_sequential_stream(self, seed):
+        sequential = np.random.default_rng(seed)
+        one_by_one = np.stack(
+            [sequential.normal(size=(6, 3)) for _ in range(50)]
+        )
+        blocks = np.random.default_rng(seed)
+        assert np.array_equal(one_by_one, blocks.normal(size=(50, 6, 3)))
+        # a split stream continues where the previous block stopped
+        split = np.random.default_rng(seed)
+        parts = [split.normal(size=(n, 6, 3)) for n in (20, 1, 29)]
+        assert np.array_equal(one_by_one, np.concatenate(parts))
 
 
 # ---------------------------------------------------------------------------

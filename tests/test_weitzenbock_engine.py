@@ -17,6 +17,7 @@ from artifact.gauge_fields import (
     gform_from_two_zero,
     gform_from_w_coefficients,
     two_zero_from_v_coefficients,
+    two_zero_stack_from_v_coefficients,
 )
 from artifact.lie_algebra import (
     bracket_vec,
@@ -39,6 +40,7 @@ from artifact.weitzenbock_engine import (
     operator_spectrum,
     quad_form_F,
     quad_form_F_complex,
+    quad_form_F_stack,
     ricci_quad_trace,
     section_from_stack,
     stack_section,
@@ -252,6 +254,37 @@ class TestCurvatureOperator:
         a[4] = bracket_vec(so3, b[0], b[2]).real
         value = v_basis_quad_form(so3, b, a)
         assert value == pytest.approx(2.0, abs=1e-14)
+
+    def test_stacked_quad_matches_per_section_oracle(self, su2):
+        # complex sections over two leading axes, on algebras of
+        # dimension 3, 8 and 10; the stack route sums in another order,
+        # so the match is to rounding
+        rng = np.random.default_rng(14)
+        for algebra in (su2, make_su(3), make_so(5)):
+            fc, _ = random_components(algebra, rng)
+            shape = (4, 5, 6, algebra.dim)
+            b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            got = quad_form_F_stack(
+                fc, two_zero_stack_from_v_coefficients(algebra, b)
+            )
+            assert got.shape == (4, 5)
+            for index in np.ndindex(4, 5):
+                section = two_zero_from_v_coefficients(algebra, b[index])
+                want = quad_form_F(fc, section)
+                assert abs(got[index] - want) <= 1e-12 * max(abs(want), 1.0)
+                assert np.array_equal(
+                    section.stacked(),
+                    two_zero_stack_from_v_coefficients(algebra, b[index]),
+                )
+
+    def test_stacked_quad_shape_validation(self, su2):
+        fc, _ = random_components(su2, np.random.default_rng(15))
+        with pytest.raises(ValueError):
+            quad_form_F_stack(fc, np.zeros((2, 7, 3)))
+        with pytest.raises(ValueError):
+            quad_form_F_stack(fc, np.zeros((3, 7, 2)))
+        with pytest.raises(ValueError):
+            two_zero_stack_from_v_coefficients(su2, np.zeros((7, 5, 3)))
 
     def test_quad_shape_validation(self, su2):
         with pytest.raises(ValueError):
