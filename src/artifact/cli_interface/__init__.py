@@ -67,6 +67,7 @@ from ..flat_model import (
     REEB_INDEX,
     calibrate_model,
     calibration_constants,
+    nearest_mixing_eigenvalues,
     standard_two_form_families,
 )
 from ..form_decomposition import (
@@ -497,13 +498,9 @@ def parse_gform(payload: dict) -> GValuedForm:
             vec = _coefficient_vector(
                 value, algebra.dim, f"components.{key}"
             )
-            ordered = tuple(
-                sorted(symbols, key=lambda s: _SYMBOL_RANK[s])
-            )
-            sign = 1.0 if ordered == symbols else -1.0
-            current = table.get(ordered)
-            update = sign * vec
-            table[ordered] = update if current is None else current + update
+            # keys in any symbol order: the expansion applies the sign
+            current = table.get(symbols)
+            table[symbols] = vec if current is None else current + vec
         return gform_from_complex_components(algebra, table, 2)
 
     raise InputError(
@@ -804,13 +801,14 @@ def _suite_calibration(model, seed, samples, tol) -> dict:
 def _suite_eigenvalue_blocks(model, seed, samples, tol) -> dict:
     matrix = t_eta_matrix(model)
     evals = np.linalg.eigvalsh((matrix + matrix.T) / 2.0)
-    counts = {"+1": 0, "-1": 0, "-2": 0, "0": 0}
-    worst = 0.0
-    for lam in evals:
-        target = min((1.0, -1.0, -2.0, 0.0), key=lambda t: abs(lam - t))
-        worst = max(worst, abs(lam - target))
-        label = {1.0: "+1", -1.0: "-1", -2.0: "-2", 0.0: "0"}[target]
-        counts[label] += 1
+    nearest, distance = nearest_mixing_eigenvalues(evals)
+    labels = {"+1": 1.0, "-1": -1.0, "-2": -2.0, "0": 0.0}
+    targets, _ = nearest_mixing_eigenvalues(list(labels.values()))
+    counts = {
+        label: int(np.count_nonzero(nearest == target))
+        for label, target in zip(labels, targets)
+    }
+    worst = float(distance.max())
     families = standard_two_form_families()
     block_worst = 0.0
     for form in families["w"]:
@@ -925,12 +923,9 @@ def _suite_gauge_roundtrips(model, seed, samples, tol) -> dict:
 
         table = gform_complex_components(F, model)
         rebuilt = gform_from_complex_components(algebra, table, 2)
-        for key in set(F.coeffs) | set(rebuilt.coeffs):
-            a = F.coeffs.get(key, 0.0)
-            b = rebuilt.coeffs.get(key, 0.0)
-            worst_complex = max(
-                worst_complex, float(np.max(np.abs(a - b)))
-            )
+        worst_complex = max(
+            worst_complex, float(np.max(np.abs(F.matrix - rebuilt.matrix)))
+        )
 
         phi = GValuedForm(algebra, 1)
         psi = GValuedForm(algebra, 1)
@@ -939,10 +934,9 @@ def _suite_gauge_roundtrips(model, seed, samples, tol) -> dict:
             psi.accumulate((i,), rng.standard_normal(algebra.dim))
         lhs = g_wedge_bracket(phi, psi)
         rhs = g_wedge_bracket_entry_path(phi, psi)
-        for key in set(lhs.coeffs) | set(rhs.coeffs):
-            a = lhs.coeffs.get(key, 0.0)
-            b = rhs.coeffs.get(key, 0.0)
-            worst_wedge = max(worst_wedge, float(np.max(np.abs(a - b))))
+        worst_wedge = max(
+            worst_wedge, float(np.max(np.abs(lhs.matrix - rhs.matrix)))
+        )
     passed = max(worst_w, worst_complex, worst_wedge) <= 1e-10
     return {
         "passed": bool(passed),

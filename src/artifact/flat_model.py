@@ -44,8 +44,8 @@ __all__ = [
     "form_inner",
     "form_norm",
     "basis_keys",
-    "sort_key_sign",
     "mixing_matrix",
+    "nearest_mixing_eigenvalues",
     "calibrate_model",
     "calibration_constants",
     "standard_two_form_families",
@@ -79,24 +79,13 @@ class CalibrationError(RuntimeError):
     """Raised when the convention search does not isolate a unique model."""
 
 
-def sort_key_sign(indices):
-    """Sort ``indices`` ascending; return (tuple, permutation sign).
-
-    Returns sign 0 for repeated indices, which kills the wedge term.
-    """
-    idx = list(indices)
-    sign = 1
-    # insertion sort with parity tracking; inputs are tiny
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(idx, idx[1:]):
-        if a == b:
-            return tuple(idx), 0
-    return tuple(idx), sign
+def _permutation_sign(indices) -> int:
+    """Sign of the permutation sorting ``indices``, from its inversion
+    count; 0 for a repeated index, which kills the wedge term."""
+    if len(set(indices)) < len(indices):
+        return 0
+    inversions = sum(a > b for a, b in itertools.combinations(indices, 2))
+    return -1 if inversions % 2 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +191,13 @@ def _locate(degree: int, key: tuple) -> tuple:
     position = _KEY_POSITION[degree].get(key)
     if position is not None:
         return position, 1
-    skey, sign = sort_key_sign(key)
+    sign = _permutation_sign(key)
     if sign == 0:
         return 0, 0
-    for idx in skey:
+    for idx in key:
         if idx not in _ALL_INDICES:
             raise ValueError(f"index {idx} outside 1..7 in key {key}")
-    return _KEY_POSITION[degree][skey], sign
+    return _KEY_POSITION[degree][tuple(sorted(key))], sign
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +294,8 @@ class KForm:
 
     def coefficient(self, *indices) -> complex:
         """Signed coefficient of the monomial with the given indices."""
-        skey, sign = sort_key_sign(indices)
-        position = _KEY_POSITION[self.degree].get(skey)
+        sign = _permutation_sign(indices)
+        position = _KEY_POSITION[self.degree].get(tuple(sorted(indices)))
         if sign == 0 or position is None:
             return 0j
         return sign * complex(self.vector[position])
@@ -343,7 +332,7 @@ class KForm:
         for key, value in self.terms():
             minor = np.array(
                 [[vec[idx - 1] for vec in mats] for idx in key], dtype=complex
-            )
+            ).reshape(self.degree, self.degree)
             total += value * np.linalg.det(minor)
         return total
 
@@ -617,17 +606,31 @@ def mixing_matrix(model: ContactModel) -> np.ndarray:
 
 
 _EXPECTED_MULTIPLICITIES = {1.0: 8, -1.0: 6, -2.0: 1, 0.0: 6}
+_MIXING_EIGENVALUES = np.array(list(_EXPECTED_MULTIPLICITIES))
+
+
+def nearest_mixing_eigenvalues(evals) -> tuple:
+    """Match eigenvalues of the mixing operator to its targets.
+
+    Returns, for each entry of ``evals`` (any shape), the index into the
+    targets ``(+1, -1, -2, 0)`` of the nearest one (the first on a tie)
+    and the distance to it.
+    """
+    distance = np.abs(np.asarray(evals)[..., None] - _MIXING_EIGENVALUES)
+    nearest = np.argmin(distance, axis=-1)
+    closest = np.take_along_axis(distance, nearest[..., None], axis=-1)
+    return nearest, closest[..., 0]
 
 
 def _spectrum_ok(evals: np.ndarray, tol: float) -> np.ndarray:
     """Per stack entry: every eigenvalue within ``tol`` of a target and the
-    target multiplicities as expected (the targets lie far apart, so an
-    eigenvalue matches at most one)."""
-    targets = np.array(list(_EXPECTED_MULTIPLICITIES))
-    hits = np.abs(evals[..., None] - targets) <= tol
-    counts = hits.sum(axis=-2)
+    target multiplicities as expected."""
+    nearest, distance = nearest_mixing_eigenvalues(evals)
+    counts = (nearest[..., None] == np.arange(len(_MIXING_EIGENVALUES))).sum(
+        axis=-2
+    )
     expected = np.array(list(_EXPECTED_MULTIPLICITIES.values()))
-    return hits.any(axis=-1).all(axis=-1) & (counts == expected).all(axis=-1)
+    return (distance <= tol).all(axis=-1) & (counts == expected).all(axis=-1)
 
 
 def _transposed(stack: np.ndarray) -> np.ndarray:

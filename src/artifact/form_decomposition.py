@@ -12,12 +12,17 @@ realizes the split through cached spectral projectors.
 Independently of the eigenvalue picture, any form decomposes by complex
 type with respect to the calibrated coframe ``dz^j = e^{2j-1} - i e^{2j}``
 plus an ``eta``-wedge remainder; :func:`bidegree_split` returns that
-splitting, and the module exposes the underlying conversion between real
-and complex-index coefficients used throughout the package.
+splitting.  The conversion between real and complex-index coefficients,
+used throughout the package, is a pair of matrices per degree built once
+at import: the complex->real matrix, whose column for a symbol monomial
+holds its real expansion (a wedge of ``dz^j``, ``conj dz^j`` and
+``eta``), and its inverse, which the orthogonality of the complex coframe
+makes a scaled conjugate transpose.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +32,13 @@ from .flat_model import (
     ContactModel,
     KForm,
     REEB_INDEX,
+    _fixed_dz,
+    _locate,
+    basis_keys,
     hodge_star,
+    left_wedge_matrix,
     mixing_matrix,
-    sort_key_sign,
+    nearest_mixing_eigenvalues,
     wedge,
 )
 
@@ -45,8 +54,6 @@ __all__ = [
     "characterize",
     "complex_components",
     "from_complex_components",
-    "real_key_to_complex",
-    "complex_symbols_to_real",
     "EIGENVALUE_BY_BLOCK",
     "PRESENCE_TOLERANCE",
 ]
@@ -99,22 +106,22 @@ def eigenspace_projectors(model: ContactModel) -> dict:
     if cached is None:
         mat = t_eta_matrix(model)
         evals, evecs = np.linalg.eigh(mat)
-        columns = {label: [] for label in EIGENVALUE_BY_BLOCK}
-        for pos, ev in enumerate(evals):
-            for label, target in EIGENVALUE_BY_BLOCK.items():
-                if abs(ev - target) <= _EIGEN_MATCH_TOLERANCE:
-                    columns[label].append(evecs[:, pos])
-                    break
-            else:
-                raise CalibrationError(
-                    f"unexpected mixing eigenvalue {ev!r}"
-                )
+        nearest, distance = nearest_mixing_eigenvalues(evals)
+        stray = np.flatnonzero(distance > _EIGEN_MATCH_TOLERANCE)
+        if len(stray):
+            raise CalibrationError(
+                f"unexpected mixing eigenvalue {evals[stray[0]]!r}"
+            )
+        blocks, _ = nearest_mixing_eigenvalues(
+            list(EIGENVALUE_BY_BLOCK.values())
+        )
         projectors = {}
-        for label, cols in columns.items():
-            basis = np.column_stack(cols)
+        counts = {}
+        for label, index in zip(EIGENVALUE_BY_BLOCK, blocks):
+            basis = evecs[:, nearest == index]
             projectors[label] = basis @ basis.T
+            counts[label] = basis.shape[1]
         expected = {"8": 8, "6": 6, "1": 1, "vertical": 6}
-        counts = {label: len(cols) for label, cols in columns.items()}
         if counts != expected:
             raise CalibrationError(
                 f"unexpected eigenvalue multiplicities {counts}"
@@ -181,97 +188,90 @@ def project_vectors(vectors: np.ndarray, model: ContactModel) -> dict:
 #
 # Complex symbols are encoded as small integers: +j for dz^j, -j for its
 # conjugate, 0 for eta.  Canonical symbol order puts holomorphic first,
-# antiholomorphic second, eta last.
+# antiholomorphic second, eta last, so the canonical symbol tuples of each
+# degree are the combinations of ``_SYMBOLS`` in order, and the symbol of
+# rank r - 1 stands where the real index r stands in ``basis_keys``.
 
-_SYMBOL_RANK = {1: 0, 2: 1, 3: 2, -1: 3, -2: 4, -3: 5, 0: 6}
-
-# expansion of each real coframe index into complex symbols
-_REAL_TO_COMPLEX = {}
-for _j in (1, 2, 3):
-    _REAL_TO_COMPLEX[2 * _j - 1] = ((_j, 0.5), (-_j, 0.5))
-    _REAL_TO_COMPLEX[2 * _j] = ((_j, 0.5j), (-_j, -0.5j))
-_REAL_TO_COMPLEX[REEB_INDEX] = ((0, 1.0),)
-
-# expansion of each complex symbol into real coframe indices
-_COMPLEX_TO_REAL = {}
-for _j in (1, 2, 3):
-    _COMPLEX_TO_REAL[_j] = ((2 * _j - 1, 1.0), (2 * _j, -1j))
-    _COMPLEX_TO_REAL[-_j] = ((2 * _j - 1, 1.0), (2 * _j, 1j))
-_COMPLEX_TO_REAL[0] = ((REEB_INDEX, 1.0),)
+_SYMBOLS = (1, 2, 3, -1, -2, -3, 0)
+_SYMBOL_RANK = {symbol: rank for rank, symbol in enumerate(_SYMBOLS)}
+_SYMBOL_KEYS = {
+    k: tuple(itertools.combinations(_SYMBOLS, k)) for k in range(8)
+}
+_SYMBOL_POSITION = {
+    k: {symbols: pos for pos, symbols in enumerate(keys)}
+    for k, keys in _SYMBOL_KEYS.items()
+}
 
 
-def _sort_symbols(symbols):
-    """Sort complex symbols canonically; return (tuple, sign or 0)."""
-    idx = list(symbols)
-    sign = 1
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and _SYMBOL_RANK[idx[j - 1]] > _SYMBOL_RANK[idx[j]]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(idx, idx[1:]):
-        if a == b:
-            return tuple(idx), 0
-    return tuple(idx), sign
+def _change_of_basis() -> tuple:
+    """Per degree, the complex->real matrix ``C``, whose column for a
+    symbol tuple is the real expansion of the wedge of ``dz^j = e^{2j-1} -
+    i e^{2j}``, ``conj dz^j`` and ``eta`` it names, and its inverse.
 
-
-_KEY_EXPANSION_CACHE: dict = {}
-_SYMBOL_EXPANSION_CACHE: dict = {}
-
-
-def real_key_to_complex(key: tuple) -> tuple:
-    """Expand a real monomial key into canonical complex symbol terms.
-
-    Returns ((symbols, coeff), ...) such that the real monomial equals
-    the sum of ``coeff`` times each complex symbol monomial.
+    The complex coframe is orthogonal and each non-eta factor has squared
+    norm 2, so ``C^H C = diag(2^(p+q))`` and the inverse is exactly
+    ``diag(2^-(p+q)) C^H``.
     """
-    cached = _KEY_EXPANSION_CACHE.get(key)
-    if cached is None:
-        partial = {(): 1.0 + 0j}
-        for idx in key:
-            grown: dict = {}
-            for symbols, coeff in partial.items():
-                for symbol, factor in _REAL_TO_COMPLEX[idx]:
-                    if symbol in symbols:
-                        continue
-                    new_symbols, sign = _sort_symbols(symbols + (symbol,))
-                    if sign == 0:
-                        continue
-                    grown[new_symbols] = (
-                        grown.get(new_symbols, 0j) + sign * coeff * factor
-                    )
-            partial = grown
-        cached = tuple(
-            (symbols, coeff) for symbols, coeff in partial.items() if coeff
-        )
-        _KEY_EXPANSION_CACHE[key] = cached
-    return cached
+    forms = {0: KForm.basis(REEB_INDEX)}
+    for j in (1, 2, 3):
+        forms[j] = _fixed_dz(j)
+        forms[-j] = forms[j].conjugate()
+    to_real = {0: np.ones((1, 1), dtype=complex)}
+    for k in range(1, 8):
+        keys = _SYMBOL_KEYS[k]
+        matrix = np.zeros((len(basis_keys(k)), len(keys)), dtype=complex)
+        for symbol, form in forms.items():
+            # columns whose tuple starts with ``symbol``: the form wedged
+            # with the columns of the rest of the tuple; the entries are
+            # small Gaussian integers, so every product is exact
+            cols = [i for i, s in enumerate(keys) if s[0] == symbol]
+            rest = [_SYMBOL_POSITION[k - 1][keys[i][1:]] for i in cols]
+            matrix[:, cols] = (
+                left_wedge_matrix(form, k - 1) @ to_real[k - 1][:, rest]
+            )
+        to_real[k] = matrix
+    to_complex = {}
+    for k, keys in _SYMBOL_KEYS.items():
+        weights = 0.5 ** np.array([len(s) - (0 in s) for s in keys])
+        to_complex[k] = weights[:, None] * to_real[k].conj().T
+    return to_real, to_complex
 
 
-def complex_symbols_to_real(symbols: tuple) -> tuple:
-    """Expand a complex symbol monomial into real monomial terms.
+_TO_REAL, _TO_COMPLEX = _change_of_basis()
 
-    Returns ((key, coeff), ...) with ascending real keys; inverse
-    companion of :func:`real_key_to_complex`.
+
+def _change_basis(matrix: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """``matrix @ coefficients`` over the leading axis of the coefficients.
+
+    ``einsum`` adds each entry's terms one after another in column order,
+    so the last digits of the results do not depend on how a BLAS kernel
+    would block the sum.
     """
-    cached = _SYMBOL_EXPANSION_CACHE.get(symbols)
-    if cached is None:
-        partial = {(): 1.0 + 0j}
-        for symbol in symbols:
-            grown: dict = {}
-            for key, value in partial.items():
-                for idx, factor in _COMPLEX_TO_REAL[symbol]:
-                    if idx in key:
-                        continue
-                    skey, sign = sort_key_sign(key + (idx,))
-                    if sign == 0:
-                        continue
-                    grown[skey] = grown.get(skey, 0j) + sign * value * factor
-            partial = grown
-        cached = tuple((key, value) for key, value in partial.items() if value)
-        _SYMBOL_EXPANSION_CACHE[symbols] = cached
-    return cached
+    return np.einsum("ij,j...->i...", matrix, coefficients)
+
+
+def _locate_symbols(degree: int, symbols: tuple) -> tuple:
+    """(position, sign) of a symbol tuple given in any order, through the
+    real key that stands in its place; sign 0 for a repeated symbol."""
+    position = _SYMBOL_POSITION[degree].get(symbols)
+    if position is not None:
+        return position, 1
+    return _locate(degree, tuple(_SYMBOL_RANK[s] + 1 for s in symbols))
+
+
+def _real_from_symbols(components: dict, degree: int,
+                       shape: tuple = ()) -> np.ndarray:
+    """Real coefficients of a symbol table whose keys may come in any
+    order (a repeated symbol contributes nothing) and whose values have
+    the given shape: the complex->real columns of the keys times the
+    values, added in the order of the table."""
+    located = np.array(
+        [_locate_symbols(degree, symbols) for symbols in components],
+        dtype=int,
+    ).reshape(-1, 2)
+    values = np.array(list(components.values()), dtype=complex)
+    columns = _TO_REAL[degree][:, located[:, 0]] * located[:, 1]
+    return _change_basis(columns, values.reshape((len(located),) + shape))
 
 
 def complex_components(a: KForm, model: ContactModel = None) -> dict:
@@ -280,26 +280,19 @@ def complex_components(a: KForm, model: ContactModel = None) -> dict:
     Keys are canonical tuples of symbols (+j, -j, 0 as described above);
     the form equals the sum of ``coeff * symbol monomial`` over the dict.
     """
-    out: dict = {}
-    for key, value in a.terms():
-        for symbols, coeff in real_key_to_complex(key):
-            new = out.get(symbols, 0j) + coeff * value
-            if new == 0:
-                out.pop(symbols, None)
-            else:
-                out[symbols] = new
-    return out
+    coefficients = _change_basis(_TO_COMPLEX[a.degree], a.vector).tolist()
+    return {
+        symbols: value
+        for symbols, value in zip(_SYMBOL_KEYS[a.degree], coefficients)
+        if value
+    }
 
 
 def from_complex_components(
     components: dict, degree: int, model: ContactModel = None
 ) -> KForm:
     """Inverse of :func:`complex_components`."""
-    coeffs: dict = {}
-    for symbols, coeff in components.items():
-        for key, factor in complex_symbols_to_real(symbols):
-            coeffs[key] = coeffs.get(key, 0j) + complex(coeff) * factor
-    return KForm(degree, coeffs)
+    return KForm.from_vector(degree, _real_from_symbols(components, degree))
 
 
 @dataclass

@@ -1,8 +1,14 @@
 """Lie algebra valued forms on the model fiber.
 
-A :class:`GValuedForm` stores, for each ascending real coframe key, a
-complex coefficient vector with respect to the basis of a fixed
-:class:`~artifact.lie_algebra.LieAlgebraSpec`.  The module provides the
+A :class:`GValuedForm` is one dense complex array of shape
+``(len(basis_keys(k)), algebra.dim)``: row ``r`` holds the coefficient
+vector, in the basis of a fixed :class:`~artifact.lie_algebra.LieAlgebraSpec`,
+of the real monomial ``basis_keys(k)[r]``.  Every operation is an array
+operation on it: the bracket runs from the wedge index tables of
+:mod:`~artifact.flat_model` and the structure constants, the inner product
+pairs the rows through the algebra Gram matrix, and complex components
+come from the change-of-basis matrices of
+:mod:`~artifact.form_decomposition`.  The module provides the
 graded bracket of such forms by two independent routes, the inner product
 induced by the coframe and the invariant algebra metric, conversions
 between the real two-form families, complex component tables, and
@@ -28,22 +34,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flat_model import (
+    _WEDGE,
     CalibrationError,
     ContactModel,
     KForm,
+    _locate,
     basis_keys,
-    sort_key_sign,
+    left_wedge_matrix,
     standard_two_form_families,
     wedge,
 )
 from .form_decomposition import (
-    complex_symbols_to_real,
+    _SYMBOL_KEYS,
+    _SYMBOL_POSITION,
+    _TO_COMPLEX,
+    _change_basis,
+    _real_from_symbols,
     eigenspace_projectors,
-    real_key_to_complex,
 )
 from .lie_algebra import (
     LieAlgebraSpec,
-    bracket_vec,
     coeffs_of,
     inner_vec,
     matrix_of,
@@ -88,71 +98,68 @@ _PAIRS = ((1, 2), (1, 3), (2, 3))
 class GValuedForm:
     """A form with coefficients in a fixed Lie algebra.
 
-    ``coeffs`` maps ascending real coframe keys to complex vectors of
-    length ``algebra.dim``; keys with (numerically) zero vectors may be
-    present or absent, all operations treat the two alike.
+    ``matrix`` is a complex ``(len(basis_keys(degree)), algebra.dim)``
+    array whose row ``r`` is the coefficient vector of the monomial
+    ``basis_keys(degree)[r]``.  The constructor takes ``{key: vector}``
+    with keys in any order (a repeated index contributes nothing).
+    Arithmetic returns new forms and never shares an operand's array.
     """
 
-    __slots__ = ("algebra", "degree", "coeffs")
+    __slots__ = ("algebra", "degree", "matrix")
 
     def __init__(self, algebra: LieAlgebraSpec, degree: int, coeffs=None):
         if degree < 0 or degree > 7:
             raise ValueError("degree must lie between 0 and 7")
         self.algebra = algebra
         self.degree = degree
-        self.coeffs: dict = {}
+        self.matrix = np.zeros(
+            (len(basis_keys(degree)), algebra.dim), dtype=complex
+        )
         if coeffs:
             for key, vec in coeffs.items():
                 self.accumulate(key, vec)
 
+    @classmethod
+    def _wrap(cls, algebra: LieAlgebraSpec, degree: int,
+              matrix: np.ndarray) -> "GValuedForm":
+        """A form owning ``matrix``, which the caller must not share."""
+        out = cls.__new__(cls)
+        out.algebra = algebra
+        out.degree = degree
+        out.matrix = matrix
+        return out
+
     def accumulate(self, key: tuple, vector) -> None:
-        """Add ``e^key (x) vector``, canonicalizing the key order."""
+        """Add ``e^key (x) vector``, the key in any order."""
         vec = np.asarray(vector, dtype=complex)
         if vec.shape != (self.algebra.dim,):
             raise ValueError(
                 f"coefficient vector must have length {self.algebra.dim}"
             )
-        if len(key) != self.degree:
-            raise ValueError(
-                f"key {key} has length {len(key)}, expected {self.degree}"
-            )
-        skey, sign = sort_key_sign(key)
-        if sign == 0:
-            return
-        current = self.coeffs.get(skey)
-        if current is None:
-            self.coeffs[skey] = sign * vec
-        else:
-            self.coeffs[skey] = current + sign * vec
+        position, sign = _locate(self.degree, tuple(key))
+        if sign:
+            self.matrix[position] += sign * vec
 
     def vector_at(self, *key) -> np.ndarray:
         """Coefficient vector at a key, with the permutation sign."""
-        skey, sign = sort_key_sign(key)
-        vec = self.coeffs.get(skey)
-        if vec is None or sign == 0:
+        position, sign = _locate(self.degree, key)
+        if not sign:
             return np.zeros(self.algebra.dim, dtype=complex)
-        return sign * vec.copy()
+        return sign * self.matrix[position]
 
     def copy(self) -> "GValuedForm":
-        out = GValuedForm(self.algebra, self.degree)
-        out.coeffs = {key: vec.copy() for key, vec in self.coeffs.items()}
-        return out
+        return self._wrap(self.algebra, self.degree, self.matrix.copy())
 
     def __add__(self, other: "GValuedForm") -> "GValuedForm":
         self._check(other)
-        out = self.copy()
-        for key, vec in other.coeffs.items():
-            current = out.coeffs.get(key)
-            out.coeffs[key] = vec.copy() if current is None else current + vec
-        return out
+        matrix = self.matrix + other.matrix
+        return self._wrap(self.algebra, self.degree, matrix)
 
     def __sub__(self, other: "GValuedForm") -> "GValuedForm":
         return self + (-1.0) * other
 
     def __mul__(self, scalar) -> "GValuedForm":
-        out = GValuedForm(self.algebra, self.degree)
-        out.coeffs = {key: vec * scalar for key, vec in self.coeffs.items()}
-        return out
+        return self._wrap(self.algebra, self.degree, self.matrix * scalar)
 
     __rmul__ = __mul__
 
@@ -167,29 +174,17 @@ class GValuedForm:
 
     def to_matrix(self) -> np.ndarray:
         """(n_keys, dim) coefficient array in the lex key basis."""
-        keys = basis_keys(self.degree)
-        out = np.zeros((len(keys), self.algebra.dim), dtype=complex)
-        for row, key in enumerate(keys):
-            vec = self.coeffs.get(key)
-            if vec is not None:
-                out[row] = vec
-        return out
+        return self.matrix.copy()
 
     @classmethod
     def from_matrix(
         cls, algebra: LieAlgebraSpec, degree: int, matrix
     ) -> "GValuedForm":
-        keys = basis_keys(degree)
-        arr = np.asarray(matrix, dtype=complex)
-        if arr.shape != (len(keys), algebra.dim):
-            raise ValueError(
-                f"expected shape {(len(keys), algebra.dim)}, got {arr.shape}"
-            )
-        out = cls(algebra, degree)
-        for row, key in enumerate(keys):
-            if np.any(arr[row]):
-                out.coeffs[key] = arr[row].copy()
-        return out
+        shape = (len(basis_keys(degree)), algebra.dim)
+        arr = np.array(matrix, dtype=complex)
+        if arr.shape != shape:
+            raise ValueError(f"expected shape {shape}, got {arr.shape}")
+        return cls._wrap(algebra, degree, arr)
 
     def entry_forms(self) -> np.ndarray:
         """Matrix of scalar forms: the (i, j) entry of the form.
@@ -199,7 +194,7 @@ class GValuedForm:
         """
         n = self.algebra.matrix_dim
         entries = np.zeros((n, n, len(basis_keys(self.degree))), dtype=complex)
-        for row, vec in enumerate(self.to_matrix()):
+        for row, vec in enumerate(self.matrix):
             if np.any(vec):
                 entries[:, :, row] = matrix_of(self.algebra, vec)
         grid = np.empty((n, n), dtype=object)
@@ -219,32 +214,36 @@ def gform_from_terms(
     algebra: LieAlgebraSpec, degree: int, terms
 ) -> GValuedForm:
     """Sum of ``form (x) vector`` terms with scalar :class:`KForm` parts."""
-    out = GValuedForm(algebra, degree)
+    forms, vectors = [], []
     for form, vector in terms:
         if form.degree != degree:
             raise ValueError("term degree does not match")
-        vec = np.asarray(vector, dtype=complex)
-        for key, value in form.terms():
-            out.accumulate(key, value * vec)
-    return out
+        forms.append(form.vector)
+        vectors.append(np.asarray(vector, dtype=complex))
+    if not forms:
+        return GValuedForm(algebra, degree)
+    # the sum of the outer products, added term by term
+    return GValuedForm._wrap(
+        algebra, degree, np.einsum("tk,td->kd", forms, vectors)
+    )
 
 
 def conjugate_gform(a: GValuedForm) -> GValuedForm:
     """Conjugation over the real algebra: coefficient vectors conjugate."""
-    out = GValuedForm(a.algebra, a.degree)
-    out.coeffs = {key: np.conj(vec) for key, vec in a.coeffs.items()}
-    return out
+    return GValuedForm._wrap(a.algebra, a.degree, a.matrix.conj())
 
 
 def g_inner(a: GValuedForm, b: GValuedForm) -> complex:
-    """Inner product, orthonormal in keys and invariant in the algebra."""
+    """Inner product, orthonormal in keys and invariant in the algebra.
+
+    Each row pairs with its partner through the Gram matrix (a stacked
+    vector-matrix and vector-vector product) and the row values are added
+    one after another in basis order, so the sum does not depend on how a
+    BLAS kernel would group a flat contraction.
+    """
     a._check(b)
-    total = 0j
-    for key, vec in a.coeffs.items():
-        other = b.coeffs.get(key)
-        if other is not None:
-            total += inner_vec(a.algebra, vec, other)
-    return total
+    rows = (a.matrix[:, None, :] @ a.algebra.gram) @ b.matrix.conj()[..., None]
+    return complex(np.add.accumulate(rows[:, 0, 0])[-1])
 
 
 def g_norm(a: GValuedForm) -> float:
@@ -256,25 +255,24 @@ def g_wedge_bracket(phi: GValuedForm, psi: GValuedForm) -> GValuedForm:
     """Graded bracket of algebra-valued forms, coefficient route.
 
     For ``phi = sum_I e^I (x) phi_I`` and ``psi = sum_J e^J (x) psi_J``
-    this computes ``sum_{I,J} e^I ^ e^J (x) [psi_J, phi_I]``.  On
-    0-forms it therefore returns ``[psi, phi]``; the entry route below
-    realizes the same operation and the two are cross-checked in the
-    package self-tests.
+    this computes ``sum_{I,J} e^I ^ e^J (x) [psi_J, phi_I]``: the wedge
+    index table pairs the monomials and one structure-constant
+    contraction brackets every pair.  On 0-forms it therefore returns
+    ``[psi, phi]``; the entry route below realizes the same operation and
+    the two are cross-checked in the package self-tests.
     """
     if phi.algebra is not psi.algebra:
         raise ValueError("forms take values in different algebras")
     total_degree = phi.degree + psi.degree
     if total_degree > 7:
         raise ValueError("bracket degree exceeds the fiber dimension")
+    target, left, right, sign = _WEDGE[phi.degree, psi.degree]
+    brackets = np.einsum(
+        "ni,nj,ijk->nk",
+        psi.matrix[right], phi.matrix[left], phi.algebra.structure,
+    )
     out = GValuedForm(phi.algebra, total_degree)
-    for key_i, vec_i in phi.coeffs.items():
-        for key_j, vec_j in psi.coeffs.items():
-            skey, sign = sort_key_sign(key_i + key_j)
-            if sign == 0:
-                continue
-            value = sign * bracket_vec(phi.algebra, vec_j, vec_i)
-            current = out.coeffs.get(skey)
-            out.coeffs[skey] = value if current is None else current + value
+    np.add.at(out.matrix, target, sign[:, None] * brackets)
     return out
 
 
@@ -310,21 +308,22 @@ def g_wedge_bracket_entry_path(
         [[grid[i, j].vector for j in range(n)] for i in range(n)]
     )
     out = GValuedForm(algebra, total_degree)
-    for row, key in enumerate(basis_keys(total_degree)):
+    for row in range(len(basis_keys(total_degree))):
         mat = entries[:, :, row]
         if np.any(mat):
-            out.coeffs[key] = coeffs_of(algebra, mat)
+            out.matrix[row] = coeffs_of(algebra, mat)
     return out
 
 
 def g_wedge_scalar(F: GValuedForm, form: KForm) -> GValuedForm:
     """Wedge an algebra-valued form with a scalar form on the right."""
-    out = GValuedForm(F.algebra, F.degree + form.degree)
-    terms = form.terms()
-    for key, vec in F.coeffs.items():
-        for key2, value in terms:
-            out.accumulate(key + key2, value * vec)
-    return out
+    degree = F.degree + form.degree
+    # F ^ form = (-1)^{pq} form ^ F, one left-wedge matrix for all columns
+    swap = (-1) ** (F.degree * form.degree)
+    matrix = left_wedge_matrix(form, F.degree) * swap
+    return GValuedForm._wrap(
+        F.algebra, degree, np.einsum("tr,rd->td", matrix, F.matrix)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -549,15 +548,8 @@ def w_coefficients_from_gform(
     """
     if F.degree != 2:
         raise ValueError("expected a 2-form")
-    rows = []
-    for w in _FAMILIES["w"]:
-        vec = np.zeros(F.algebra.dim, dtype=complex)
-        for key, value in w.terms():
-            coeff = F.coeffs.get(key)
-            if coeff is not None:
-                vec = vec + coeff * np.conj(value)
-        rows.append(vec)
-    out = np.linalg.solve(_W_GRAM, np.stack(rows))
+    pairings = np.einsum("wk,kd->wd", _W_VECTORS.conj(), F.matrix)
+    out = np.linalg.solve(_W_GRAM, pairings)
     if require_in_span:
         recon = gform_from_w_coefficients(F.algebra, out)
         resid = g_norm(F - recon)
@@ -569,20 +561,24 @@ def w_coefficients_from_gform(
     return out
 
 
+def _complex_rows(F: GValuedForm) -> np.ndarray:
+    """Coefficient vectors over the canonical symbol tuples of the degree."""
+    return _change_basis(_TO_COMPLEX[F.degree], F.matrix)
+
+
 def gform_complex_components(F: GValuedForm, model: ContactModel) -> dict:
     """Complex symbol components of an algebra-valued form.
 
     Returns a dict mapping canonical symbol tuples to coefficient
     vectors, the vector analogue of the scalar complex expansion.
     """
-    out: dict = {}
-    for key, vec in F.coeffs.items():
-        for symbols, coeff in real_key_to_complex(key):
-            current = out.get(symbols)
-            value = coeff * vec
-            out[symbols] = value if current is None else current + value
+    rows = _complex_rows(F)
     return {
-        symbols: vec for symbols, vec in out.items() if np.any(vec)
+        symbols: vec
+        for symbols, vec, nonzero in zip(
+            _SYMBOL_KEYS[F.degree], rows, rows.any(axis=1)
+        )
+        if nonzero
     }
 
 
@@ -590,14 +586,32 @@ def gform_from_complex_components(
     algebra: LieAlgebraSpec, components: dict, degree: int
 ) -> GValuedForm:
     """Inverse of :func:`gform_complex_components`."""
-    out = GValuedForm(algebra, degree)
-    for symbols, vec in components.items():
-        arr = np.asarray(vec, dtype=complex)
-        for key, factor in complex_symbols_to_real(symbols):
-            value = factor * arr
-            current = out.coeffs.get(key)
-            out.coeffs[key] = value if current is None else current + value
-    return out
+    return GValuedForm._wrap(
+        algebra, degree,
+        _real_from_symbols(components, degree, (algebra.dim,)),
+    )
+
+
+# rows of the canonical degree-2 symbol tuples, by complex type
+_SYMBOL_ROW = _SYMBOL_POSITION[2]
+_F_ROWS = [
+    _SYMBOL_ROW[mu, -nu] for mu, nu in _PAIRS + ((1, 1), (2, 2), (3, 3))
+]
+_PHI_ROWS = [_SYMBOL_ROW[pair] for pair in _PAIRS]
+_ETA_ROWS = [row for symbols, row in _SYMBOL_ROW.items() if 0 in symbols]
+_MIXED_ROWS = [
+    row for symbols, row in _SYMBOL_ROW.items()
+    if 0 not in symbols and symbols[0] > 0 > symbols[1]
+]
+_PURE_ROWS = [
+    row for symbols, row in _SYMBOL_ROW.items()
+    if 0 not in symbols and row not in _MIXED_ROWS
+]
+
+
+def _largest_norm(rows) -> float:
+    """Largest Euclidean norm among coefficient rows, 0.0 for none."""
+    return max((float(np.linalg.norm(row)) for row in rows), default=0.0)
 
 
 def f_components_from_gform(
@@ -612,38 +626,18 @@ def f_components_from_gform(
     any other complex type beyond ``tol`` relative to the norm raises
     ``ValueError``.
     """
-    comps = gform_complex_components(F, model)
-    scale = max(g_norm(F), 1.0)
-    entries = {}
-    stray = 0.0
-    for symbols, vec in comps.items():
-        p = sum(1 for s in symbols if s > 0)
-        q = sum(1 for s in symbols if s < 0)
-        if (p, q) == (1, 1) and 0 not in symbols:
-            mu = next(s for s in symbols if s > 0)
-            nu = -next(s for s in symbols if s < 0)
-            entries[(mu, nu)] = vec
-        else:
-            stray = max(stray, float(np.max(np.abs(vec))))
-    if strict and stray > tol * scale:
+    if F.degree != 2:
+        raise ValueError("expected a 2-form")
+    rows = _complex_rows(F)
+    stray = float(np.max(np.abs(np.delete(rows, _MIXED_ROWS, axis=0))))
+    if strict and stray > tol * max(g_norm(F), 1.0):
         raise ValueError(
             f"form has components outside type (1,1) (size {stray})"
         )
-
-    def entry(mu, nu):
-        vec = entries.get((mu, nu))
-        if vec is None:
-            return np.zeros(F.algebra.dim, dtype=complex)
-        return vec
-
+    f12, f13, f23, f11, f22, f33 = rows[_F_ROWS]
     return FComponents(
         algebra=F.algebra,
-        f12=entry(1, 2),
-        f13=entry(1, 3),
-        f23=entry(2, 3),
-        f11=entry(1, 1),
-        f22=entry(2, 2),
-        f33=entry(3, 3),
+        f12=f12, f13=f13, f23=f23, f11=f11, f22=f22, f33=f33,
     )
 
 
@@ -651,19 +645,11 @@ def two_zero_from_gform(
     F: GValuedForm, model: ContactModel
 ) -> TwoZeroSection:
     """Holomorphic components phi_{mu nu} of the (2,0) part of a form."""
-    comps = gform_complex_components(F, model)
-
-    def entry(mu, nu):
-        vec = comps.get((mu, nu))
-        if vec is None:
-            return np.zeros(F.algebra.dim, dtype=complex)
-        return vec
-
+    if F.degree != 2:
+        raise ValueError("expected a 2-form")
+    phi12, phi13, phi23 = _complex_rows(F)[_PHI_ROWS]
     return TwoZeroSection(
-        algebra=F.algebra,
-        phi12=entry(1, 2),
-        phi13=entry(1, 3),
-        phi23=entry(2, 3),
+        algebra=F.algebra, phi12=phi12, phi13=phi13, phi23=phi23
     )
 
 
@@ -686,15 +672,9 @@ def omega_component(F: GValuedForm, model: ContactModel) -> np.ndarray:
     """Coefficient vector u with ``<F, omega> = u ||omega||^2``."""
     if F.degree != 2:
         raise ValueError("expected a 2-form")
-    omega = model.omega
-    omega_sq = 0.0
-    vec = np.zeros(F.algebra.dim, dtype=complex)
-    for key, value in omega.terms():
-        omega_sq += abs(value) ** 2
-        coeff = F.coeffs.get(key)
-        if coeff is not None:
-            vec = vec + coeff * np.conj(value)
-    return vec / omega_sq
+    omega = model.omega.vector
+    omega_sq = float(np.vdot(omega, omega).real)
+    return np.einsum("k,kd->d", omega.conj(), F.matrix) / omega_sq
 
 
 # ---------------------------------------------------------------------------
@@ -755,38 +735,18 @@ def instanton_classify(
     }
     label_eigen = _classify_from_residuals(residuals_eigen, scale, tol)
 
-    # route two: complex types together with the contact component
-    comps = gform_complex_components(F, model)
-    sizes = {"20": 0.0, "11": 0.0, "eta": 0.0}
+    # route two: complex types together with the contact component; the
+    # (1,1) part splits into the contact line and its complement
+    rows = _complex_rows(F)
     omega_vec = omega_component(F, model)
     omega_norm = float(np.linalg.norm(model.omega.to_vector()))
-    for symbols, vec in comps.items():
-        size = float(np.linalg.norm(vec))
-        if 0 in symbols:
-            sizes["eta"] = max(sizes["eta"], size)
-            continue
-        p = sum(1 for s in symbols if s > 0)
-        if p == 1:
-            sizes["11"] = max(sizes["11"], size)
-        else:
-            sizes["20"] = max(sizes["20"], size)
-    # the (1,1) part splits into the contact line and its complement
-    omega_part = gform_from_terms(
-        F.algebra, 2, [(model.omega, omega_vec)]
-    )
-    perp_11 = 0.0
-    perp_comps = gform_complex_components(F - omega_part, model)
-    for symbols, vec in perp_comps.items():
-        if 0 in symbols:
-            continue
-        p = sum(1 for s in symbols if s > 0)
-        if p == 1:
-            perp_11 = max(perp_11, float(np.linalg.norm(vec)))
+    omega_part = gform_from_terms(F.algebra, 2, [(model.omega, omega_vec)])
+    perp_rows = _complex_rows(F - omega_part)
     residuals_type = {
-        "block_8": perp_11,
-        "block_6": sizes["20"],
+        "block_8": _largest_norm(perp_rows[_MIXED_ROWS]),
+        "block_6": _largest_norm(rows[_PURE_ROWS]),
         "block_1": float(np.linalg.norm(omega_vec)) * omega_norm,
-        "vertical": sizes["eta"],
+        "vertical": _largest_norm(rows[_ETA_ROWS]),
         "reality": reality,
     }
     label_type = _classify_from_residuals(residuals_type, scale, tol)

@@ -39,6 +39,7 @@ from .lie_algebra import (
     subalgebra_spec,
 )
 from .gauge_fields import (
+    FComponents,
     GValuedForm,
     TwoZeroSection,
     f_component_norm_matrix,
@@ -172,6 +173,13 @@ def sdci_verify(
     if model is None:
         model = calibrate_model()
     F = alpha_curvature(spec, model)
+    return _sdci_verify(F, f_components_from_gform(F, model), model, tol)
+
+
+def _sdci_verify(
+    F: GValuedForm, fc: FComponents, model: ContactModel, tol: float
+) -> dict:
+    """Body of :func:`sdci_verify` on a curvature and its component table."""
     verdict = instanton_classify(F, model, tol=tol)
     off_keys = ("block_6", "block_1", "vertical", "reality")
     residuals = [
@@ -181,7 +189,6 @@ def sdci_verify(
     ]
     worst = max(residuals) if residuals else 0.0
     omega_part = float(np.max(np.abs(omega_component(F, model))))
-    fc = f_components_from_gform(F, model)
     trace = float(np.max(np.abs(fc.trace_vector())))
     scale = g_norm(F)
     passed = (
@@ -268,13 +275,21 @@ def indefiniteness_search(
     :func:`quad_form_F_stack` per block.  The analytic witnesses go
     through the per-section oracle route :func:`quad_form_F`.
     """
-    if samples < 1:
-        raise ValueError("need at least one random sample")
     if model is None:
         model = calibrate_model()
     F = alpha_curvature(spec, model)
-    gauge = F.algebra
-    fc = f_components_from_gform(F, model)
+    return _indefiniteness_search(
+        spec, f_components_from_gform(F, model), seed, samples
+    )
+
+
+def _indefiniteness_search(
+    spec: StiefelSpec, fc: FComponents, seed: int, samples: int
+) -> dict:
+    """Body of :func:`indefiniteness_search` on the component table."""
+    if samples < 1:
+        raise ValueError("need at least one random sample")
+    gauge = fc.algebra
     a_rows = np.zeros((8, gauge.dim))
     coefficient = 1.0 / spec.y[1]
     for slot, row in enumerate((0, 2, 4)):
@@ -344,8 +359,8 @@ def stiefel_report(
     gauge = F.algebra
     fc = f_components_from_gform(F, model)
     structure = structure_check(spec)
-    sdci = sdci_verify(spec, model)
-    indefinite = indefiniteness_search(spec, model, seed=seed, samples=samples)
+    sdci = _sdci_verify(F, fc, model, SDCI_TOLERANCE)
+    indefinite = _indefiniteness_search(spec, fc, seed, samples)
     ricci_t = TransverseRicci.einstein(_TRANSVERSE_RICCI_SCALE)
     vanishing = vanishing_report(F, ricci_t, model)
     stability = stability_report(

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flat_model import ContactModel, calibrate_model
+from .flat_model import _PAIR_COLS, _PAIR_ROWS, ContactModel, calibrate_model
 from .lie_algebra import (
     BRACKET_NORM_BOUND,
     LieAlgebraSpec,
@@ -154,19 +154,11 @@ def one_form_from_gform(form: GValuedForm) -> OneFormSection:
     """Read a degree-1 algebra-valued form into a section."""
     if form.degree != 1:
         raise ValueError("expected a 1-form")
-    rows = np.zeros((FORM_INDEX_COUNT, form.algebra.dim), dtype=complex)
-    for j in range(1, FORM_INDEX_COUNT + 1):
-        rows[j - 1] = form.vector_at(j)
-    return OneFormSection(form.algebra, _require_real(rows, "1-form"))
+    return OneFormSection(form.algebra, _require_real(form.matrix, "1-form"))
 
 
 def gform_from_one_form(section: OneFormSection) -> GValuedForm:
-    out = GValuedForm(section.algebra, 1)
-    for j in range(1, FORM_INDEX_COUNT + 1):
-        vec = section.vectors[j - 1]
-        if np.any(vec != 0.0):
-            out.accumulate((j,), vec.astype(complex))
-    return out
+    return GValuedForm.from_matrix(section.algebra, 1, section.vectors)
 
 
 @dataclass(frozen=True)
@@ -229,10 +221,8 @@ def curvature_components_grid(F: GValuedForm) -> np.ndarray:
     grid = np.zeros(
         (FORM_INDEX_COUNT, FORM_INDEX_COUNT, F.algebra.dim), dtype=complex
     )
-    for j in range(1, FORM_INDEX_COUNT + 1):
-        for i in range(1, FORM_INDEX_COUNT + 1):
-            if i != j:
-                grid[j - 1, i - 1] = F.vector_at(j, i)
+    grid[_PAIR_ROWS, _PAIR_COLS] = F.matrix
+    grid[_PAIR_COLS, _PAIR_ROWS] = -F.matrix
     return grid
 
 
@@ -275,17 +265,18 @@ def apply_curvature_action(
     """Section route for the same map: ``(R_F B)_i = sum_j [F_{ji}, B_j]``."""
     if section.algebra is not F.algebra:
         raise ValueError("section and curvature use different algebras")
+    grid = curvature_components_grid(F)
     rows = np.zeros(
         (FORM_INDEX_COUNT, F.algebra.dim), dtype=complex
     )
-    for i in range(1, FORM_INDEX_COUNT + 1):
+    for i in range(FORM_INDEX_COUNT):
         acc = np.zeros(F.algebra.dim, dtype=complex)
-        for j in range(1, FORM_INDEX_COUNT + 1):
+        for j in range(FORM_INDEX_COUNT):
             if j != i:
                 acc += bracket_vec(
-                    F.algebra, F.vector_at(j, i), section.vectors[j - 1]
+                    F.algebra, grid[j, i], section.vectors[j]
                 )
-        rows[i - 1] = acc
+        rows[i] = acc
     return OneFormSection(F.algebra, _require_real(rows, "curvature action"))
 
 
@@ -305,15 +296,14 @@ def curvature_quad_paths(F: GValuedForm, section: OneFormSection) -> dict:
         direct += inner_vec(
             algebra, image.vectors[i], section.vectors[i]
         ).real
+    grid = curvature_components_grid(F)
     flipped = 0.0
-    for j in range(1, FORM_INDEX_COUNT + 1):
-        for i in range(1, FORM_INDEX_COUNT + 1):
+    for j in range(FORM_INDEX_COUNT):
+        for i in range(FORM_INDEX_COUNT):
             if j == i:
                 continue
-            br = bracket_vec(
-                algebra, section.vectors[j - 1], section.vectors[i - 1]
-            )
-            flipped += inner_vec(algebra, F.vector_at(j, i), br).real
+            br = bracket_vec(algebra, section.vectors[j], section.vectors[i])
+            flipped += inner_vec(algebra, grid[j, i], br).real
     return {
         "pair_with_section": float(direct),
         "pair_with_curvature": float(flipped),

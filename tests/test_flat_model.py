@@ -17,8 +17,9 @@ from artifact.flat_model import (
     contract_reeb,
     form_inner,
     form_norm,
+    _locate,
+    _permutation_sign,
     hodge_star,
-    sort_key_sign,
     standard_two_form_families,
     transverse_star,
     wedge,
@@ -69,20 +70,24 @@ def test_coefficient_antisymmetry():
 
 
 def test_sort_key_sign_matches_inversion_count():
+    # the sign helper behind _locate, which replaced the insertion sort
+    # sort_key_sign, against an explicit inversion count
     rng = np.random.default_rng(1)
     for _ in range(200):
         size = rng.integers(1, 6)
         key = tuple(
-            rng.choice(np.arange(1, 8), size=size, replace=False)
+            int(i) for i in rng.choice(np.arange(1, 8), size=size,
+                                       replace=False)
         )
-        skey, sign = sort_key_sign(key)
-        assert skey == tuple(sorted(key))
+        assert _permutation_sign(key) == _inversion_sign(key)
+        position, sign = _locate(len(key), key)
+        assert basis_keys(len(key))[position] == tuple(sorted(key))
         assert sign == _inversion_sign(key)
 
 
 def test_repeated_index_kills_term():
-    skey, sign = sort_key_sign((3, 3))
-    assert sign == 0
+    assert _permutation_sign((3, 3)) == 0
+    assert _locate(3, (2, 5, 2)) == (0, 0)
     assert wedge(KForm.basis(3), KForm.basis(3)).is_zero()
 
 

@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import artifact.form_decomposition as form_decomposition
 from artifact.flat_model import (
+    CalibrationError,
     KForm,
     REEB_INDEX,
     basis_keys,
+    _spectrum_ok,
     calibrate_model,
     form_inner,
+    nearest_mixing_eigenvalues,
     standard_two_form_families,
     wedge,
 )
@@ -258,3 +263,62 @@ def test_vertical_forms_have_zero_horizontal_type(model):
     split = bidegree_split(form, model)
     assert not split.parts
     assert set(split.eta_parts) <= {(1, 0), (0, 1)}
+
+
+# ---------------------------------------------------------------------------
+# The one eigenvalue-multiplicity matcher
+# ---------------------------------------------------------------------------
+
+
+def test_nearest_target_and_distance():
+    nearest, distance = nearest_mixing_eigenvalues(
+        [1.0 + 1e-12, -0.5, -1.5, 0.0, -2.0, 3.0]
+    )
+    # targets (+1, -1, -2, 0); a tie goes to the first target in that order
+    assert nearest.tolist() == [0, 1, 1, 3, 2, 0]
+    assert distance.tolist() == [
+        abs(1.0 + 1e-12 - 1.0), 0.5, 0.5, 0.0, 0.0, 2.0
+    ]
+    stacked, _ = nearest_mixing_eigenvalues(np.zeros((2, 3)))
+    assert stacked.shape == (2, 3)
+
+
+def _hit_rule(evals: np.ndarray, tol: float) -> bool:
+    """The counting rule the calibration used before the matcher: every
+    eigenvalue within ``tol`` of some target, target hits as expected."""
+    targets = {1.0: 8, -1.0: 6, -2.0: 1, 0.0: 6}
+    hits = {t: sum(abs(ev - t) <= tol for ev in evals) for t in targets}
+    every = all(any(abs(ev - t) <= tol for t in targets) for ev in evals)
+    return every and hits == targets
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from((0.0, 1e-11, 1e-10, 2e-10, 0.3)),
+    moved=st.integers(0, 3),
+)
+def test_spectrum_check_matches_hit_rule(seed, scale, moved):
+    rng = np.random.default_rng(seed)
+    evals = np.repeat([1.0, -1.0, -2.0, 0.0], [8, 6, 1, 6])
+    evals = evals + scale * rng.uniform(-1.0, 1.0, size=21)
+    evals[rng.choice(21, size=moved, replace=False)] = rng.choice(
+        [1.0, -1.0, -2.0, 0.0, 0.5], size=moved
+    )
+    tol = 1e-10
+    assert bool(_spectrum_ok(evals[None], tol)[0]) == _hit_rule(evals, tol)
+
+
+def test_projectors_reject_unmatched_or_miscounted_spectra(
+    model, monkeypatch
+):
+    monkeypatch.setattr(form_decomposition, "_EIGEN_CACHE", {})
+    stray = np.diag(np.repeat([1.0, -1.0, -2.0, 0.0, 0.5], [8, 6, 1, 5, 1]))
+    monkeypatch.setattr(form_decomposition, "t_eta_matrix", lambda m: stray)
+    with pytest.raises(CalibrationError, match="unexpected mixing eigenvalue"):
+        eigenspace_projectors(model)
+    wrong = np.diag(np.repeat([1.0, -1.0, -2.0, 0.0], [9, 5, 1, 6]))
+    monkeypatch.setattr(form_decomposition, "t_eta_matrix", lambda m: wrong)
+    with pytest.raises(CalibrationError,
+                       match="unexpected eigenvalue multiplicities"):
+        eigenspace_projectors(model)

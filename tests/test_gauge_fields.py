@@ -71,13 +71,19 @@ def so3():
 
 
 def random_gform(algebra, degree, rng, real=True):
-    out = GValuedForm(algebra, degree)
-    for key in basis_keys(degree):
+    rows = []
+    for _ in basis_keys(degree):
         vec = rng.standard_normal(algebra.dim)
         if not real:
             vec = vec + 1j * rng.standard_normal(algebra.dim)
-        out.coeffs[key] = vec.astype(complex)
-    return out
+        rows.append(vec)
+    return GValuedForm.from_matrix(algebra, degree, rows)
+
+
+def support(F):
+    """Keys whose coefficient vector is nonzero."""
+    keys = basis_keys(F.degree)
+    return {keys[row] for row in np.flatnonzero(F.to_matrix().any(axis=1))}
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +96,11 @@ class TestGValuedForm:
         F = GValuedForm(su2, 2)
         vec = np.array([1.0, 2.0, 3.0], dtype=complex)
         F.accumulate((3, 1), vec)
-        assert set(F.coeffs) == {(1, 3)}
-        assert np.allclose(F.coeffs[(1, 3)], -vec)
+        assert support(F) == {(1, 3)}
+        assert np.allclose(F.vector_at(1, 3), -vec)
         # a repeated index contributes nothing
         F.accumulate((2, 2), vec)
-        assert set(F.coeffs) == {(1, 3)}
+        assert support(F) == {(1, 3)}
 
     def test_accumulate_adds_in_place(self, su2):
         F = GValuedForm(su2, 1)
@@ -115,7 +121,7 @@ class TestGValuedForm:
         A = random_gform(su2, 2, rng)
         B = random_gform(su2, 2, rng)
         combo = A * 2.0 + B * (-1.5)
-        for key in set(A.coeffs) | set(B.coeffs):
+        for key in basis_keys(2):
             expect = 2.0 * A.vector_at(*key) - 1.5 * B.vector_at(*key)
             assert np.allclose(combo.vector_at(*key), expect)
 
@@ -141,8 +147,47 @@ class TestGValuedForm:
         rng = np.random.default_rng(13)
         A = random_gform(su2, 2, rng, real=False)
         C = conjugate_gform(A)
-        for key in A.coeffs:
+        for key in basis_keys(2):
             assert np.allclose(C.vector_at(*key), np.conj(A.vector_at(*key)))
+
+    def test_holds_one_dense_array(self, su2, so3):
+        for algebra in (su2, so3):
+            for degree in range(8):
+                F = GValuedForm(algebra, degree)
+                assert F.matrix.shape == (len(basis_keys(degree)), algebra.dim)
+                assert F.matrix.dtype == complex
+                assert not F.matrix.any()
+        assert not hasattr(GValuedForm(su2, 2), "__dict__")
+
+    def test_arithmetic_returns_fresh_arrays(self, su2):
+        rng = np.random.default_rng(14)
+        A = random_gform(su2, 2, rng)
+        B = random_gform(su2, 2, rng)
+        before = A.to_matrix()
+        results = [A + B, A - B, A * 2.0, 2.0 * A, -A, A.copy(),
+                   conjugate_gform(A)]
+        for out in results:
+            assert not np.shares_memory(out.matrix, A.matrix)
+            assert not np.shares_memory(out.matrix, B.matrix)
+        for out in results:
+            out.matrix[:] = 7.0
+        assert np.array_equal(A.matrix, before)
+        rows = A.to_matrix()
+        back = GValuedForm.from_matrix(su2, 2, rows)
+        rows[:] = 0.0
+        assert np.array_equal(back.matrix, before)
+        assert not np.shares_memory(A.vector_at(1, 2), A.matrix)
+
+    def test_malformed_keys_rejected(self, su2):
+        F = GValuedForm(su2, 2)
+        with pytest.raises(ValueError):
+            F.accumulate((1, 8), np.ones(3))
+        with pytest.raises(ValueError):
+            F.accumulate((1,), np.ones(3))
+        with pytest.raises(ValueError):
+            F.accumulate((1, 2), np.ones(2))
+        with pytest.raises(ValueError):
+            GValuedForm.from_matrix(su2, 2, np.zeros((20, 3)))
 
     def test_to_matrix_rows_follow_basis_order(self, su2):
         F = GValuedForm(su2, 2)
@@ -201,7 +246,7 @@ class TestWedgeBracket:
         B = GValuedForm(so3, 1)
         B.accumulate((2,), b)
         out = g_wedge_bracket(A, B)
-        assert set(out.coeffs) == {(1, 2)}
+        assert support(out) == {(1, 2)}
         assert np.allclose(out.vector_at(1, 2), bracket_vec(so3, b, a))
 
     def test_abelian_bracket_vanishes(self):
@@ -228,7 +273,8 @@ class TestWedgeBracket:
         A = random_gform(su2, 1, rng)
         form = KForm(1, {(3,): 1.0})
         out = g_wedge_scalar(A, form)
-        for key, vec in A.coeffs.items():
+        for key in basis_keys(1):
+            vec = A.vector_at(*key)
             if 3 in key:
                 continue
             target = tuple(sorted(key + (3,)))

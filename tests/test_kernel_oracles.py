@@ -1,14 +1,18 @@
 """The table-driven exterior-algebra kernel against independent routes.
 
-Two oracles stand beside the dense kernel of ``flat_model``:
+Two oracles stand beside the dense kernel of ``flat_model`` and the dense
+algebra-valued forms of ``gauge_fields``:
 
 * the determinant route ``KForm.evaluate``, which never touches the wedge
   tables: a wedge product evaluated on tangent vectors must equal the
-  signed shuffle sum of its factors' values;
-* the dict-of-tuples route below, the exterior algebra the package used
-  before its forms became dense.  It sorts index tuples one term at a
-  time, and the calibration search is repeated on it candidate by
-  candidate.
+  signed shuffle sum of its factors' values, and every sign in the wedge
+  tables must equal the determinant of the permutation it stands for;
+* the dict-of-tuples routes below, the exterior algebra and the
+  algebra-valued forms the package used before both became dense.  They
+  sort index tuples one term at a time with ``sort_key_sign``, expand
+  real monomials into complex symbols key by key, and bracket forms pair
+  of keys by pair of keys; the calibration search is repeated on them
+  candidate by candidate.
 """
 
 import itertools
@@ -18,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from artifact.flat_model import (
+    _WEDGE,
     PLANES,
     REEB_INDEX,
     ContactModel,
@@ -28,9 +33,27 @@ from artifact.flat_model import (
     hodge_star,
     left_wedge_matrix,
     mixing_matrix,
-    sort_key_sign,
+    standard_two_form_families,
     wedge,
 )
+from artifact.form_decomposition import (
+    _SYMBOL_KEYS,
+    _TO_COMPLEX,
+    _TO_REAL,
+    complex_components,
+    from_complex_components,
+)
+from artifact.gauge_fields import (
+    GValuedForm,
+    g_inner,
+    g_wedge_bracket,
+    g_wedge_scalar,
+    gform_complex_components,
+    gform_from_complex_components,
+    omega_component,
+    w_coefficients_from_gform,
+)
+from artifact.lie_algebra import bracket_vec, inner_vec, make_so, make_su
 
 ORACLE_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -57,6 +80,27 @@ seeds = st.integers(0, 2**32 - 1)
 # ---------------------------------------------------------------------------
 # Oracle: the dict-of-tuples exterior algebra
 # ---------------------------------------------------------------------------
+
+def sort_key_sign(indices):
+    """Sort ``indices`` ascending; return (tuple, permutation sign).
+
+    The insertion sort with parity tracking the package used before its
+    signs came from the wedge tables and an inversion count.  Returns sign
+    0 for repeated indices, which kills the wedge term.
+    """
+    idx = list(indices)
+    sign = 1
+    for i in range(1, len(idx)):
+        j = i
+        while j > 0 and idx[j - 1] > idx[j]:
+            idx[j - 1], idx[j] = idx[j], idx[j - 1]
+            sign = -sign
+            j -= 1
+    for a, b in zip(idx, idx[1:]):
+        if a == b:
+            return tuple(idx), 0
+    return tuple(idx), sign
+
 
 def _dict_add(out: dict, key: tuple, value: complex) -> None:
     skey, sign = sort_key_sign(key)
@@ -372,3 +416,271 @@ def test_constructor_canonicalizes_keys():
         KForm(2, {(1, 8): 1.0})
     with pytest.raises(ValueError):
         KForm(2, {(1,): 1.0})
+
+
+# ---------------------------------------------------------------------------
+# The wedge-table signs against the determinant route
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("pq", sorted(_WEDGE))
+def test_wedge_table_signs_match_determinant_route(pq):
+    # e^I ^ e^J = sign e^T, and e^T evaluated on the unit vectors of I
+    # followed by J is the determinant of that permutation
+    p, q = pq
+    target, left, right, sign = _WEDGE[pq]
+    units = np.eye(7)
+    for t, a, b, s in zip(target, left, right, sign):
+        first, second = basis_keys(p)[a], basis_keys(q)[b]
+        assert not set(first) & set(second)
+        monomial = KForm.basis(*basis_keys(p + q)[t])
+        value = monomial.evaluate(*(units[i - 1] for i in first + second))
+        assert value == s
+        assert sort_key_sign(first + second)[1] == s
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the dict expansion between real and complex monomials
+# ---------------------------------------------------------------------------
+
+ORACLE_SYMBOL_RANK = {1: 0, 2: 1, 3: 2, -1: 3, -2: 4, -3: 5, 0: 6}
+
+REAL_TO_COMPLEX = {REEB_INDEX: ((0, 1.0),)}
+COMPLEX_TO_REAL = {0: ((REEB_INDEX, 1.0),)}
+for _j in (1, 2, 3):
+    REAL_TO_COMPLEX[2 * _j - 1] = ((_j, 0.5), (-_j, 0.5))
+    REAL_TO_COMPLEX[2 * _j] = ((_j, 0.5j), (-_j, -0.5j))
+    COMPLEX_TO_REAL[_j] = ((2 * _j - 1, 1.0), (2 * _j, -1j))
+    COMPLEX_TO_REAL[-_j] = ((2 * _j - 1, 1.0), (2 * _j, 1j))
+
+
+def sort_symbols(symbols):
+    """Sort complex symbols canonically; return (tuple, sign or 0)."""
+    idx = list(symbols)
+    sign = 1
+    for i in range(1, len(idx)):
+        j = i
+        while (j > 0 and ORACLE_SYMBOL_RANK[idx[j - 1]]
+               > ORACLE_SYMBOL_RANK[idx[j]]):
+            idx[j - 1], idx[j] = idx[j], idx[j - 1]
+            sign = -sign
+            j -= 1
+    for a, b in zip(idx, idx[1:]):
+        if a == b:
+            return tuple(idx), 0
+    return tuple(idx), sign
+
+
+def _expand(key, table, sorter) -> dict:
+    """Multiply out the one-factor expansions of ``key`` term by term."""
+    partial = {(): 1.0 + 0j}
+    for idx in key:
+        grown: dict = {}
+        for done, coeff in partial.items():
+            for item, factor in table[idx]:
+                new, sign = sorter(done + (item,))
+                if sign:
+                    grown[new] = grown.get(new, 0j) + sign * coeff * factor
+        partial = grown
+    return {k: v for k, v in partial.items() if v}
+
+
+def real_key_to_complex(key) -> dict:
+    return _expand(key, REAL_TO_COMPLEX, sort_symbols)
+
+
+def complex_symbols_to_real(symbols) -> dict:
+    return _expand(symbols, COMPLEX_TO_REAL, sort_key_sign)
+
+
+@pytest.mark.parametrize("degree", range(8))
+def test_change_of_basis_matches_dict_expansion(degree):
+    reals, symbols = basis_keys(degree), _SYMBOL_KEYS[degree]
+    assert symbols == tuple(
+        sorted(symbols, key=lambda s: [ORACLE_SYMBOL_RANK[x] for x in s])
+    )
+    to_real = np.zeros((len(reals), len(symbols)), dtype=complex)
+    for col, sym in enumerate(symbols):
+        for key, value in complex_symbols_to_real(sym).items():
+            to_real[reals.index(key), col] = value
+    to_complex = np.zeros((len(symbols), len(reals)), dtype=complex)
+    for col, key in enumerate(reals):
+        for sym, value in real_key_to_complex(key).items():
+            to_complex[symbols.index(sym), col] = value
+    assert np.array_equal(_TO_REAL[degree], to_real)
+    assert np.array_equal(_TO_COMPLEX[degree], to_complex)
+    assert np.array_equal(_TO_COMPLEX[degree] @ _TO_REAL[degree],
+                          np.eye(len(symbols)))
+
+
+@ORACLE_SETTINGS
+@given(degree=st.integers(0, 7), seed=seeds, sparse=st.booleans())
+def test_complex_components_match_dict_expansion(degree, seed, sparse):
+    form = _random_form(seed, degree, sparse)
+    expected: dict = {}
+    for key, value in form.terms():
+        for sym, coeff in real_key_to_complex(key).items():
+            expected[sym] = expected.get(sym, 0j) + coeff * value
+    got = complex_components(form)
+    assert set(got) <= set(expected)
+    for sym, value in expected.items():
+        assert abs(got.get(sym, 0j) - value) <= 1e-12 * (1.0 + form.norm())
+    # any key order on the way back, the sign from the symbol ranks
+    shuffled = {tuple(reversed(sym)): (-1) ** (len(sym) * (len(sym) - 1) // 2)
+                * value for sym, value in got.items()}
+    back = from_complex_components(shuffled, degree)
+    assert np.allclose(back.vector, form.vector, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the dict-of-tuples algebra-valued form
+# ---------------------------------------------------------------------------
+
+ALGEBRAS = {"su2": make_su(2), "so3": make_so(3), "so5": make_so(5)}
+algebras = st.sampled_from(sorted(ALGEBRAS))
+
+
+def _random_gform(name: str, degree: int, seed: int,
+                  sparse: bool) -> GValuedForm:
+    algebra = ALGEBRAS[name]
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((len(basis_keys(degree)), algebra.dim))
+    if seed % 2:
+        rows = rows + 1j * rng.standard_normal(rows.shape)
+    if sparse:
+        rows[rng.random(len(rows)) < 0.6] = 0.0
+    return GValuedForm.from_matrix(algebra, degree, rows)
+
+
+def as_dict(F: GValuedForm) -> dict:
+    """The dict-of-tuples form: ascending key -> nonzero vector."""
+    return {key: vec for key, vec in zip(basis_keys(F.degree), F.matrix)
+            if np.any(vec)}
+
+
+def dict_to_matrix(coeffs: dict, degree: int, dim: int) -> np.ndarray:
+    out = np.zeros((len(basis_keys(degree)), dim), dtype=complex)
+    for key, vec in coeffs.items():
+        out[basis_keys(degree).index(key)] = vec
+    return out
+
+
+def dict_accumulate(out: dict, key: tuple, vec: np.ndarray) -> None:
+    skey, sign = sort_key_sign(key)
+    if sign:
+        out[skey] = out.get(skey, 0j) + sign * vec
+
+
+def dict_g_wedge_bracket(algebra, phi: dict, psi: dict) -> dict:
+    out: dict = {}
+    for key_i, vec_i in phi.items():
+        for key_j, vec_j in psi.items():
+            dict_accumulate(out, key_i + key_j,
+                            bracket_vec(algebra, vec_j, vec_i))
+    return out
+
+
+def dict_g_inner(algebra, a: dict, b: dict) -> complex:
+    return sum((inner_vec(algebra, vec, b[key])
+                for key, vec in a.items() if key in b), 0j)
+
+
+def dict_g_wedge_scalar(F: dict, form: KForm) -> dict:
+    out: dict = {}
+    for key, vec in F.items():
+        for key2, value in form.terms():
+            dict_accumulate(out, key + key2, value * vec)
+    return out
+
+
+def dict_gform_complex_components(F: dict) -> dict:
+    out: dict = {}
+    for key, vec in F.items():
+        for sym, coeff in real_key_to_complex(key).items():
+            out[sym] = out.get(sym, 0j) + coeff * vec
+    return {sym: vec for sym, vec in out.items() if np.any(vec)}
+
+
+def dict_pairing(F: dict, form: KForm, dim: int) -> np.ndarray:
+    vec = np.zeros(dim, dtype=complex)
+    for key, value in form.terms():
+        if key in F:
+            vec = vec + F[key] * np.conj(value)
+    return vec
+
+
+def _scale(*forms) -> float:
+    return 1.0 + float(np.prod([np.linalg.norm(f.matrix) for f in forms]))
+
+
+@ORACLE_SETTINGS
+@given(name=algebras, pq=degree_pairs(), seed=seeds, sparse=st.booleans())
+def test_wedge_bracket_matches_dict_route(name, pq, seed, sparse):
+    p, q = pq
+    phi = _random_gform(name, p, seed, sparse)
+    psi = _random_gform(name, q, seed + 1, sparse)
+    algebra = ALGEBRAS[name]
+    expected = dict_g_wedge_bracket(algebra, as_dict(phi), as_dict(psi))
+    got = g_wedge_bracket(phi, psi)
+    assert got.degree == p + q
+    assert np.allclose(
+        got.matrix, dict_to_matrix(expected, p + q, algebra.dim),
+        rtol=0, atol=1e-12 * _scale(phi, psi),
+    )
+
+
+@ORACLE_SETTINGS
+@given(name=algebras, pq=degree_pairs(), seed=seeds, sparse=st.booleans())
+def test_wedge_scalar_matches_dict_route(name, pq, seed, sparse):
+    p, q = pq
+    F = _random_gform(name, p, seed, sparse)
+    form = _random_form(seed + 1, q, sparse)
+    expected = dict_g_wedge_scalar(as_dict(F), form)
+    got = g_wedge_scalar(F, form)
+    assert np.allclose(
+        got.matrix, dict_to_matrix(expected, p + q, F.algebra.dim),
+        rtol=0, atol=1e-12 * _scale(F) * (1.0 + form.norm()),
+    )
+
+
+@ORACLE_SETTINGS
+@given(name=algebras, degree=st.integers(0, 7), seed=seeds,
+       sparse=st.booleans())
+def test_inner_and_complex_components_match_dict_route(name, degree, seed,
+                                                        sparse):
+    a = _random_gform(name, degree, seed, sparse)
+    b = _random_gform(name, degree, seed + 1, sparse)
+    algebra = ALGEBRAS[name]
+    expected = dict_g_inner(algebra, as_dict(a), as_dict(b))
+    assert abs(g_inner(a, b) - expected) <= 1e-12 * _scale(a, b) * np.max(
+        np.abs(algebra.gram)
+    )
+    model = calibrate_model()
+    table = dict_gform_complex_components(as_dict(a))
+    got = gform_complex_components(a, model)
+    assert set(got) <= set(table)
+    for sym, vec in table.items():
+        assert np.allclose(got.get(sym, 0.0), vec, rtol=0,
+                           atol=1e-12 * _scale(a))
+    back = gform_from_complex_components(algebra, got, degree)
+    assert np.allclose(back.matrix, a.matrix, rtol=0, atol=1e-12 * _scale(a))
+
+
+@ORACLE_SETTINGS
+@given(name=algebras, seed=seeds, sparse=st.booleans())
+def test_two_form_pairings_match_dict_route(name, seed, sparse):
+    F = _random_gform(name, 2, seed, sparse)
+    dim = F.algebra.dim
+    model = calibrate_model()
+    omega = model.omega
+    expected = dict_pairing(as_dict(F), omega, dim) / sum(
+        abs(value) ** 2 for _, value in omega.terms()
+    )
+    assert np.allclose(omega_component(F, model), expected, rtol=0,
+                       atol=1e-12 * _scale(F))
+    family = standard_two_form_families()["w"]
+    pairings = np.stack([dict_pairing(as_dict(F), w, dim) for w in family])
+    gram = np.array([[np.vdot(v.vector, w.vector) for v in family]
+                     for w in family])
+    expected = np.linalg.solve(gram, pairings)
+    got = w_coefficients_from_gform(F, require_in_span=False)
+    assert np.allclose(got, expected, rtol=0, atol=1e-11 * _scale(F))

@@ -395,3 +395,23 @@ class TestStiefelReport:
         first = stiefel_report(model=model, seed=3, samples=20)
         second = stiefel_report(model=model, seed=3, samples=20)
         assert first == second
+
+    def test_curvature_built_once(self, model, monkeypatch):
+        calls = {"alpha_curvature": 0, "f_components_from_gform": 0}
+        for name in calls:
+            original = getattr(stiefel_example, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(stiefel_example, name, counted)
+        shared = stiefel_report(model=model, seed=3, samples=20)
+        # the component table is built once here; vanishing_report builds
+        # its own from the same form inside the engine module
+        assert calls == {"alpha_curvature": 1, "f_components_from_gform": 1}
+        spec = build_stiefel()
+        assert shared["sdci"] == sdci_verify(spec, model)
+        assert shared["indefiniteness"] == indefiniteness_search(
+            spec, model, seed=3, samples=20
+        )
