@@ -15,6 +15,14 @@ between the real two-form families, complex component tables, and
 holomorphic section data, and a two-route classifier for the eigenvalue
 type of a curvature form.
 
+Stacks of samples share these functions.  A stack of forms has a matrix
+of shape ``(len(basis_keys(k)), ..., algebra.dim)``, the axes between the
+key axis and the algebra axis running over samples; section and
+component tables hold ``(..., algebra.dim)`` arrays; coefficient rows on
+the standard families are ``(..., 8, dim)`` or ``(..., 6, dim)``.  Norms
+and inner products of a stack are arrays over its samples.  Every sample
+is computed with the same operations in the same order as on its own.
+
 Component conventions for a 2-form written in the standard families:
 
 * ``F = sum_i a_i w_i`` has complex components ``F_{1 2bar} = (a1 + i a2)/2``,
@@ -54,9 +62,11 @@ from .form_decomposition import (
 )
 from .lie_algebra import (
     LieAlgebraSpec,
+    _scalar,
     coeffs_of,
     inner_vec,
     matrix_of,
+    norm_vec,
 )
 
 __all__ = [
@@ -180,9 +190,14 @@ class GValuedForm:
     def from_matrix(
         cls, algebra: LieAlgebraSpec, degree: int, matrix
     ) -> "GValuedForm":
+        """A form, or a stack of forms, from its coefficient matrix.
+
+        ``matrix`` has shape ``(len(basis_keys(degree)), ..., dim)``; axes
+        between the first and the last run over a stack of forms.
+        """
         shape = (len(basis_keys(degree)), algebra.dim)
         arr = np.array(matrix, dtype=complex)
-        if arr.shape != shape:
+        if arr.ndim < 2 or (arr.shape[0], arr.shape[-1]) != shape:
             raise ValueError(f"expected shape {shape}, got {arr.shape}")
         return cls._wrap(algebra, degree, arr)
 
@@ -233,22 +248,24 @@ def conjugate_gform(a: GValuedForm) -> GValuedForm:
     return GValuedForm._wrap(a.algebra, a.degree, a.matrix.conj())
 
 
-def g_inner(a: GValuedForm, b: GValuedForm) -> complex:
+def g_inner(a: GValuedForm, b: GValuedForm) -> complex | np.ndarray:
     """Inner product, orthonormal in keys and invariant in the algebra.
 
     Each row pairs with its partner through the Gram matrix (a stacked
     vector-matrix and vector-vector product) and the row values are added
     one after another in basis order, so the sum does not depend on how a
-    BLAS kernel would group a flat contraction.
+    BLAS kernel would group a flat contraction.  A complex number for two
+    forms, an array over the samples for two stacks.
     """
     a._check(b)
-    rows = (a.matrix[:, None, :] @ a.algebra.gram) @ b.matrix.conj()[..., None]
-    return complex(np.add.accumulate(rows[:, 0, 0])[-1])
+    left = a.matrix[..., None, :] @ a.algebra.gram
+    rows = left @ b.matrix.conj()[..., None]
+    return _scalar(np.add.accumulate(rows[..., 0, 0], axis=0)[-1])
 
 
-def g_norm(a: GValuedForm) -> float:
-    value = g_inner(a, a).real
-    return float(np.sqrt(max(value, 0.0)))
+def g_norm(a: GValuedForm) -> float | np.ndarray:
+    value = np.real(g_inner(a, a))
+    return _scalar(np.sqrt(np.maximum(value, 0.0)))
 
 
 def g_wedge_bracket(phi: GValuedForm, psi: GValuedForm) -> GValuedForm:
@@ -260,6 +277,11 @@ def g_wedge_bracket(phi: GValuedForm, psi: GValuedForm) -> GValuedForm:
     contraction brackets every pair.  On 0-forms it therefore returns
     ``[psi, phi]``; the entry route below realizes the same operation and
     the two are cross-checked in the package self-tests.
+
+    The contraction is one matrix product: the outer products of the
+    paired coefficient vectors, flattened to ``d * d`` columns, times the
+    structure constants reshaped to ``(d * d, d)``.  Two stacks of forms
+    of the same shape give the stack of their brackets.
     """
     if phi.algebra is not psi.algebra:
         raise ValueError("forms take values in different algebras")
@@ -267,13 +289,18 @@ def g_wedge_bracket(phi: GValuedForm, psi: GValuedForm) -> GValuedForm:
     if total_degree > 7:
         raise ValueError("bracket degree exceeds the fiber dimension")
     target, left, right, sign = _WEDGE[phi.degree, psi.degree]
-    brackets = np.einsum(
-        "ni,nj,ijk->nk",
-        psi.matrix[right], phi.matrix[left], phi.algebra.structure,
+    d = phi.algebra.dim
+    outer = psi.matrix[right][..., :, None] * phi.matrix[left][..., None, :]
+    brackets = (
+        outer.reshape(outer.shape[:-2] + (d * d,))
+        @ phi.algebra.structure.reshape(d * d, d)
     )
-    out = GValuedForm(phi.algebra, total_degree)
-    np.add.at(out.matrix, target, sign[:, None] * brackets)
-    return out
+    matrix = np.zeros(
+        (len(basis_keys(total_degree)),) + brackets.shape[1:], dtype=complex
+    )
+    signs = sign.reshape((-1,) + (1,) * (brackets.ndim - 1))
+    np.add.at(matrix, target, signs * brackets)
+    return GValuedForm._wrap(phi.algebra, total_degree, matrix)
 
 
 def g_wedge_bracket_entry_path(
@@ -343,7 +370,7 @@ class TwoZeroSection:
     def component(self, mu: int, nu: int) -> np.ndarray:
         """phi_{mu nu} with antisymmetry in the index pair."""
         if mu == nu:
-            return np.zeros(self.algebra.dim, dtype=complex)
+            return np.zeros_like(self.phi12, dtype=complex)
         if mu > nu:
             return -self.component(nu, mu)
         return {
@@ -355,7 +382,7 @@ class TwoZeroSection:
     def stacked(self) -> np.ndarray:
         return np.stack([self.phi12, self.phi13, self.phi23])
 
-    def inner_20(self, other: "TwoZeroSection") -> complex:
+    def inner_20(self, other: "TwoZeroSection") -> complex | np.ndarray:
         total = 0j
         for mu, nu in _PAIRS:
             total += inner_vec(
@@ -363,14 +390,15 @@ class TwoZeroSection:
             )
         return total
 
-    def norm_20(self) -> float:
-        value = self.inner_20(self).real
-        return float(np.sqrt(max(value, 0.0)))
+    def norm_20(self) -> float | np.ndarray:
+        value = np.real(self.inner_20(self))
+        return _scalar(np.sqrt(np.maximum(value, 0.0)))
 
 
 def _as_rows(algebra: LieAlgebraSpec, rows, count: int) -> np.ndarray:
+    """Rows of shape ``(..., count, dim)``; leading axes run over a stack."""
     arr = np.asarray(rows, dtype=complex)
-    if arr.shape != (count, algebra.dim):
+    if arr.ndim < 2 or arr.shape[-2:] != (count, algebra.dim):
         raise ValueError(
             f"expected a ({count}, {algebra.dim}) coefficient array"
         )
@@ -423,7 +451,7 @@ def v_coefficients_from_two_zero(section: TwoZeroSection) -> np.ndarray:
     for comp in pairs:
         rows.append(comp + np.conj(comp))
         rows.append(1j * (comp - np.conj(comp)))
-    return np.stack(rows)
+    return np.stack(rows, axis=-2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -469,7 +497,7 @@ class FComponents:
 
 def f_components_from_w(algebra: LieAlgebraSpec, a_rows) -> FComponents:
     """Component table of ``F = sum_i a_i w_i``."""
-    a = _as_rows(algebra, a_rows, 8)
+    a = np.moveaxis(_as_rows(algebra, a_rows, 8), -2, 0)
     return FComponents(
         algebra=algebra,
         f12=(a[0] + 1j * a[1]) / 2.0,
@@ -515,7 +543,7 @@ def w_from_f_components(
         -2j * fc.f11,
         -2j * fc.f22,
     ]
-    out = np.stack(rows)
+    out = np.stack(rows, axis=-2)
     if float(np.max(np.abs(out.imag))) > tol * scale:
         raise ValueError("component table is not real on the w family")
     return out
@@ -530,10 +558,13 @@ _W_GRAM = (_W_VECTORS @ _W_VECTORS.conj().T).real
 
 
 def gform_from_w_coefficients(algebra: LieAlgebraSpec, a_rows) -> GValuedForm:
-    """The 2-form ``sum_i a_i w_i`` as a :class:`GValuedForm`."""
+    """The 2-form ``sum_i a_i w_i`` as a :class:`GValuedForm`.
+
+    Rows of shape ``(..., 8, dim)`` give the stack of their forms.
+    """
     a = _as_rows(algebra, a_rows, 8)
-    return gform_from_terms(
-        algebra, 2, zip(_FAMILIES["w"], a)
+    return GValuedForm._wrap(
+        algebra, 2, np.einsum("tk,...td->k...d", _W_VECTORS, a)
     )
 
 
@@ -544,19 +575,21 @@ def w_coefficients_from_gform(
 
     Coefficients come from pairing against the family and solving with
     its Gram matrix; with ``require_in_span`` the reconstruction must
-    match the input within ``tol`` relative to its norm.
+    match the input within ``tol`` relative to its norm.  A stack of
+    forms gives ``(..., 8, dim)`` rows.
     """
     if F.degree != 2:
         raise ValueError("expected a 2-form")
-    pairings = np.einsum("wk,kd->wd", _W_VECTORS.conj(), F.matrix)
-    out = np.linalg.solve(_W_GRAM, pairings)
+    pairings = np.einsum("wk,k...->w...", _W_VECTORS.conj(), F.matrix)
+    out = np.linalg.solve(_W_GRAM, pairings.reshape(len(pairings), -1))
+    out = np.moveaxis(out.reshape(pairings.shape), 0, -2)
     if require_in_span:
         recon = gform_from_w_coefficients(F.algebra, out)
-        resid = g_norm(F - recon)
-        if resid > tol * max(g_norm(F), 1.0):
+        resid = np.asarray(g_norm(F - recon))
+        if np.any(resid > tol * np.maximum(g_norm(F), 1.0)):
             raise ValueError(
                 f"2-form is not in the span of the w family "
-                f"(residual {resid})"
+                f"(residual {float(np.max(resid))})"
             )
     return out
 
@@ -573,22 +606,22 @@ def gform_complex_components(F: GValuedForm, model: ContactModel) -> dict:
     vectors, the vector analogue of the scalar complex expansion.
     """
     rows = _complex_rows(F)
+    nonzero = rows.reshape(len(rows), -1).any(axis=1)
     return {
         symbols: vec
-        for symbols, vec, nonzero in zip(
-            _SYMBOL_KEYS[F.degree], rows, rows.any(axis=1)
-        )
-        if nonzero
+        for symbols, vec, keep in zip(_SYMBOL_KEYS[F.degree], rows, nonzero)
+        if keep
     }
 
 
 def gform_from_complex_components(
     algebra: LieAlgebraSpec, components: dict, degree: int
 ) -> GValuedForm:
-    """Inverse of :func:`gform_complex_components`."""
+    """Inverse of :func:`gform_complex_components`, stacks included."""
+    first = next(iter(components.values()), np.zeros(algebra.dim))
     return GValuedForm._wrap(
         algebra, degree,
-        _real_from_symbols(components, degree, (algebra.dim,)),
+        _real_from_symbols(components, degree, np.shape(first)),
     )
 
 
@@ -629,11 +662,13 @@ def f_components_from_gform(
     if F.degree != 2:
         raise ValueError("expected a 2-form")
     rows = _complex_rows(F)
-    stray = float(np.max(np.abs(np.delete(rows, _MIXED_ROWS, axis=0))))
-    if strict and stray > tol * max(g_norm(F), 1.0):
-        raise ValueError(
-            f"form has components outside type (1,1) (size {stray})"
-        )
+    if strict:
+        stray = np.abs(np.delete(rows, _MIXED_ROWS, axis=0)).max(axis=(0, -1))
+        if np.any(stray > tol * np.maximum(g_norm(F), 1.0)):
+            raise ValueError(
+                f"form has components outside type (1,1) "
+                f"(size {float(np.max(stray))})"
+            )
     f12, f13, f23, f11, f22, f33 = rows[_F_ROWS]
     return FComponents(
         algebra=F.algebra,
@@ -775,29 +810,21 @@ def instanton_classify(
 
 
 def f_component_norm_matrix(fc: FComponents) -> np.ndarray:
-    """3x3 matrix of algebra norms ||F_{mu nubar}||."""
-    out = np.zeros((3, 3))
-    for mu in range(1, 4):
-        for nu in range(1, 4):
-            vec = fc.at(mu, nu)
-            out[mu - 1, nu - 1] = float(
-                np.sqrt(
-                    max(inner_vec(fc.algebra, vec, vec).real, 0.0)
-                )
-            )
-    return out
+    """3x3 matrix of algebra norms ||F_{mu nubar}||, (..., 3, 3) for stacks."""
+    entries = np.stack(
+        [fc.at(mu, nu) for mu in range(1, 4) for nu in range(1, 4)], axis=-2
+    )
+    norms = norm_vec(fc.algebra, entries)
+    return norms.reshape(norms.shape[:-1] + (3, 3))
 
 
 def phi_component_norm_matrix(section: TwoZeroSection) -> np.ndarray:
     """Symmetric 3x3 matrix of norms ||phi_{mu nu}||, zero diagonal."""
-    out = np.zeros((3, 3))
-    for mu, nu in _PAIRS:
-        vec = section.component(mu, nu)
-        value = float(
-            np.sqrt(max(inner_vec(section.algebra, vec, vec).real, 0.0))
-        )
-        out[mu - 1, nu - 1] = value
-        out[nu - 1, mu - 1] = value
+    norms = norm_vec(section.algebra, section.stacked())
+    out = np.zeros(norms.shape[1:] + (3, 3))
+    for value, (mu, nu) in zip(norms, _PAIRS):
+        out[..., mu - 1, nu - 1] = value
+        out[..., nu - 1, mu - 1] = value
     return out
 
 

@@ -16,6 +16,11 @@ Each operator comes with at least one independent evaluation route
 trace contraction), and the routes are cross-checked in the test suite.
 The module also evaluates the norm estimate chain that controls the
 curvature quadratic form and assembles positivity verdicts.
+
+Stacks of samples go through the same functions: sections and component
+tables hold ``(..., dim)`` arrays, Ricci tensors ``(..., 3, 3)`` and
+operators ``(..., 3 dim, 3 dim)`` matrices, the leading axes running over
+samples; quadratic forms, residuals and spectra then come back per sample.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .gauge_fields import (
 )
 from .lie_algebra import (
     LieAlgebraSpec,
+    _scalar,
     ad_matrix,
     bracket_vec,
     inner_vec,
@@ -91,9 +97,10 @@ class TransverseRicci:
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (3, 3):
+        if mat.ndim < 2 or mat.shape[-2:] != (3, 3):
             raise ValueError("transverse Ricci tensor must be 3x3")
-        residual = float(np.max(np.abs(mat - mat.conj().T)))
+        adjoint = np.swapaxes(mat.conj(), -1, -2)
+        residual = float(np.max(np.abs(mat - adjoint)))
         if residual > 1e-10 * max(float(np.max(np.abs(mat))), 1.0):
             raise ValueError(
                 f"transverse Ricci tensor is not Hermitian "
@@ -101,7 +108,7 @@ class TransverseRicci:
             )
         if self.metric_scale <= 0:
             raise ValueError("metric scale must be positive")
-        mat = (mat + mat.conj().T) / 2.0
+        mat = (mat + adjoint) / 2.0
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -114,10 +121,13 @@ class TransverseRicci:
 
     @classmethod
     def from_diagonal(cls, values, metric_scale: float = 1.0):
+        """Diagonal tensor; ``(..., 3)`` values give a stack of tensors."""
         vals = np.asarray(values, dtype=float)
-        if vals.shape != (3,):
+        if vals.ndim < 1 or vals.shape[-1] != 3:
             raise ValueError("expected three diagonal values")
-        return cls(matrix=np.diag(vals), metric_scale=metric_scale)
+        matrix = np.zeros(vals.shape + (3,))
+        matrix[..., [0, 1, 2], [0, 1, 2]] = vals
+        return cls(matrix=matrix, metric_scale=metric_scale)
 
     def entry(self, alpha: int, mu: int) -> complex:
         """Entry with barred index alpha, unbarred index mu (1..3)."""
@@ -130,19 +140,21 @@ class TransverseRicci:
 
 def stack_section(section: TwoZeroSection) -> np.ndarray:
     """Concatenate the components into one vector of length 3 dim."""
-    return np.concatenate([section.phi12, section.phi13, section.phi23])
+    return np.concatenate(
+        [section.phi12, section.phi13, section.phi23], axis=-1
+    )
 
 
 def section_from_stack(algebra: LieAlgebraSpec, vec) -> TwoZeroSection:
     arr = np.asarray(vec, dtype=complex)
     d = algebra.dim
-    if arr.shape != (3 * d,):
+    if arr.ndim < 1 or arr.shape[-1] != 3 * d:
         raise ValueError(f"expected a vector of length {3 * d}")
     return TwoZeroSection(
         algebra=algebra,
-        phi12=arr[0:d],
-        phi13=arr[d : 2 * d],
-        phi23=arr[2 * d : 3 * d],
+        phi12=arr[..., 0:d],
+        phi13=arr[..., d : 2 * d],
+        phi23=arr[..., 2 * d : 3 * d],
     )
 
 
@@ -158,7 +170,7 @@ class TwoZeroEndo:
     def __post_init__(self):
         d = self.algebra.dim
         mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (3 * d, 3 * d):
+        if mat.ndim < 2 or mat.shape[-2:] != (3 * d, 3 * d):
             raise ValueError(f"operator matrix must be {3 * d}x{3 * d}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -170,19 +182,32 @@ class TwoZeroEndo:
         """Gram matrix of the section inner product on stacked vectors."""
         return self._weight.copy()
 
+    def _image(self, vec: np.ndarray) -> np.ndarray:
+        """``M vec`` on one stacked vector or per sample on a stack."""
+        return (self.matrix @ vec[..., None])[..., 0]
+
+    def _pair(
+        self, first: np.ndarray, second: np.ndarray
+    ) -> complex | np.ndarray:
+        """``first W second`` per sample, W the section Gram matrix."""
+        left = (first @ self._weight)[..., None, :]
+        return _scalar((left @ second[..., :, None])[..., 0, 0])
+
     def apply(self, section: TwoZeroSection) -> TwoZeroSection:
         if section.algebra is not self.algebra:
             raise ValueError("section belongs to a different algebra")
         return section_from_stack(
-            self.algebra, self.matrix @ stack_section(section)
+            self.algebra, self._image(stack_section(section))
         )
 
-    def quad(self, section: TwoZeroSection) -> complex:
+    def quad(self, section: TwoZeroSection) -> complex | np.ndarray:
         """<M s, s> in the pair-sum inner product."""
         vec = stack_section(section)
-        return complex((self.matrix @ vec) @ self._weight @ np.conj(vec))
+        return self._pair(self._image(vec), np.conj(vec))
 
-    def quad_bilinear(self, section: TwoZeroSection) -> complex:
+    def quad_bilinear(
+        self, section: TwoZeroSection
+    ) -> complex | np.ndarray:
         """Pair-sum pairing of M s against s without conjugation.
 
         The componentwise derivations of the curvature quadratic form
@@ -191,12 +216,12 @@ class TwoZeroEndo:
         sections with real coefficient vectors.
         """
         vec = stack_section(section)
-        return complex((self.matrix @ vec) @ self._weight @ vec)
+        return self._pair(self._image(vec), vec)
 
     def adjoint_residual(
         self, first: TwoZeroSection, second: TwoZeroSection
-    ) -> float:
-        """|<M s1, s2> - <s1, M s2>| on a pair of sections."""
+    ) -> float | np.ndarray:
+        """|<M s1, s2> - <s1, M s2>| on a pair of sections, or per sample."""
         lhs = self.apply(first).inner_20(second)
         rhs = first.inner_20(self.apply(second))
         return abs(lhs - rhs)
@@ -218,20 +243,22 @@ def build_F_operator_from_components(fc: FComponents) -> TwoZeroEndo:
     """
     algebra = fc.algebra
     d = algebra.dim
-    blocks = np.zeros((3, 3, d, d), dtype=complex)
+    # ad[mu - 1, alpha - 1] = ad(F_{mu alphabar})
+    ad = ad_matrix(
+        algebra,
+        np.stack([[fc.at(mu, alpha) for alpha in range(1, 4)]
+                  for mu in range(1, 4)]),
+    )
+    blocks = np.zeros((3, 3) + ad.shape[2:], dtype=complex)
     for row, (mu, nu) in enumerate(PAIRS):
         for alpha in range(1, 4):
             # [phi_{alpha nu}, F_{mu alphabar}] = -ad(F_{mu alphabar}) phi_{alpha nu}
             if alpha != nu:
                 sign, col = _ordered_pair(alpha, nu)
-                blocks[row, col] -= sign * ad_matrix(
-                    algebra, fc.at(mu, alpha)
-                )
+                blocks[row, col] -= sign * ad[mu - 1, alpha - 1]
             if alpha != mu:
                 sign, col = _ordered_pair(alpha, mu)
-                blocks[row, col] += sign * ad_matrix(
-                    algebra, fc.at(nu, alpha)
-                )
+                blocks[row, col] += sign * ad[nu - 1, alpha - 1]
     matrix = np.block(
         [[blocks[r, c] for c in range(3)] for r in range(3)]
     )
@@ -292,7 +319,9 @@ def apply_F_xi_path(
     )
 
 
-def quad_form_F_complex(fc: FComponents, section: TwoZeroSection) -> complex:
+def quad_form_F_complex(
+    fc: FComponents, section: TwoZeroSection
+) -> complex | np.ndarray:
     """Curvature quadratic form on a section, bracket route.
 
     Evaluates ``2 { <[phi_13, phi_23], Re F_12bar> + <[phi_12, phi_23],
@@ -364,7 +393,9 @@ def quad_form_F_stack(fc: FComponents, phi) -> np.ndarray:
     return total.real
 
 
-def v_basis_quad_form(algebra: LieAlgebraSpec, b_rows, a_rows) -> float:
+def v_basis_quad_form(
+    algebra: LieAlgebraSpec, b_rows, a_rows
+) -> float | np.ndarray:
     """Curvature quadratic form written on the coefficient families.
 
     For a section with coefficients ``b_i`` on the v family and a
@@ -378,15 +409,18 @@ def v_basis_quad_form(algebra: LieAlgebraSpec, b_rows, a_rows) -> float:
     """
     b = np.asarray(b_rows, dtype=complex)
     a = np.asarray(a_rows, dtype=complex)
-    if b.shape != (6, algebra.dim) or a.shape != (8, algebra.dim):
+    if (b.ndim < 2 or a.ndim < 2 or b.shape[-2:] != (6, algebra.dim)
+            or a.shape[-2:] != (8, algebra.dim)):
         raise ValueError("expected (6, dim) and (8, dim) coefficient arrays")
+    b = np.moveaxis(b, -2, 0)
+    a = np.moveaxis(a, -2, 0)
     br = lambda x, y: bracket_vec(algebra, x, y)
     total = (
         inner_vec(algebra, br(b[2], b[4]) - br(b[3], b[5]), a[0])
         - inner_vec(algebra, br(b[0], b[4]) - br(b[1], b[5]), a[2])
         + inner_vec(algebra, br(b[0], b[2]) - br(b[1], b[3]), a[4])
     )
-    return float(total.real)
+    return _scalar(np.real(total))
 
 
 def build_R_operator(ricci: TransverseRicci, algebra: LieAlgebraSpec) -> TwoZeroEndo:
@@ -398,15 +432,20 @@ def build_R_operator(ricci: TransverseRicci, algebra: LieAlgebraSpec) -> TwoZero
     whenever the tensor is.
     """
     raised = ricci.raised()
-    pair_matrix = np.zeros((3, 3), dtype=complex)
+    pair_matrix = np.zeros(raised.shape, dtype=complex)
     for row, (mu, nu) in enumerate(PAIRS):
         for alpha in range(1, 4):
             if alpha != nu:
                 sign, col = _ordered_pair(alpha, nu)
-                pair_matrix[row, col] += sign * raised[alpha - 1, mu - 1]
+                pair_matrix[..., row, col] += (
+                    sign * raised[..., alpha - 1, mu - 1]
+                )
             if alpha != mu:
                 sign, col = _ordered_pair(alpha, mu)
-                pair_matrix[row, col] -= sign * raised[alpha - 1, nu - 1]
+                pair_matrix[..., row, col] -= (
+                    sign * raised[..., alpha - 1, nu - 1]
+                )
+    # a stack of pair matrices gives the stack of Kronecker products
     matrix = np.kron(pair_matrix, np.eye(algebra.dim))
     return TwoZeroEndo(algebra=algebra, matrix=matrix, label="ricci")
 
@@ -442,31 +481,40 @@ def weighted_spectrum(matrix, weight) -> dict:
     The operator is conjugated by the square root of the Gram matrix of
     the inner product; the conjugate must be Hermitian for a self-adjoint
     operator, and its deviation is reported alongside the eigenvalues.
+    A stack of ``(..., n, n)`` matrices gives every entry per matrix.
     """
     evals, evecs = np.linalg.eigh(np.asarray(weight))
     root = evecs @ np.diag(np.sqrt(evals)) @ evecs.T
     inv_root = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.T
     conjugated = root @ np.asarray(matrix) @ inv_root
-    herm_residual = float(np.max(np.abs(conjugated - conjugated.conj().T)))
-    spectrum = np.linalg.eigvalsh((conjugated + conjugated.conj().T) / 2.0)
-    largest = float(np.max(np.abs(spectrum))) if spectrum.size else 0.0
+    adjoint = np.swapaxes(conjugated.conj(), -1, -2)
+    herm_residual = np.max(np.abs(conjugated - adjoint), axis=(-2, -1))
+    spectrum = np.linalg.eigvalsh((conjugated + adjoint) / 2.0)
+    largest = np.max(np.abs(spectrum), axis=-1, initial=0.0)
+    low = spectrum.min(axis=-1)
     return {
         "eigenvalues": spectrum,
-        "min": float(spectrum.min()),
-        "max": float(spectrum.max()),
-        "hermiticity_residual": herm_residual,
-        "positive": bool(
-            spectrum.min() > POSITIVITY_RELATIVE_FLOOR * largest
-        ),
-        "nonnegative": bool(
-            spectrum.min() >= -POSITIVITY_RELATIVE_FLOOR * largest
-        ),
+        "min": _scalar(low),
+        "max": _scalar(spectrum.max(axis=-1)),
+        "hermiticity_residual": _scalar(herm_residual),
+        "positive": _scalar(low > POSITIVITY_RELATIVE_FLOOR * largest),
+        "nonnegative": _scalar(low >= -POSITIVITY_RELATIVE_FLOOR * largest),
     }
 
 
 def operator_spectrum(endo: TwoZeroEndo) -> dict:
     """Spectrum of an endomorphism in the weighted inner product."""
     return weighted_spectrum(endo.matrix, endo.weight())
+
+
+def _frobenius(matrix: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each real ``(..., n, n)`` matrix.
+
+    The entries are squared and added by one dot product per matrix, as
+    ``np.linalg.norm`` does for a single matrix.
+    """
+    flat = matrix.reshape(matrix.shape[:-2] + (-1,))
+    return np.sqrt(np.vecdot(flat, flat))
 
 
 def estimate_bound_check(
@@ -477,28 +525,32 @@ def estimate_bound_check(
     Checks ``|S| <= (sqrt(2)/2) Tr(A^2 B) <= sqrt(2) ||B||_F ||phi||^2``
     where S is the curvature quadratic form, A the symmetric matrix of
     section component norms, and B the matrix of curvature component
-    norms; ``||phi||^2`` sums over ordered pairs.
+    norms; ``||phi||^2`` sums over ordered pairs.  On a stack of sections
+    and component tables every entry is an array over the samples.
     """
-    lhs = abs(quad_form_F(fc, section))
+    lhs = np.abs(np.real(quad_form_F_complex(fc, section)))
     a_matrix = phi_component_norm_matrix(section)
     b_matrix = f_component_norm_matrix(fc)
-    bound_bracket = float(
-        np.sqrt(2.0) / 2.0 * np.trace(a_matrix @ a_matrix @ b_matrix).real
+    bound_bracket = (
+        np.sqrt(2.0) / 2.0
+        * np.trace(a_matrix @ a_matrix @ b_matrix, axis1=-2, axis2=-1)
     )
-    b_frobenius = float(np.linalg.norm(b_matrix))
-    phi_sq = section.norm_20() ** 2
-    bound_product = float(np.sqrt(2.0) * b_frobenius * phi_sq)
-    scale = max(bound_product, 1.0)
+    b_frobenius = _frobenius(b_matrix)
+    phi_sq = np.asarray(section.norm_20()) ** 2
+    bound_product = np.sqrt(2.0) * b_frobenius * phi_sq
+    scale = np.maximum(bound_product, 1.0)
     return {
-        "quad_form": lhs,
-        "bound_bracket": bound_bracket,
-        "bound_product": bound_product,
-        "bracket_bound_holds": lhs <= bound_bracket + tol * scale,
-        "product_bound_holds": bound_bracket <= bound_product + tol * scale,
+        "quad_form": _scalar(lhs),
+        "bound_bracket": _scalar(bound_bracket),
+        "bound_product": _scalar(bound_product),
+        "bracket_bound_holds": _scalar(lhs <= bound_bracket + tol * scale),
+        "product_bound_holds": _scalar(
+            bound_bracket <= bound_product + tol * scale
+        ),
         "norms": {
-            "component_frobenius": b_frobenius,
-            "section_sq": phi_sq,
-            "a_frobenius": float(np.linalg.norm(a_matrix)),
+            "component_frobenius": _scalar(b_frobenius),
+            "section_sq": _scalar(phi_sq),
+            "a_frobenius": _scalar(_frobenius(a_matrix)),
         },
     }
 

@@ -25,6 +25,11 @@ variation pairs the curvature with the square of the contact
 differential, and that pairing kills the self-dual block.  The report
 therefore carries the residual norms of ``F ^ deta ^ deta`` (a 6-form)
 and of its wedge with the contact form (a 7-form) as diagnostics.
+
+The curvature grid, the coupling and the quadratic-form paths also take
+stacks: a stack of curvatures (see :mod:`~artifact.gauge_fields`) and a
+section whose ``vectors`` have shape ``(7, ..., dim)`` give results per
+sample, the coupling and second-variation matrices as ``(..., 7 d, 7 d)``.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .lie_algebra import (
     BRACKET_NORM_BOUND,
     LieAlgebraSpec,
     LieElement,
+    _scalar,
     ad_matrix,
     bracket_vec,
     inner_vec,
@@ -98,7 +104,8 @@ class OneFormSection:
     """Algebra-valued 1-form ``sum_j e^j (x) B_j`` with real coefficients.
 
     ``vectors`` stacks the seven coefficient vectors as rows; row ``j``
-    holds the component on ``e^{j+1}``.
+    holds the component on ``e^{j+1}``.  A ``(7, ..., dim)`` array holds
+    a stack of sections.
     """
 
     algebra: LieAlgebraSpec
@@ -106,7 +113,9 @@ class OneFormSection:
 
     def __post_init__(self) -> None:
         arr = _require_real(self.vectors, "1-form coefficients")
-        if arr.shape != (FORM_INDEX_COUNT, self.algebra.dim):
+        if arr.ndim < 2 or (arr.shape[0], arr.shape[-1]) != (
+            FORM_INDEX_COUNT, self.algebra.dim
+        ):
             raise ValueError(
                 "coefficients must form a "
                 f"({FORM_INDEX_COUNT}, {self.algebra.dim}) array"
@@ -219,7 +228,8 @@ def curvature_components_grid(F: GValuedForm) -> np.ndarray:
     if F.degree != 2:
         raise ValueError("expected a curvature 2-form")
     grid = np.zeros(
-        (FORM_INDEX_COUNT, FORM_INDEX_COUNT, F.algebra.dim), dtype=complex
+        (FORM_INDEX_COUNT, FORM_INDEX_COUNT) + F.matrix.shape[1:],
+        dtype=complex,
     )
     grid[_PAIR_ROWS, _PAIR_COLS] = F.matrix
     grid[_PAIR_COLS, _PAIR_ROWS] = -F.matrix
@@ -227,13 +237,12 @@ def curvature_components_grid(F: GValuedForm) -> np.ndarray:
 
 
 def curvature_grid_norms(F: GValuedForm) -> np.ndarray:
-    """Symmetric 7x7 matrix of component norms ``||F_{ji}||``."""
-    grid = curvature_components_grid(F)
-    out = np.zeros((FORM_INDEX_COUNT, FORM_INDEX_COUNT))
-    for j in range(FORM_INDEX_COUNT):
-        for i in range(FORM_INDEX_COUNT):
-            out[j, i] = norm_vec(F.algebra, grid[j, i])
-    return out
+    """Symmetric 7x7 matrix of component norms ``||F_{ji}||``.
+
+    A stack of curvatures gives a ``(..., 7, 7)`` stack of matrices.
+    """
+    norms = norm_vec(F.algebra, curvature_components_grid(F))
+    return np.moveaxis(norms, (0, 1), (-2, -1))
 
 
 def curvature_action_oneforms(F: GValuedForm) -> np.ndarray:
@@ -245,18 +254,14 @@ def curvature_action_oneforms(F: GValuedForm) -> np.ndarray:
     commutative algebras and is self-adjoint in the invariant inner
     product because the components are antisymmetric in ``(j, i)``.
     """
-    grid = curvature_components_grid(F)
-    d = F.algebra.dim
-    out = np.zeros((FORM_INDEX_COUNT * d, FORM_INDEX_COUNT * d), dtype=complex)
-    for i in range(FORM_INDEX_COUNT):
-        for j in range(FORM_INDEX_COUNT):
-            if i == j:
-                continue
-            vec = grid[j, i]
-            if np.any(vec != 0.0):
-                block = ad_matrix(F.algebra, vec)
-                out[i * d : (i + 1) * d, j * d : (j + 1) * d] = block
-    return _require_real(out, "curvature action matrix")
+    # ads[j, i] = ad(F_{ji}) is block (i, j); the zero diagonal of the
+    # grid gives zero diagonal blocks
+    ads = ad_matrix(F.algebra, curvature_components_grid(F))
+    out = np.moveaxis(ads, (1, 0), (-4, -2))
+    size = FORM_INDEX_COUNT * F.algebra.dim
+    return _require_real(
+        out.reshape(out.shape[:-4] + (size, size)), "curvature action matrix"
+    )
 
 
 def apply_curvature_action(
@@ -266,11 +271,9 @@ def apply_curvature_action(
     if section.algebra is not F.algebra:
         raise ValueError("section and curvature use different algebras")
     grid = curvature_components_grid(F)
-    rows = np.zeros(
-        (FORM_INDEX_COUNT, F.algebra.dim), dtype=complex
-    )
+    rows = np.zeros(section.vectors.shape, dtype=complex)
     for i in range(FORM_INDEX_COUNT):
-        acc = np.zeros(F.algebra.dim, dtype=complex)
+        acc = np.zeros(rows.shape[1:], dtype=complex)
         for j in range(FORM_INDEX_COUNT):
             if j != i:
                 acc += bracket_vec(
@@ -305,9 +308,9 @@ def curvature_quad_paths(F: GValuedForm, section: OneFormSection) -> dict:
             br = bracket_vec(algebra, section.vectors[j], section.vectors[i])
             flipped += inner_vec(algebra, grid[j, i], br).real
     return {
-        "pair_with_section": float(direct),
-        "pair_with_curvature": float(flipped),
-        "agreement": float(abs(direct - flipped)),
+        "pair_with_section": _scalar(direct),
+        "pair_with_curvature": _scalar(flipped),
+        "agreement": _scalar(np.abs(direct - flipped)),
     }
 
 
