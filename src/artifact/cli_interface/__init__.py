@@ -64,6 +64,7 @@ import numpy as np
 
 from ..flat_model import (
     _WEDGE,
+    PAIRS,
     REEB_INDEX,
     calibrate_model,
     calibration_constants,
@@ -1037,7 +1038,7 @@ def _suite_ricci_operator(model, seed, samples, tol) -> dict:
     section = two_zero_from_v_coefficients(algebra, np.array(rows))
     quad = np.real(build_R_operator(ricci, algebra).quad(section))
     expected = 0.0
-    for mu, nu in ((1, 2), (1, 3), (2, 3)):
+    for mu, nu in PAIRS:
         comp = section.component(mu, nu)
         norm_sq = np.real(inner_vec(algebra, comp, comp))
         expected = expected + (values[:, mu - 1] + values[:, nu - 1]) * norm_sq
@@ -1236,8 +1237,11 @@ def run_selftest(model, seed: int = 0, samples: int = 10000,
     only where uniform and normal draws interleave) and evaluates both
     routes of every check over the sample axis.  The sample-by-sample
     loops they replaced are the labelled oracles of
-    ``tests/test_selftest_oracles.py``.
+    ``tests/test_selftest_oracles.py``.  A sample count below one raises
+    ``ValueError``.
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     suites = {}
     all_passed = True
     for name, func in _SELFTEST_SUITES:

@@ -33,6 +33,7 @@ __all__ = [
     "REEB_INDEX",
     "HORIZONTAL_INDICES",
     "PLANES",
+    "PAIRS",
     "CalibrationError",
     "KForm",
     "ContactModel",
@@ -54,6 +55,9 @@ __all__ = [
 REEB_INDEX = 7
 HORIZONTAL_INDICES = (1, 2, 3, 4, 5, 6)
 PLANES = ((1, 2), (3, 4), (5, 6))
+# holomorphic index pairs mu < nu, in the order of the standard families
+# and of the rows of a (2,0) section
+PAIRS = ((1, 2), (1, 3), (2, 3))
 
 _ALL_INDICES = tuple(range(1, 8))
 
@@ -553,17 +557,16 @@ def standard_two_form_families() -> dict:
     """
     dz = {j: _fixed_dz(j) for j in (1, 2, 3)}
     dzb = {j: dz[j].conjugate() for j in (1, 2, 3)}
-    pairs = ((1, 2), (1, 3), (2, 3))
 
     w = []
-    for mu, nu in pairs:
+    for mu, nu in PAIRS:
         w.append(0.5 * (wedge(dz[mu], dzb[nu]) - wedge(dz[nu], dzb[mu])))
         w.append(0.5j * (wedge(dz[mu], dzb[nu]) + wedge(dz[nu], dzb[mu])))
     w.append(0.5j * (wedge(dz[1], dzb[1]) - wedge(dz[3], dzb[3])))
     w.append(0.5j * (wedge(dz[2], dzb[2]) - wedge(dz[3], dzb[3])))
 
     v = []
-    for mu, nu in pairs:
+    for mu, nu in PAIRS:
         v.append(0.5 * (wedge(dz[mu], dz[nu]) + wedge(dzb[mu], dzb[nu])))
         v.append(0.5j * (wedge(dzb[mu], dzb[nu]) - wedge(dz[mu], dz[nu])))
 

@@ -15,13 +15,19 @@ between the real two-form families, complex component tables, and
 holomorphic section data, and a two-route classifier for the eigenvalue
 type of a curvature form.
 
+A (2,0) section is one complex ``(3, ..., algebra.dim)`` array with rows
+phi_12, phi_13 and phi_23, in the order of ``PAIRS``; a curvature
+component table is one ``(3, 3, ..., algebra.dim)`` array holding
+F_{mu nubar} at ``[mu - 1, nu - 1]``.
+
 Stacks of samples share these functions.  A stack of forms has a matrix
 of shape ``(len(basis_keys(k)), ..., algebra.dim)``, the axes between the
-key axis and the algebra axis running over samples; section and
-component tables hold ``(..., algebra.dim)`` arrays; coefficient rows on
-the standard families are ``(..., 8, dim)`` or ``(..., 6, dim)``.  Norms
-and inner products of a stack are arrays over its samples.  Every sample
-is computed with the same operations in the same order as on its own.
+key axis and the algebra axis running over samples, and sections and
+component tables carry the same sample axes before their algebra axis;
+coefficient rows on the standard families are ``(..., 8, dim)`` or
+``(..., 6, dim)``.  Norms and inner products of a stack are arrays over
+its samples.  Every sample is computed with the same operations in the
+same order as on its own.
 
 Component conventions for a 2-form written in the standard families:
 
@@ -43,6 +49,7 @@ import numpy as np
 
 from .flat_model import (
     _WEDGE,
+    PAIRS,
     CalibrationError,
     ContactModel,
     KForm,
@@ -81,7 +88,6 @@ __all__ = [
     "g_wedge_bracket_entry_path",
     "g_wedge_scalar",
     "two_zero_from_v_coefficients",
-    "two_zero_stack_from_v_coefficients",
     "v_coefficients_from_two_zero",
     "f_components_from_w",
     "w_from_f_components",
@@ -101,8 +107,6 @@ __all__ = [
 
 # default relative tolerance for the curvature type classifier
 INSTANTON_TOLERANCE = 1e-9
-
-_PAIRS = ((1, 2), (1, 3), (2, 3))
 
 
 class GValuedForm:
@@ -358,37 +362,53 @@ def g_wedge_scalar(F: GValuedForm, form: KForm) -> GValuedForm:
 # ---------------------------------------------------------------------------
 
 
+# (rows, columns) of the pairs mu < nu in a 3x3 table, in the order of PAIRS
+_UPPER = tuple(np.array(index) - 1 for index in zip(*PAIRS))
+_DIAGONAL = (np.arange(3), np.arange(3))
+
+
 @dataclass(frozen=True, eq=False)
 class TwoZeroSection:
-    """Holomorphic components (phi_12, phi_13, phi_23) of a section."""
+    """Holomorphic components phi_{mu nu} of a (2,0) section.
+
+    ``phi`` is one complex ``(3, ..., dim)`` array whose rows hold phi_12,
+    phi_13 and phi_23; the axes between the first and the last run over a
+    stack of sections.
+    """
 
     algebra: LieAlgebraSpec
-    phi12: np.ndarray
-    phi13: np.ndarray
-    phi23: np.ndarray
+    phi: np.ndarray
+
+    def __post_init__(self):
+        phi = np.asarray(self.phi, dtype=complex)
+        if phi.ndim < 2 or (phi.shape[0], phi.shape[-1]) != (
+            3, self.algebra.dim
+        ):
+            raise ValueError(
+                f"expected a (3, ..., {self.algebra.dim}) component array"
+            )
+        object.__setattr__(self, "phi", phi)
+
+    phi12 = property(lambda self: self.phi[0])
+    phi13 = property(lambda self: self.phi[1])
+    phi23 = property(lambda self: self.phi[2])
 
     def component(self, mu: int, nu: int) -> np.ndarray:
         """phi_{mu nu} with antisymmetry in the index pair."""
         if mu == nu:
-            return np.zeros_like(self.phi12, dtype=complex)
+            return np.zeros_like(self.phi[0])
         if mu > nu:
             return -self.component(nu, mu)
-        return {
-            (1, 2): self.phi12,
-            (1, 3): self.phi13,
-            (2, 3): self.phi23,
-        }[(mu, nu)].copy()
+        return self.phi[PAIRS.index((mu, nu))]
 
     def stacked(self) -> np.ndarray:
-        return np.stack([self.phi12, self.phi13, self.phi23])
+        """The ``(3, ..., dim)`` component array itself."""
+        return self.phi
 
     def inner_20(self, other: "TwoZeroSection") -> complex | np.ndarray:
-        total = 0j
-        for mu, nu in _PAIRS:
-            total += inner_vec(
-                self.algebra, self.component(mu, nu), other.component(mu, nu)
-            )
-        return total
+        """Pair-sum inner product, the pair values added in row order."""
+        values = inner_vec(self.algebra, self.phi, other.phi)
+        return _scalar(np.add.accumulate(values, axis=0)[-1])
 
     def norm_20(self) -> float | np.ndarray:
         value = np.real(self.inner_20(self))
@@ -400,7 +420,7 @@ def _as_rows(algebra: LieAlgebraSpec, rows, count: int) -> np.ndarray:
     arr = np.asarray(rows, dtype=complex)
     if arr.ndim < 2 or arr.shape[-2:] != (count, algebra.dim):
         raise ValueError(
-            f"expected a ({count}, {algebra.dim}) coefficient array"
+            f"expected a (..., {count}, {algebra.dim}) coefficient array"
         )
     return arr
 
@@ -408,34 +428,15 @@ def _as_rows(algebra: LieAlgebraSpec, rows, count: int) -> np.ndarray:
 def two_zero_from_v_coefficients(
     algebra: LieAlgebraSpec, b_rows
 ) -> TwoZeroSection:
-    """Section with components built from coefficients on the v family."""
-    phi12, phi13, phi23 = two_zero_stack_from_v_coefficients(
-        algebra, _as_rows(algebra, b_rows, 6)
-    )
-    return TwoZeroSection(
-        algebra=algebra, phi12=phi12, phi13=phi13, phi23=phi23
-    )
-
-
-def two_zero_stack_from_v_coefficients(
-    algebra: LieAlgebraSpec, b_rows
-) -> np.ndarray:
-    """Components of many sections built from v-family coefficients.
+    """Section with components built from coefficients on the v family.
 
     ``b_rows`` has shape ``(..., 6, dim)``, its leading axes running over
-    sections.  The result has shape ``(3, ..., dim)``: entry ``k`` is
-    ``(b[..., 2k, :] - i b[..., 2k + 1, :]) / 2``, the components phi_12,
-    phi_13 and phi_23 of every section.  For one section it equals
-    ``two_zero_from_v_coefficients(algebra, b_rows).stacked()``.
+    a stack of sections; row ``k`` of the section is
+    ``(b[..., 2k, :] - i b[..., 2k + 1, :]) / 2``.
     """
-    b = np.asarray(b_rows, dtype=complex)
-    if b.ndim < 2 or b.shape[-2:] != (6, algebra.dim):
-        raise ValueError(
-            f"expected a (..., 6, {algebra.dim}) coefficient array"
-        )
-    return np.stack(
-        [(b[..., 2 * k, :] - 1j * b[..., 2 * k + 1, :]) / 2.0
-         for k in range(3)]
+    b = np.moveaxis(_as_rows(algebra, b_rows, 6), -2, 0)
+    return TwoZeroSection(
+        algebra, np.ascontiguousarray((b[0::2] - 1j * b[1::2]) / 2.0)
     )
 
 
@@ -446,67 +447,58 @@ def v_coefficients_from_two_zero(section: TwoZeroSection) -> np.ndarray:
     coefficient vectors, equivalently the returned rows are real; a
     complex part in the rows is reported as is, no check is applied.
     """
-    pairs = (section.phi12, section.phi13, section.phi23)
-    rows = []
-    for comp in pairs:
-        rows.append(comp + np.conj(comp))
-        rows.append(1j * (comp - np.conj(comp)))
-    return np.stack(rows, axis=-2)
+    phi = section.phi
+    rows = np.stack([phi + np.conj(phi), 1j * (phi - np.conj(phi))], axis=1)
+    return np.moveaxis(rows.reshape((6,) + phi.shape[1:]), 0, -2)
 
 
 @dataclass(frozen=True, eq=False)
 class FComponents:
     """Complex component table F_{mu nubar} of a real (1,1) curvature.
 
-    Stores the upper triangle and the diagonal; the lower triangle is
-    produced by the reality rule ``F_{nu mubar} = -conj(F_{mu nubar})``.
+    ``table`` is one read-only complex ``(3, 3, ..., dim)`` array holding
+    F_{mu nubar} at ``[mu - 1, nu - 1]``, the axes between the index pair
+    and the algebra axis running over a stack.  The constructor keeps the
+    upper triangle and the diagonal of its input and fills the lower
+    triangle by the reality rule ``F_{nu mubar} = -conj(F_{mu nubar})``.
     """
 
     algebra: LieAlgebraSpec
-    f12: np.ndarray
-    f13: np.ndarray
-    f23: np.ndarray
-    f11: np.ndarray
-    f22: np.ndarray
-    f33: np.ndarray
+    table: np.ndarray
+
+    def __post_init__(self):
+        table = np.array(self.table, dtype=complex)
+        if table.ndim < 3 or table.shape[:2] != (3, 3) or (
+            table.shape[-1] != self.algebra.dim
+        ):
+            raise ValueError(
+                f"expected a (3, 3, ..., {self.algebra.dim}) component table"
+            )
+        rows, cols = _UPPER
+        table[cols, rows] = -np.conj(table[rows, cols])
+        table.setflags(write=False)
+        object.__setattr__(self, "table", table)
 
     def at(self, mu: int, nu: int) -> np.ndarray:
         """F_{mu nubar}; indices run over 1..3."""
-        table = {
-            (1, 2): self.f12,
-            (1, 3): self.f13,
-            (2, 3): self.f23,
-            (1, 1): self.f11,
-            (2, 2): self.f22,
-            (3, 3): self.f33,
-        }
-        if (mu, nu) in table:
-            return table[(mu, nu)].copy()
-        return -np.conj(table[(nu, mu)])
+        return self.table[mu - 1, nu - 1]
 
     def reality_residual(self) -> float:
         """Deviation of the diagonal from the reality rule."""
-        worst = 0.0
-        for diag in (self.f11, self.f22, self.f33):
-            worst = max(worst, float(np.max(np.abs(diag + np.conj(diag)))))
-        return worst
+        diagonal = self.table[_DIAGONAL]
+        return float(np.max(np.abs(diagonal + np.conj(diagonal))))
 
     def trace_vector(self) -> np.ndarray:
-        return self.f11 + self.f22 + self.f33
+        return self.table[0, 0] + self.table[1, 1] + self.table[2, 2]
 
 
 def f_components_from_w(algebra: LieAlgebraSpec, a_rows) -> FComponents:
     """Component table of ``F = sum_i a_i w_i``."""
     a = np.moveaxis(_as_rows(algebra, a_rows, 8), -2, 0)
-    return FComponents(
-        algebra=algebra,
-        f12=(a[0] + 1j * a[1]) / 2.0,
-        f13=(a[2] + 1j * a[3]) / 2.0,
-        f23=(a[4] + 1j * a[5]) / 2.0,
-        f11=0.5j * a[6],
-        f22=0.5j * a[7],
-        f33=-0.5j * (a[6] + a[7]),
-    )
+    table = np.zeros((3, 3) + a.shape[1:], dtype=complex)
+    table[_UPPER] = (a[0:6:2] + 1j * a[1:6:2]) / 2.0
+    table[_DIAGONAL] = 0.5j * a[6], 0.5j * a[7], -0.5j * (a[6] + a[7])
+    return FComponents(algebra, table)
 
 
 def w_from_f_components(
@@ -518,32 +510,23 @@ def w_from_f_components(
     satisfy the reality rule; violations beyond ``tol`` relative to the
     overall scale raise ``ValueError``.
     """
-    scale = max(
-        float(
-            np.max(
-                np.abs(
-                    np.stack([fc.f12, fc.f13, fc.f23, fc.f11, fc.f22, fc.f33])
-                )
-            )
-        ),
-        1.0,
-    )
+    scale = max(float(np.max(np.abs(fc.table))), 1.0)
     if fc.reality_residual() > tol * scale:
         raise ValueError("component table violates the reality rule")
     trace = fc.trace_vector()
     if float(np.max(np.abs(trace))) > tol * scale:
         raise ValueError("component table has a nonzero diagonal trace")
-    rows = [
-        fc.f12 + np.conj(fc.f12),
-        -1j * (fc.f12 - np.conj(fc.f12)),
-        fc.f13 + np.conj(fc.f13),
-        -1j * (fc.f13 - np.conj(fc.f13)),
-        fc.f23 + np.conj(fc.f23),
-        -1j * (fc.f23 - np.conj(fc.f23)),
-        -2j * fc.f11,
-        -2j * fc.f22,
-    ]
-    out = np.stack(rows, axis=-2)
+    upper = fc.table[_UPPER]
+    rows = np.stack(
+        [upper + np.conj(upper), -1j * (upper - np.conj(upper))], axis=1
+    )
+    out = np.moveaxis(
+        np.concatenate(
+            [rows.reshape((6,) + upper.shape[1:]),
+             -2j * fc.table[_DIAGONAL][:2]]
+        ),
+        0, -2,
+    )
     if float(np.max(np.abs(out.imag))) > tol * scale:
         raise ValueError("component table is not real on the w family")
     return out
@@ -625,17 +608,15 @@ def gform_from_complex_components(
     )
 
 
-# rows of the canonical degree-2 symbol tuples, by complex type
+# rows of the canonical degree-2 symbol tuples, by complex type; the
+# (1,1) rows as the 3x3 table of F_{mu nubar}
 _SYMBOL_ROW = _SYMBOL_POSITION[2]
-_F_ROWS = [
-    _SYMBOL_ROW[mu, -nu] for mu, nu in _PAIRS + ((1, 1), (2, 2), (3, 3))
-]
-_PHI_ROWS = [_SYMBOL_ROW[pair] for pair in _PAIRS]
+_F_TABLE = np.array(
+    [[_SYMBOL_ROW[mu, -nu] for nu in (1, 2, 3)] for mu in (1, 2, 3)]
+)
+_PHI_ROWS = [_SYMBOL_ROW[pair] for pair in PAIRS]
 _ETA_ROWS = [row for symbols, row in _SYMBOL_ROW.items() if 0 in symbols]
-_MIXED_ROWS = [
-    row for symbols, row in _SYMBOL_ROW.items()
-    if 0 not in symbols and symbols[0] > 0 > symbols[1]
-]
+_MIXED_ROWS = list(_F_TABLE.ravel())
 _PURE_ROWS = [
     row for symbols, row in _SYMBOL_ROW.items()
     if 0 not in symbols and row not in _MIXED_ROWS
@@ -669,11 +650,7 @@ def f_components_from_gform(
                 f"form has components outside type (1,1) "
                 f"(size {float(np.max(stray))})"
             )
-    f12, f13, f23, f11, f22, f33 = rows[_F_ROWS]
-    return FComponents(
-        algebra=F.algebra,
-        f12=f12, f13=f13, f23=f23, f11=f11, f22=f22, f33=f33,
-    )
+    return FComponents(F.algebra, rows[_F_TABLE])
 
 
 def two_zero_from_gform(
@@ -682,21 +659,14 @@ def two_zero_from_gform(
     """Holomorphic components phi_{mu nu} of the (2,0) part of a form."""
     if F.degree != 2:
         raise ValueError("expected a 2-form")
-    phi12, phi13, phi23 = _complex_rows(F)[_PHI_ROWS]
-    return TwoZeroSection(
-        algebra=F.algebra, phi12=phi12, phi13=phi13, phi23=phi23
-    )
+    return TwoZeroSection(F.algebra, _complex_rows(F)[_PHI_ROWS])
 
 
 def gform_from_two_zero(
     section: TwoZeroSection, model: ContactModel, with_conjugate: bool = False
 ) -> GValuedForm:
     """Realize a section as the 2-form ``phi`` or ``phi + conj(phi)``."""
-    components = {
-        (1, 2): section.phi12,
-        (1, 3): section.phi13,
-        (2, 3): section.phi23,
-    }
+    components = dict(zip(PAIRS, section.phi))
     out = gform_from_complex_components(section.algebra, components, 2)
     if with_conjugate:
         out = out + conjugate_gform(out)
@@ -811,20 +781,18 @@ def instanton_classify(
 
 def f_component_norm_matrix(fc: FComponents) -> np.ndarray:
     """3x3 matrix of algebra norms ||F_{mu nubar}||, (..., 3, 3) for stacks."""
-    entries = np.stack(
-        [fc.at(mu, nu) for mu in range(1, 4) for nu in range(1, 4)], axis=-2
-    )
-    norms = norm_vec(fc.algebra, entries)
-    return norms.reshape(norms.shape[:-1] + (3, 3))
+    return norm_vec(fc.algebra, np.moveaxis(fc.table, (0, 1), (-3, -2)))
 
 
 def phi_component_norm_matrix(section: TwoZeroSection) -> np.ndarray:
     """Symmetric 3x3 matrix of norms ||phi_{mu nu}||, zero diagonal."""
-    norms = norm_vec(section.algebra, section.stacked())
-    out = np.zeros(norms.shape[1:] + (3, 3))
-    for value, (mu, nu) in zip(norms, _PAIRS):
-        out[..., mu - 1, nu - 1] = value
-        out[..., nu - 1, mu - 1] = value
+    norms = np.moveaxis(
+        np.asarray(norm_vec(section.algebra, section.phi)), 0, -1
+    )
+    out = np.zeros(norms.shape[:-1] + (3, 3))
+    rows, cols = _UPPER
+    out[..., rows, cols] = norms
+    out[..., cols, rows] = norms
     return out
 
 

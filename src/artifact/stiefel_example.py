@@ -27,11 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flat_model import (
-    ContactModel,
-    calibrate_model,
-    standard_two_form_families,
-)
+from .flat_model import ContactModel, calibrate_model
 from .lie_algebra import (
     LieAlgebraSpec,
     make_so,
@@ -39,22 +35,19 @@ from .lie_algebra import (
     subalgebra_spec,
 )
 from .gauge_fields import (
-    FComponents,
     GValuedForm,
-    TwoZeroSection,
     f_component_norm_matrix,
     f_components_from_gform,
     g_norm,
-    gform_from_terms,
+    gform_from_w_coefficients,
     instanton_classify,
     omega_component,
     two_zero_from_v_coefficients,
-    two_zero_stack_from_v_coefficients,
 )
 from .weitzenbock_engine import (
     TransverseRicci,
     quad_form_F,
-    quad_form_F_stack,
+    quad_form_F_complex,
     v_basis_quad_form,
     vanishing_report,
 )
@@ -136,26 +129,29 @@ def gauge_algebra(spec: StiefelSpec) -> LieAlgebraSpec:
     return subalgebra_spec(spec.algebra, spec.fiber, name="so(5) fiber")
 
 
-def alpha_curvature(
-    spec: StiefelSpec, model: ContactModel | None = None
-) -> GValuedForm:
-    """Curvature of the invariant connection.
+def _curvature_rows(spec: StiefelSpec) -> np.ndarray:
+    """Coefficients of the invariant curvature on the w family.
 
     The three self-dual generators w1, w3, w5 each carry one fiber
     direction, with common coefficient ``1/y2`` (8/3 at the Einstein
     point).
     """
-    if model is None:
-        model = calibrate_model()
-    gauge = gauge_algebra(spec)
-    families = standard_two_form_families()
-    coefficient = 1.0 / spec.y[1]
-    terms = []
-    for slot, form_index in enumerate((0, 2, 4)):
-        vector = np.zeros(gauge.dim)
-        vector[slot] = 1.0
-        terms.append((families["w"][form_index] * coefficient, vector))
-    return gform_from_terms(gauge, 2, terms)
+    rows = np.zeros((8, len(spec.fiber)))
+    rows[[0, 2, 4], [0, 1, 2]] = 1.0 / spec.y[1]
+    return rows
+
+
+def alpha_curvature(
+    spec: StiefelSpec, model: ContactModel | None = None
+) -> GValuedForm:
+    """Curvature of the invariant connection, built from its w rows.
+
+    The curvature does not depend on the model; ``model`` is accepted so
+    that every entry point of the module takes the same arguments.
+    """
+    return gform_from_w_coefficients(
+        gauge_algebra(spec), _curvature_rows(spec)
+    )
 
 
 def sdci_verify(
@@ -173,13 +169,6 @@ def sdci_verify(
     if model is None:
         model = calibrate_model()
     F = alpha_curvature(spec, model)
-    return _sdci_verify(F, f_components_from_gform(F, model), model, tol)
-
-
-def _sdci_verify(
-    F: GValuedForm, fc: FComponents, model: ContactModel, tol: float
-) -> dict:
-    """Body of :func:`sdci_verify` on a curvature and its component table."""
     verdict = instanton_classify(F, model, tol=tol)
     off_keys = ("block_6", "block_1", "vertical", "reality")
     residuals = [
@@ -189,6 +178,7 @@ def _sdci_verify(
     ]
     worst = max(residuals) if residuals else 0.0
     omega_part = float(np.max(np.abs(omega_component(F, model))))
+    fc = f_components_from_gform(F, model)
     trace = float(np.max(np.abs(fc.trace_vector())))
     scale = g_norm(F)
     passed = (
@@ -245,15 +235,6 @@ def structure_check(spec: StiefelSpec) -> dict:
     }
 
 
-def _witness_section(
-    gauge: LieAlgebraSpec, sign: float
-) -> TwoZeroSection:
-    rows = np.zeros((6, gauge.dim))
-    rows[2, 1] = 1.0
-    rows[4, 2] = sign
-    return two_zero_from_v_coefficients(gauge, rows)
-
-
 def indefiniteness_search(
     spec: StiefelSpec,
     model: ContactModel | None = None,
@@ -271,37 +252,24 @@ def indefiniteness_search(
 
     The random sections are drawn and evaluated in blocks of
     ``SAMPLE_BLOCK``: one ``(block, 6, dim)`` normal draw, which reads
-    the same stream as one ``(6, dim)`` draw per section, and one call of
-    :func:`quad_form_F_stack` per block.  The analytic witnesses go
-    through the per-section oracle route :func:`quad_form_F`.
+    the same stream as one ``(6, dim)`` draw per section, turned into one
+    stack of sections and evaluated by :func:`quad_form_F_complex`.  The
+    analytic witnesses go through :func:`quad_form_F` one at a time.
     """
-    if model is None:
-        model = calibrate_model()
-    F = alpha_curvature(spec, model)
-    return _indefiniteness_search(
-        spec, f_components_from_gform(F, model), seed, samples
-    )
-
-
-def _indefiniteness_search(
-    spec: StiefelSpec, fc: FComponents, seed: int, samples: int
-) -> dict:
-    """Body of :func:`indefiniteness_search` on the component table."""
     if samples < 1:
         raise ValueError("need at least one random sample")
+    if model is None:
+        model = calibrate_model()
+    fc = f_components_from_gform(alpha_curvature(spec, model), model)
     gauge = fc.algebra
-    a_rows = np.zeros((8, gauge.dim))
-    coefficient = 1.0 / spec.y[1]
-    for slot, row in enumerate((0, 2, 4)):
-        a_rows[row, slot] = coefficient
+    a_rows = _curvature_rows(spec)
 
     witnesses = {}
     for label, sign in (("plus", 1.0), ("minus", -1.0)):
-        section = _witness_section(gauge, sign)
-        quad = quad_form_F(fc, section)
         b_rows = np.zeros((6, gauge.dim))
         b_rows[2, 1] = 1.0
         b_rows[4, 2] = sign
+        quad = quad_form_F(fc, two_zero_from_v_coefficients(gauge, b_rows))
         expansion = v_basis_quad_form(gauge, b_rows, a_rows)
         witnesses[label] = {
             "quad": float(quad),
@@ -317,9 +285,9 @@ def _indefiniteness_search(
     for start in range(0, samples, SAMPLE_BLOCK):
         count = min(SAMPLE_BLOCK, samples - start)
         rows = rng.normal(size=(count, 6, gauge.dim))
-        quads = quad_form_F_stack(
-            fc, two_zero_stack_from_v_coefficients(gauge, rows)
-        )
+        quads = quad_form_F_complex(
+            fc, two_zero_from_v_coefficients(gauge, rows)
+        ).real
         best_positive = max(best_positive, float(quads.max()))
         best_negative = min(best_negative, float(quads.min()))
 
@@ -359,8 +327,8 @@ def stiefel_report(
     gauge = F.algebra
     fc = f_components_from_gform(F, model)
     structure = structure_check(spec)
-    sdci = _sdci_verify(F, fc, model, SDCI_TOLERANCE)
-    indefinite = _indefiniteness_search(spec, fc, seed, samples)
+    sdci = sdci_verify(spec, model)
+    indefinite = indefiniteness_search(spec, model, seed, samples)
     ricci_t = TransverseRicci.einstein(_TRANSVERSE_RICCI_SCALE)
     vanishing = vanishing_report(F, ricci_t, model)
     stability = stability_report(

@@ -1,7 +1,9 @@
 """Curvature endomorphisms on holomorphic 2-form sections.
 
-Sections live in the stacked coordinate space (phi_12, phi_13, phi_23)
-with values in a fixed Lie algebra.  Two endomorphisms act there:
+A section is the ``(3, ..., dim)`` array of its components phi_12,
+phi_13 and phi_23 with values in a fixed Lie algebra (see
+:class:`~artifact.gauge_fields.TwoZeroSection`); operators act on the
+concatenated vector of length ``3 dim``.  Two endomorphisms act there:
 
 * the gauge curvature term, built from the component table F_{mu nubar}
   through ``(F phi)_{mu nu} = sum_alpha ([phi_{alpha nu}, F_{mu alphabar}]
@@ -18,9 +20,10 @@ The module also evaluates the norm estimate chain that controls the
 curvature quadratic form and assembles positivity verdicts.
 
 Stacks of samples go through the same functions: sections and component
-tables hold ``(..., dim)`` arrays, Ricci tensors ``(..., 3, 3)`` and
-operators ``(..., 3 dim, 3 dim)`` matrices, the leading axes running over
-samples; quadratic forms, residuals and spectra then come back per sample.
+tables carry sample axes before their algebra axis, Ricci tensors are
+``(..., 3, 3)`` and operators ``(..., 3 dim, 3 dim)`` matrices, the
+leading axes running over samples; quadratic forms, residuals and spectra
+then come back per sample.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flat_model import ContactModel
+from .flat_model import PAIRS, ContactModel
 from .gauge_fields import (
     FComponents,
     GValuedForm,
@@ -59,7 +62,6 @@ __all__ = [
     "apply_F_xi_path",
     "quad_form_F",
     "quad_form_F_complex",
-    "quad_form_F_stack",
     "v_basis_quad_form",
     "V_QUAD_TO_OPERATOR_FACTOR",
     "build_R_operator",
@@ -70,8 +72,6 @@ __all__ = [
     "vanishing_report",
     "POSITIVITY_RELATIVE_FLOOR",
 ]
-
-PAIRS = ((1, 2), (1, 3), (2, 3))
 
 # an eigenvalue counts as positive when it exceeds this fraction of the
 # largest eigenvalue magnitude
@@ -140,9 +140,8 @@ class TransverseRicci:
 
 def stack_section(section: TwoZeroSection) -> np.ndarray:
     """Concatenate the components into one vector of length 3 dim."""
-    return np.concatenate(
-        [section.phi12, section.phi13, section.phi23], axis=-1
-    )
+    phi = np.moveaxis(section.phi, 0, -2)
+    return phi.reshape(phi.shape[:-2] + (-1,))
 
 
 def section_from_stack(algebra: LieAlgebraSpec, vec) -> TwoZeroSection:
@@ -151,10 +150,7 @@ def section_from_stack(algebra: LieAlgebraSpec, vec) -> TwoZeroSection:
     if arr.ndim < 1 or arr.shape[-1] != 3 * d:
         raise ValueError(f"expected a vector of length {3 * d}")
     return TwoZeroSection(
-        algebra=algebra,
-        phi12=arr[..., 0:d],
-        phi13=arr[..., d : 2 * d],
-        phi23=arr[..., 2 * d : 3 * d],
+        algebra, np.moveaxis(arr.reshape(arr.shape[:-1] + (3, d)), -2, 0)
     )
 
 
@@ -227,11 +223,14 @@ class TwoZeroEndo:
         return abs(lhs - rhs)
 
 
-def _ordered_pair(a: int, b: int):
-    """(sign, pair index) such that phi_{a b} = sign * phi_{pair}."""
-    if a < b:
-        return 1.0, PAIRS.index((a, b))
-    return -1.0, PAIRS.index((b, a))
+# S[k, m - 1, n - 1] is the sign s with phi_{m n} = s phi_k, k a row of a
+# section (0 for m = n); both operators below couple rows r and c through
+# _COUPLING[r, c, m - 1, a - 1] = sum_n S[r, m, n] S[c, a, n]
+_SIGNS = np.zeros((3, 3, 3))
+for _k, (_mu, _nu) in enumerate(PAIRS):
+    _SIGNS[_k, _mu - 1, _nu - 1] = 1.0
+    _SIGNS[_k, _nu - 1, _mu - 1] = -1.0
+_COUPLING = np.einsum("rmn,can->rcma", _SIGNS, _SIGNS)
 
 
 def build_F_operator_from_components(fc: FComponents) -> TwoZeroEndo:
@@ -241,28 +240,13 @@ def build_F_operator_from_components(fc: FComponents) -> TwoZeroEndo:
     F_{mu alphabar}] - [phi_{alpha mu}, F_{nu alphabar}])`` as a block
     matrix on stacked sections.
     """
-    algebra = fc.algebra
-    d = algebra.dim
-    # ad[mu - 1, alpha - 1] = ad(F_{mu alphabar})
-    ad = ad_matrix(
-        algebra,
-        np.stack([[fc.at(mu, alpha) for alpha in range(1, 4)]
-                  for mu in range(1, 4)]),
-    )
-    blocks = np.zeros((3, 3) + ad.shape[2:], dtype=complex)
-    for row, (mu, nu) in enumerate(PAIRS):
-        for alpha in range(1, 4):
-            # [phi_{alpha nu}, F_{mu alphabar}] = -ad(F_{mu alphabar}) phi_{alpha nu}
-            if alpha != nu:
-                sign, col = _ordered_pair(alpha, nu)
-                blocks[row, col] -= sign * ad[mu - 1, alpha - 1]
-            if alpha != mu:
-                sign, col = _ordered_pair(alpha, mu)
-                blocks[row, col] += sign * ad[nu - 1, alpha - 1]
-    matrix = np.block(
-        [[blocks[r, c] for c in range(3)] for r in range(3)]
-    )
-    return TwoZeroEndo(algebra=algebra, matrix=matrix, label="curvature")
+    # [phi_{alpha nu}, F_{mu alphabar}] = -ad(F_{mu alphabar}) phi_{alpha nu}
+    blocks = np.tensordot(_COUPLING, -ad_matrix(fc.algebra, fc.table), 2)
+    # (3, 3, ..., d, d) blocks to (..., 3 d, 3 d) matrices
+    d = fc.algebra.dim
+    matrix = np.moveaxis(blocks, (0, 1), (-4, -2))
+    matrix = matrix.reshape(matrix.shape[:-4] + (3 * d, 3 * d))
+    return TwoZeroEndo(algebra=fc.algebra, matrix=matrix, label="curvature")
 
 
 def build_F_operator(
@@ -304,7 +288,7 @@ def apply_F_xi_path(
     if section.algebra is not algebra:
         raise ValueError("section belongs to a different algebra")
     br = lambda x, y: bracket_vec(algebra, x, y)
-    phi12, phi13, phi23 = section.phi12, section.phi13, section.phi23
+    phi12, phi13, phi23 = section.phi
     out12 = (
         br(-phi23, fc.at(1, 3)) + br(phi13, fc.at(2, 3)) + br(-phi12, fc.at(3, 3))
     )
@@ -314,9 +298,7 @@ def apply_F_xi_path(
     out23 = (
         br(-phi23, fc.at(1, 1)) + br(phi13, fc.at(2, 1)) + br(-phi12, fc.at(3, 1))
     )
-    return TwoZeroSection(
-        algebra=algebra, phi12=out12, phi13=out13, phi23=out23
-    )
+    return TwoZeroSection(algebra, np.stack([out12, out13, out23]))
 
 
 def quad_form_F_complex(
@@ -355,42 +337,8 @@ def quad_form_F_complex(
 
 
 def quad_form_F(fc: FComponents, section: TwoZeroSection) -> float:
-    """Real part of :func:`quad_form_F_complex`.
-
-    The per-section oracle route for :func:`quad_form_F_stack`.
-    """
+    """Real part of :func:`quad_form_F_complex` on one section."""
     return float(quad_form_F_complex(fc, section).real)
-
-
-def quad_form_F_stack(fc: FComponents, phi) -> np.ndarray:
-    """Real curvature quadratic form on a stack of sections.
-
-    ``phi`` has shape ``(3, ..., dim)``: ``phi[0]``, ``phi[1]`` and
-    ``phi[2]`` hold the components phi_12, phi_13 and phi_23 of every
-    section, so one section enters as ``section.stacked()``.  Evaluates
-    the bracket route of :func:`quad_form_F_complex` over all leading
-    axes at once and returns its real part, one value per section.  It
-    applies the same contractions in the same order as the per-section
-    oracle route :func:`quad_form_F`; only the summation order inside a
-    contraction may differ, which moves results by rounding.
-    """
-    algebra = fc.algebra
-    phi = np.asarray(phi, dtype=complex)
-    if phi.ndim < 2 or phi.shape[0] != 3 or phi.shape[-1] != algebra.dim:
-        raise ValueError(f"expected a (3, ..., {algebra.dim}) section stack")
-    phi12, phi13, phi23 = (np.ascontiguousarray(part) for part in phi)
-
-    def pairing(u, v, mu, nu):
-        re_part = (fc.at(mu, nu) + np.conj(fc.at(mu, nu))) / 2.0
-        bracket = np.einsum("...i,...j,ijk->...k", u, v, algebra.structure)
-        return bracket @ algebra.gram @ np.conj(re_part)
-
-    total = 2.0 * (
-        pairing(phi13, phi23, 1, 2)
-        + pairing(phi12, phi23, 3, 1)
-        + pairing(phi12, phi13, 2, 3)
-    )
-    return total.real
 
 
 def v_basis_quad_form(
@@ -431,20 +379,9 @@ def build_R_operator(ricci: TransverseRicci, algebra: LieAlgebraSpec) -> TwoZero
     transverse metric.  The resulting pair-space matrix is Hermitian
     whenever the tensor is.
     """
-    raised = ricci.raised()
-    pair_matrix = np.zeros(raised.shape, dtype=complex)
-    for row, (mu, nu) in enumerate(PAIRS):
-        for alpha in range(1, 4):
-            if alpha != nu:
-                sign, col = _ordered_pair(alpha, nu)
-                pair_matrix[..., row, col] += (
-                    sign * raised[..., alpha - 1, mu - 1]
-                )
-            if alpha != mu:
-                sign, col = _ordered_pair(alpha, mu)
-                pair_matrix[..., row, col] -= (
-                    sign * raised[..., alpha - 1, nu - 1]
-                )
+    pair_matrix = np.einsum(
+        "rcma,...am->...rc", _COUPLING, ricci.raised()
+    )
     # a stack of pair matrices gives the stack of Kronecker products
     matrix = np.kron(pair_matrix, np.eye(algebra.dim))
     return TwoZeroEndo(algebra=algebra, matrix=matrix, label="ricci")

@@ -24,8 +24,10 @@ from artifact.cli_interface import (
     main,
     parse_algebra,
     parse_gform,
+    run_selftest,
     to_jsonable,
 )
+from artifact.flat_model import calibrate_model
 from artifact.gauge_fields import g_norm
 
 
@@ -118,6 +120,14 @@ class TestConfig:
             JobConfig(**{**base, "samples": 0})
         with pytest.raises(InputError):
             JobConfig(**{**base, "format": "xml"})
+
+    def test_run_selftest_rejects_sample_counts_below_one(self):
+        # the library entry point gives the message of JobConfig before
+        # any suite runs
+        model = calibrate_model()
+        for samples in (0, -3):
+            with pytest.raises(ValueError, match="samples must be at least 1"):
+                run_selftest(model, samples=samples)
 
 
 # ---------------------------------------------------------------------------

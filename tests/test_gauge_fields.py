@@ -403,12 +403,12 @@ class TestFComponents:
         rng = np.random.default_rng(50)
         a = rng.standard_normal((8, 3))
         fc = f_components_from_w(su2, a)
-        assert np.allclose(fc.f12, (a[0] + 1j * a[1]) / 2.0)
-        assert np.allclose(fc.f13, (a[2] + 1j * a[3]) / 2.0)
-        assert np.allclose(fc.f23, (a[4] + 1j * a[5]) / 2.0)
-        assert np.allclose(fc.f11, 0.5j * a[6])
-        assert np.allclose(fc.f22, 0.5j * a[7])
-        assert np.allclose(fc.f33, -0.5j * (a[6] + a[7]))
+        assert np.allclose(fc.at(1, 2), (a[0] + 1j * a[1]) / 2.0)
+        assert np.allclose(fc.at(1, 3), (a[2] + 1j * a[3]) / 2.0)
+        assert np.allclose(fc.at(2, 3), (a[4] + 1j * a[5]) / 2.0)
+        assert np.allclose(fc.at(1, 1), 0.5j * a[6])
+        assert np.allclose(fc.at(2, 2), 0.5j * a[7])
+        assert np.allclose(fc.at(3, 3), -0.5j * (a[6] + a[7]))
 
     def test_table_matches_complex_expansion(self, su2, model):
         # the same entries must fall out of the complex component
@@ -451,28 +451,14 @@ class TestFComponents:
         rng = np.random.default_rng(55)
         a = rng.standard_normal((8, 3))
         fc = f_components_from_w(su2, a)
-        broken = FComponents(
-            algebra=su2,
-            f12=fc.f12,
-            f13=fc.f13,
-            f23=fc.f23,
-            f11=fc.f11 + 1.0,  # breaks the diagonal reality pattern
-            f22=fc.f22,
-            f33=fc.f33,
-        )
+        table = fc.table.copy()
+        table[0, 0] += 1.0  # breaks the diagonal reality pattern
         with pytest.raises(ValueError):
-            w_from_f_components(broken)
-        traceful = FComponents(
-            algebra=su2,
-            f12=fc.f12,
-            f13=fc.f13,
-            f23=fc.f23,
-            f11=fc.f11,
-            f22=fc.f22,
-            f33=fc.f33 + 1.0j,  # breaks the zero trace
-        )
+            w_from_f_components(FComponents(algebra=su2, table=table))
+        table = fc.table.copy()
+        table[2, 2] += 1.0j  # breaks the zero trace
         with pytest.raises(ValueError):
-            w_from_f_components(traceful)
+            w_from_f_components(FComponents(algebra=su2, table=table))
 
     def test_strict_extraction_rejects_other_types(self, su2, model):
         F = GValuedForm(su2, 2)
@@ -490,7 +476,7 @@ class TestFComponents:
         assert mat.shape == (3, 3)
         assert np.all(mat >= 0.0)
         assert mat[0, 1] == pytest.approx(
-            np.sqrt(inner_vec(su2, fc.f12, fc.f12).real)
+            np.sqrt(inner_vec(su2, fc.at(1, 2), fc.at(1, 2)).real)
         )
         b = rng.standard_normal((6, 3))
         section = two_zero_from_v_coefficients(su2, b)

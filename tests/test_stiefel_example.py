@@ -396,8 +396,8 @@ class TestStiefelReport:
         second = stiefel_report(model=model, seed=3, samples=20)
         assert first == second
 
-    def test_curvature_built_once(self, model, monkeypatch):
-        calls = {"alpha_curvature": 0, "f_components_from_gform": 0}
+    def test_report_calls_public_entry_points(self, model, monkeypatch):
+        calls = {"sdci_verify": 0, "indefiniteness_search": 0}
         for name in calls:
             original = getattr(stiefel_example, name)
 
@@ -407,9 +407,7 @@ class TestStiefelReport:
 
             monkeypatch.setattr(stiefel_example, name, counted)
         shared = stiefel_report(model=model, seed=3, samples=20)
-        # the component table is built once here; vanishing_report builds
-        # its own from the same form inside the engine module
-        assert calls == {"alpha_curvature": 1, "f_components_from_gform": 1}
+        assert calls == {"sdci_verify": 1, "indefiniteness_search": 1}
         spec = build_stiefel()
         assert shared["sdci"] == sdci_verify(spec, model)
         assert shared["indefiniteness"] == indefiniteness_search(

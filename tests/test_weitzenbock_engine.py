@@ -17,7 +17,6 @@ from artifact.gauge_fields import (
     gform_from_two_zero,
     gform_from_w_coefficients,
     two_zero_from_v_coefficients,
-    two_zero_stack_from_v_coefficients,
 )
 from artifact.lie_algebra import (
     bracket_vec,
@@ -40,7 +39,6 @@ from artifact.weitzenbock_engine import (
     operator_spectrum,
     quad_form_F,
     quad_form_F_complex,
-    quad_form_F_stack,
     ricci_quad_trace,
     section_from_stack,
     stack_section,
@@ -199,10 +197,7 @@ class TestCurvatureOperator:
         x = np.array([1.0, 0.0, 0.0], dtype=complex)
         section = two_zero_from_v_coefficients(so3, np.zeros((6, 3)))
         section = section.__class__(
-            algebra=so3,
-            phi12=np.zeros(3, dtype=complex),
-            phi13=np.zeros(3, dtype=complex),
-            phi23=x,
+            algebra=so3, phi=np.stack([np.zeros(3), np.zeros(3), x])
         )
         out = build_F_operator_from_components(fc).apply(section)
         assert np.allclose(out.phi12, 0.0)
@@ -254,37 +249,6 @@ class TestCurvatureOperator:
         a[4] = bracket_vec(so3, b[0], b[2]).real
         value = v_basis_quad_form(so3, b, a)
         assert value == pytest.approx(2.0, abs=1e-14)
-
-    def test_stacked_quad_matches_per_section_oracle(self, su2):
-        # complex sections over two leading axes, on algebras of
-        # dimension 3, 8 and 10; the stack route sums in another order,
-        # so the match is to rounding
-        rng = np.random.default_rng(14)
-        for algebra in (su2, make_su(3), make_so(5)):
-            fc, _ = random_components(algebra, rng)
-            shape = (4, 5, 6, algebra.dim)
-            b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            got = quad_form_F_stack(
-                fc, two_zero_stack_from_v_coefficients(algebra, b)
-            )
-            assert got.shape == (4, 5)
-            for index in np.ndindex(4, 5):
-                section = two_zero_from_v_coefficients(algebra, b[index])
-                want = quad_form_F(fc, section)
-                assert abs(got[index] - want) <= 1e-12 * max(abs(want), 1.0)
-                assert np.array_equal(
-                    section.stacked(),
-                    two_zero_stack_from_v_coefficients(algebra, b[index]),
-                )
-
-    def test_stacked_quad_shape_validation(self, su2):
-        fc, _ = random_components(su2, np.random.default_rng(15))
-        with pytest.raises(ValueError):
-            quad_form_F_stack(fc, np.zeros((2, 7, 3)))
-        with pytest.raises(ValueError):
-            quad_form_F_stack(fc, np.zeros((3, 7, 2)))
-        with pytest.raises(ValueError):
-            two_zero_stack_from_v_coefficients(su2, np.zeros((7, 5, 3)))
 
     def test_quad_shape_validation(self, su2):
         with pytest.raises(ValueError):
