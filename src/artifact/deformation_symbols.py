@@ -77,7 +77,6 @@ __all__ = [
     "basic_symbol_maps",
     "exactness_report",
     "batch_exactness",
-    "horizontal_triple_span_rank",
 ]
 
 FULL_C = "FULL_C"
@@ -546,25 +545,3 @@ def batch_exactness(
         )
         out["vertical_count"] = probe_count
     return out
-
-
-def horizontal_triple_span_rank(q: QuotientSpaces) -> int:
-    """Rank of the horizontal wedges of 1-forms with the +1 family.
-
-    Equals 18, two short of the 20-dimensional space of horizontal
-    3-forms: the +1 family has pure mixed complex type, so its wedges
-    with 1-forms never reach the two real directions of fully
-    holomorphic or fully antiholomorphic type.  The degree-3 ideal used
-    by the quotient construction absorbs all horizontal 3-forms anyway,
-    matching the stated shape of the top quotient space; this helper
-    records the realized span so that the two-dimensional gap stays
-    visible.
-    """
-    columns = []
-    families = standard_two_form_families()
-    for a in range(1, REEB_INDEX):
-        one = KForm.basis(a)
-        for form in families["w"]:
-            columns.append(wedge(one, form).to_vector().real)
-    matrix = np.column_stack(columns)
-    return numerical_rank(matrix)

@@ -88,20 +88,16 @@ __all__ = [
     "g_wedge_bracket_entry_path",
     "g_wedge_scalar",
     "two_zero_from_v_coefficients",
-    "v_coefficients_from_two_zero",
     "f_components_from_w",
-    "w_from_f_components",
     "gform_from_w_coefficients",
     "w_coefficients_from_gform",
     "gform_complex_components",
     "f_components_from_gform",
-    "two_zero_from_gform",
     "gform_from_two_zero",
     "omega_component",
     "instanton_classify",
     "f_component_norm_matrix",
     "phi_component_norm_matrix",
-    "realized_embedding_constants",
     "INSTANTON_TOLERANCE",
 ]
 
@@ -440,18 +436,6 @@ def two_zero_from_v_coefficients(
     )
 
 
-def v_coefficients_from_two_zero(section: TwoZeroSection) -> np.ndarray:
-    """Inverse of :func:`two_zero_from_v_coefficients` for real sections.
-
-    Real here means the underlying 2-form ``phi + conj(phi)`` has real
-    coefficient vectors, equivalently the returned rows are real; a
-    complex part in the rows is reported as is, no check is applied.
-    """
-    phi = section.phi
-    rows = np.stack([phi + np.conj(phi), 1j * (phi - np.conj(phi))], axis=1)
-    return np.moveaxis(rows.reshape((6,) + phi.shape[1:]), 0, -2)
-
-
 @dataclass(frozen=True, eq=False)
 class FComponents:
     """Complex component table F_{mu nubar} of a real (1,1) curvature.
@@ -499,37 +483,6 @@ def f_components_from_w(algebra: LieAlgebraSpec, a_rows) -> FComponents:
     table[_UPPER] = (a[0:6:2] + 1j * a[1:6:2]) / 2.0
     table[_DIAGONAL] = 0.5j * a[6], 0.5j * a[7], -0.5j * (a[6] + a[7])
     return FComponents(algebra, table)
-
-
-def w_from_f_components(
-    fc: FComponents, tol: float = 1e-9
-) -> np.ndarray:
-    """Coefficients on the w family reproducing a component table.
-
-    The table must be trace free (the diagonal must sum to zero) and
-    satisfy the reality rule; violations beyond ``tol`` relative to the
-    overall scale raise ``ValueError``.
-    """
-    scale = max(float(np.max(np.abs(fc.table))), 1.0)
-    if fc.reality_residual() > tol * scale:
-        raise ValueError("component table violates the reality rule")
-    trace = fc.trace_vector()
-    if float(np.max(np.abs(trace))) > tol * scale:
-        raise ValueError("component table has a nonzero diagonal trace")
-    upper = fc.table[_UPPER]
-    rows = np.stack(
-        [upper + np.conj(upper), -1j * (upper - np.conj(upper))], axis=1
-    )
-    out = np.moveaxis(
-        np.concatenate(
-            [rows.reshape((6,) + upper.shape[1:]),
-             -2j * fc.table[_DIAGONAL][:2]]
-        ),
-        0, -2,
-    )
-    if float(np.max(np.abs(out.imag))) > tol * scale:
-        raise ValueError("component table is not real on the w family")
-    return out
 
 
 _FAMILIES = standard_two_form_families()
@@ -614,7 +567,6 @@ _SYMBOL_ROW = _SYMBOL_POSITION[2]
 _F_TABLE = np.array(
     [[_SYMBOL_ROW[mu, -nu] for nu in (1, 2, 3)] for mu in (1, 2, 3)]
 )
-_PHI_ROWS = [_SYMBOL_ROW[pair] for pair in PAIRS]
 _ETA_ROWS = [row for symbols, row in _SYMBOL_ROW.items() if 0 in symbols]
 _MIXED_ROWS = list(_F_TABLE.ravel())
 _PURE_ROWS = [
@@ -651,15 +603,6 @@ def f_components_from_gform(
                 f"(size {float(np.max(stray))})"
             )
     return FComponents(F.algebra, rows[_F_TABLE])
-
-
-def two_zero_from_gform(
-    F: GValuedForm, model: ContactModel
-) -> TwoZeroSection:
-    """Holomorphic components phi_{mu nu} of the (2,0) part of a form."""
-    if F.degree != 2:
-        raise ValueError("expected a 2-form")
-    return TwoZeroSection(F.algebra, _complex_rows(F)[_PHI_ROWS])
 
 
 def gform_from_two_zero(
@@ -775,7 +718,7 @@ def instanton_classify(
 
 
 # ---------------------------------------------------------------------------
-# Component norm tables and realized embedding constants
+# Component norm tables
 # ---------------------------------------------------------------------------
 
 
@@ -794,59 +737,3 @@ def phi_component_norm_matrix(section: TwoZeroSection) -> np.ndarray:
     out[..., rows, cols] = norms
     out[..., cols, rows] = norms
     return out
-
-
-def realized_embedding_constants(
-    algebra: LieAlgebraSpec,
-    model: ContactModel,
-    seed: int = 0,
-    samples: int = 32,
-) -> dict:
-    """Measure the norm factors between component and form pictures.
-
-    On random data this realizes four constants: the squared form norm of
-    ``phi + conj(phi)`` per unit section norm, the squared form norm of
-    ``omega (x) u`` per unit algebra norm, and the two weights in the
-    identity ``<Psi, Psi> = 2 (c_sec Re<phi, phi> + c_line <u, u>)`` for
-    ``Psi = phi + conj(phi) + omega (x) u``.
-    """
-    rng = np.random.default_rng(seed)
-    d = algebra.dim
-    section_factors = []
-    line_factors = []
-    weight_checks = []
-    for _ in range(samples):
-        rows = rng.standard_normal((6, d))
-        section = two_zero_from_v_coefficients(algebra, rows)
-        realized = gform_from_two_zero(section, model, with_conjugate=True)
-        section_factors.append(
-            g_norm(realized) ** 2 / section.norm_20() ** 2
-        )
-        u = rng.standard_normal(d)
-        line = gform_from_terms(algebra, 2, [(model.omega, u)])
-        line_factors.append(
-            g_norm(line) ** 2 / inner_vec(algebra, u, u).real
-        )
-        psi = realized + line
-        lhs = g_inner(psi, psi).real
-        rhs_sec = section.inner_20(section).real
-        rhs_line = inner_vec(algebra, u, u).real
-        # lhs = 2 (c_sec * rhs_sec + c_line * rhs_line)
-        weight_checks.append((lhs, rhs_sec, rhs_line))
-    section_factor = float(np.mean(section_factors))
-    line_factor = float(np.mean(line_factors))
-    c_sec = section_factor / 2.0
-    c_line = line_factor / 2.0
-    worst = 0.0
-    for lhs, rhs_sec, rhs_line in weight_checks:
-        predicted = 2.0 * (c_sec * rhs_sec + c_line * rhs_line)
-        worst = max(worst, abs(lhs - predicted) / max(abs(lhs), 1.0))
-    return {
-        "section_norm_factor": section_factor,
-        "line_norm_factor": line_factor,
-        "section_weight": c_sec,
-        "line_weight": c_line,
-        "identity_residual": worst,
-        "section_factor_spread": float(np.ptp(section_factors)),
-        "line_factor_spread": float(np.ptp(line_factors)),
-    }

@@ -13,9 +13,10 @@ concatenated vector of length ``3 dim``.  Two endomorphisms act there:
   - R_{alphabar nu} phi_{alpha mu})`` (indices raised with the transverse
   metric, a positive multiple of the identity here).
 
-Each operator comes with at least one independent evaluation route
-(componentwise formulas, quadratic forms on coefficient families, Ricci
-trace contraction), and the routes are cross-checked in the test suite.
+The curvature operator comes with independent evaluation routes
+(componentwise formulas, quadratic forms on coefficient families); the
+routes, and the Ricci operator against its diagonal formula and its
+trace contraction, are cross-checked in the selftest and the test suite.
 The module also evaluates the norm estimate chain that controls the
 curvature quadratic form and assembles positivity verdicts.
 
@@ -65,8 +66,8 @@ __all__ = [
     "v_basis_quad_form",
     "V_QUAD_TO_OPERATOR_FACTOR",
     "build_R_operator",
-    "ricci_quad_trace",
     "operator_spectrum",
+    "combined_spectra",
     "weighted_spectrum",
     "estimate_bound_check",
     "vanishing_report",
@@ -260,12 +261,13 @@ def build_F_operator(
     The input must classify as type ``SD`` unless ``allow_non_instanton``
     is set, in which case only the (1,1) table of the form enters.
     """
-    verdict = instanton_classify(F, model, tol=tol)
-    if verdict["label"] != "SD" and not allow_non_instanton:
-        raise ValueError(
-            f"curvature classifies as {verdict['label']}, not SD; "
-            f"pass allow_non_instanton to proceed"
-        )
+    if not allow_non_instanton:
+        label = instanton_classify(F, model, tol=tol)["label"]
+        if label != "SD":
+            raise ValueError(
+                f"curvature classifies as {label}, not SD; "
+                f"pass allow_non_instanton to proceed"
+            )
     fc = f_components_from_gform(
         F, model, tol=tol, strict=not allow_non_instanton
     )
@@ -387,31 +389,6 @@ def build_R_operator(ricci: TransverseRicci, algebra: LieAlgebraSpec) -> TwoZero
     return TwoZeroEndo(algebra=algebra, matrix=matrix, label="ricci")
 
 
-def ricci_quad_trace(
-    ricci: TransverseRicci, section: TwoZeroSection
-) -> float:
-    """Ricci quadratic form by trace contraction, independent route.
-
-    Evaluates ``sum_{alpha, mu} R~_{alpha mu} b_{alpha mu}`` with
-    ``b_{alpha mu} = sum_nu <phi_{alpha nu}, phi_{mu nu}>`` and agrees
-    with the operator quadratic form in the pair-sum convention.
-    """
-    algebra = section.algebra
-    raised = ricci.raised()
-    total = 0j
-    for alpha in range(1, 4):
-        for mu in range(1, 4):
-            b_entry = 0j
-            for nu in range(1, 4):
-                b_entry += inner_vec(
-                    algebra,
-                    section.component(alpha, nu),
-                    section.component(mu, nu),
-                )
-            total += raised[alpha - 1, mu - 1] * b_entry
-    return float(total.real)
-
-
 def weighted_spectrum(matrix, weight) -> dict:
     """Spectrum of an operator in a weighted inner product.
 
@@ -442,6 +419,23 @@ def weighted_spectrum(matrix, weight) -> dict:
 def operator_spectrum(endo: TwoZeroEndo) -> dict:
     """Spectrum of an endomorphism in the weighted inner product."""
     return weighted_spectrum(endo.matrix, endo.weight())
+
+
+def combined_spectra(f_endo: TwoZeroEndo, r_endo: TwoZeroEndo) -> dict:
+    """Spectra of the curvature, Ricci and combined (sum) operators.
+
+    The three share the section weight, so one :func:`weighted_spectrum`
+    call on the stack of their matrices diagonalises it once; each entry
+    equals :func:`operator_spectrum` of that operator.
+    """
+    matrices = np.stack(
+        [f_endo.matrix, r_endo.matrix, f_endo.matrix + r_endo.matrix]
+    )
+    stacked = weighted_spectrum(matrices, f_endo.weight())
+    return {
+        label: {key: _scalar(value[i]) for key, value in stacked.items()}
+        for i, label in enumerate(("curvature", "ricci", "combined"))
+    }
 
 
 def _frobenius(matrix: np.ndarray) -> np.ndarray:
@@ -511,14 +505,10 @@ def vanishing_report(
     fc = f_components_from_gform(F, model, tol=tol)
     f_endo = build_F_operator_from_components(fc)
     r_endo = build_R_operator(ricci, F.algebra)
-    f_spec = operator_spectrum(f_endo)
-    r_spec = operator_spectrum(r_endo)
-    combined = TwoZeroEndo(
-        algebra=F.algebra,
-        matrix=f_endo.matrix + r_endo.matrix,
-        label="combined",
-    )
-    combined_spec = operator_spectrum(combined)
+    spectra = combined_spectra(f_endo, r_endo)
+    f_spec = spectra["curvature"]
+    r_spec = spectra["ricci"]
+    combined_spec = spectra["combined"]
 
     lam = r_spec["min"]
     b_matrix = f_component_norm_matrix(fc)

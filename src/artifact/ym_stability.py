@@ -61,14 +61,11 @@ __all__ = [
     "FORM_INDEX_COUNT",
     "OneFormSection",
     "RicciTensor7",
-    "one_form_from_gform",
-    "gform_from_one_form",
     "curvature_components_grid",
     "curvature_grid_norms",
     "curvature_action_oneforms",
     "apply_curvature_action",
     "curvature_quad_paths",
-    "curvature_quad_bound_check",
     "algebraic_second_variation",
     "torsion_residuals",
     "stability_report",
@@ -157,17 +154,6 @@ class OneFormSection:
         return np.array(
             [norm_vec(self.algebra, row) for row in self.vectors]
         )
-
-
-def one_form_from_gform(form: GValuedForm) -> OneFormSection:
-    """Read a degree-1 algebra-valued form into a section."""
-    if form.degree != 1:
-        raise ValueError("expected a 1-form")
-    return OneFormSection(form.algebra, _require_real(form.matrix, "1-form"))
-
-
-def gform_from_one_form(section: OneFormSection) -> GValuedForm:
-    return GValuedForm.from_matrix(section.algebra, 1, section.vectors)
 
 
 @dataclass(frozen=True)
@@ -311,31 +297,6 @@ def curvature_quad_paths(F: GValuedForm, section: OneFormSection) -> dict:
         "pair_with_section": _scalar(direct),
         "pair_with_curvature": _scalar(flipped),
         "agreement": _scalar(np.abs(direct - flipped)),
-    }
-
-
-def curvature_quad_bound_check(
-    F: GValuedForm, section: OneFormSection
-) -> dict:
-    """Check ``|<R_F B, B>| <= sqrt(2) ||F|| ||B||^2`` on one sample.
-
-    ``||F||`` is the form norm (orthonormal in the 2-form keys) and the
-    constant is the sharp commutator bound; the realized ratio is
-    returned so sampling can record how much slack the bound has.
-    """
-    quad = curvature_quad_paths(F, section)["pair_with_section"]
-    f_norm = g_norm(F)
-    b_norm = section.norm()
-    bound = BRACKET_NORM_BOUND * f_norm * b_norm**2
-    scale = f_norm * b_norm**2
-    ratio = abs(quad) / scale if scale > 0.0 else 0.0
-    return {
-        "quad": float(quad),
-        "bound": float(bound),
-        "ratio": float(ratio),
-        "holds": bool(abs(quad) <= bound * (1.0 + 1e-12) + 1e-12),
-        "curvature_norm": float(f_norm),
-        "section_norm": float(b_norm),
     }
 
 

@@ -317,6 +317,27 @@ class TestEndToEnd:
         assert report["verdicts"]["combined_positive"] is True
         assert report["verdicts"]["ricci_positive"] is True
 
+    def test_spectrum_near_classifier_tolerance(self, tmp_path, capsys):
+        # w1 (x) e0 + eps v1 (x) e1 on su(2), real basis: near eps = 4e-9
+        # the two type classifier routes disagree, and spectrum, which
+        # does not gate on the type label, must not run the classifier
+        eps = 4e-9
+        payload = {
+            "algebra": "su2",
+            "basis": "real",
+            "components": {"13": [1.0, eps, 0.0], "24": [1.0, -eps, 0.0]},
+        }
+        path = write_json(tmp_path, "near.json", payload)
+        assert main(["spectrum", "--input", path]) == 0
+
+        def non_finite(name):
+            raise AssertionError(f"non-finite number {name} in the report")
+
+        report = json.loads(
+            capsys.readouterr().out, parse_constant=non_finite
+        )
+        assert set(report["spectra"]) == {"curvature", "ricci", "combined"}
+
     def test_vanishing_small_curvature(self, tmp_path, capsys):
         path = write_json(tmp_path, "sd.json", SD_PAYLOAD)
         assert main(["vanishing", "--input", path]) == 0
@@ -419,7 +440,8 @@ class TestExitCodes:
         import artifact.cli_interface as cli
 
         monkeypatch.setitem(
-            cli._HANDLERS, "calibrate", lambda cfg, model: ({"ok": False}, False)
+            cli._COMMANDS, "calibrate",
+            (lambda cfg, model: ({"ok": False}, False), "always fails"),
         )
         assert main(["calibrate"]) == 1
         capsys.readouterr()

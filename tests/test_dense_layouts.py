@@ -17,8 +17,6 @@ from artifact.gauge_fields import (
     TwoZeroSection,
     f_components_from_w,
     two_zero_from_v_coefficients,
-    v_coefficients_from_two_zero,
-    w_from_f_components,
 )
 from artifact.lie_algebra import make_so, make_su
 from artifact.weitzenbock_engine import quad_form_F, quad_form_F_complex
@@ -42,6 +40,27 @@ def _draw(seed: int, shape: tuple, complex_values: bool) -> np.ndarray:
 def _index(lead: tuple) -> list:
     """Every sample index of a stack with leading axes ``lead``."""
     return list(np.ndindex(*lead))
+
+
+def v_coefficients_from_two_zero(section: TwoZeroSection) -> np.ndarray:
+    """Oracle: v-family rows of a section, inverting the package's
+    ``two_zero_from_v_coefficients`` (real rows come back exactly)."""
+    phi = section.phi
+    rows = np.stack([phi + np.conj(phi), 1j * (phi - np.conj(phi))], axis=1)
+    return np.moveaxis(rows.reshape((6,) + phi.shape[1:]), 0, -2)
+
+
+def w_from_f_components(fc: FComponents) -> np.ndarray:
+    """Oracle: w-family rows of a component table, inverting the
+    package's ``f_components_from_w`` (real rows come back exactly)."""
+    table = fc.table
+    upper = np.stack([table[0, 1], table[0, 2], table[1, 2]])
+    rows = np.stack(
+        [upper + np.conj(upper), -1j * (upper - np.conj(upper))], axis=1
+    )
+    diagonal = -2j * np.stack([table[0, 0], table[1, 1]])
+    out = np.concatenate([rows.reshape((6,) + upper.shape[1:]), diagonal])
+    return np.moveaxis(out, 0, -2).real
 
 
 @LAYOUT_SETTINGS

@@ -11,16 +11,16 @@ import numpy as np
 import pytest
 
 from artifact.flat_model import (
+    PAIRS,
     KForm,
     basis_keys,
     calibrate_model,
     form_inner,
+    standard_two_form_families,
 )
 from artifact.form_decomposition import characterize
 from artifact.gauge_fields import (
-    FComponents,
     GValuedForm,
-    TwoZeroSection,
     conjugate_gform,
     f_component_norm_matrix,
     f_components_from_gform,
@@ -38,12 +38,8 @@ from artifact.gauge_fields import (
     instanton_classify,
     omega_component,
     phi_component_norm_matrix,
-    realized_embedding_constants,
-    two_zero_from_gform,
     two_zero_from_v_coefficients,
-    v_coefficients_from_two_zero,
     w_coefficients_from_gform,
-    w_from_f_components,
 )
 from artifact.lie_algebra import (
     LieElement,
@@ -343,11 +339,15 @@ class TestWCoefficients:
 
 
 class TestSections:
-    def test_v_coefficient_round_trip(self, su2):
+    def test_v_coefficient_round_trip(self, su2, model):
+        # coefficients -> section -> real 2-form gives back sum b_i v_i
         rng = np.random.default_rng(40)
         b = rng.standard_normal((6, 3))
         section = two_zero_from_v_coefficients(su2, b)
-        assert np.allclose(v_coefficients_from_two_zero(section), b)
+        realized = gform_from_two_zero(section, model, with_conjugate=True)
+        family = standard_two_form_families()["v"]
+        expected = gform_from_terms(su2, 2, list(zip(family, b)))
+        assert np.allclose(realized.matrix, expected.matrix, atol=1e-14)
 
     def test_component_antisymmetry(self, su2):
         rng = np.random.default_rng(41)
@@ -372,8 +372,9 @@ class TestSections:
         b = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
         section = two_zero_from_v_coefficients(su2, b)
         F = gform_from_two_zero(section, model)
-        back = two_zero_from_gform(F, model)
-        assert np.allclose(back.stacked(), section.stacked(), atol=1e-13)
+        table = gform_complex_components(F, model)
+        back = np.stack([table[pair] for pair in PAIRS])
+        assert np.allclose(back, section.stacked(), atol=1e-13)
 
     def test_realized_form_is_pure_type(self, su2, model):
         rng = np.random.default_rng(44)
@@ -440,25 +441,6 @@ class TestFComponents:
         fc = f_components_from_w(su2, a)
         assert fc.reality_residual() <= 1e-15
         assert np.allclose(fc.trace_vector(), 0.0, atol=1e-15)
-
-    def test_w_from_f_round_trip(self, su2):
-        rng = np.random.default_rng(54)
-        a = rng.standard_normal((8, 3))
-        back = w_from_f_components(f_components_from_w(su2, a))
-        assert np.allclose(back, a, atol=1e-13)
-
-    def test_w_from_f_guards(self, su2):
-        rng = np.random.default_rng(55)
-        a = rng.standard_normal((8, 3))
-        fc = f_components_from_w(su2, a)
-        table = fc.table.copy()
-        table[0, 0] += 1.0  # breaks the diagonal reality pattern
-        with pytest.raises(ValueError):
-            w_from_f_components(FComponents(algebra=su2, table=table))
-        table = fc.table.copy()
-        table[2, 2] += 1.0j  # breaks the zero trace
-        with pytest.raises(ValueError):
-            w_from_f_components(FComponents(algebra=su2, table=table))
 
     def test_strict_extraction_rejects_other_types(self, su2, model):
         F = GValuedForm(su2, 2)
@@ -634,15 +616,31 @@ class TestClassifier:
 class TestEmbeddingConstants:
     @pytest.mark.parametrize("maker", [make_su, make_so])
     def test_frozen_values(self, maker, model):
+        # oracle for the norm factors between the component and form
+        # pictures: |phi + conj(phi)|^2 = 8 |phi|^2, |omega (x) u|^2 =
+        # 3 <u, u>, and the two parts are orthogonal, so that
+        # <Psi, Psi> = 2 (4 <phi, phi> + 1.5 <u, u>)
         algebra = maker(2) if maker is make_su else maker(3)
-        rec = realized_embedding_constants(algebra, model, seed=0, samples=24)
-        assert rec["section_norm_factor"] == pytest.approx(8.0, abs=1e-12)
-        assert rec["line_norm_factor"] == pytest.approx(3.0, abs=1e-12)
-        assert rec["section_weight"] == pytest.approx(4.0, abs=1e-12)
-        assert rec["line_weight"] == pytest.approx(1.5, abs=1e-12)
-        assert rec["identity_residual"] <= 1e-12
-        assert rec["section_factor_spread"] <= 1e-12
-        assert rec["line_factor_spread"] <= 1e-12
+        rng = np.random.default_rng(0)
+        for _ in range(24):
+            section = two_zero_from_v_coefficients(
+                algebra, rng.standard_normal((6, algebra.dim))
+            )
+            realized = gform_from_two_zero(
+                section, model, with_conjugate=True
+            )
+            u = rng.standard_normal(algebra.dim)
+            line = gform_from_terms(algebra, 2, [(model.omega, u)])
+            phi_sq = section.norm_20() ** 2
+            u_sq = inner_vec(algebra, u, u).real
+            assert g_norm(realized) ** 2 == pytest.approx(
+                8.0 * phi_sq, rel=1e-12
+            )
+            assert g_norm(line) ** 2 == pytest.approx(3.0 * u_sq, rel=1e-12)
+            psi = realized + line
+            assert g_inner(psi, psi).real == pytest.approx(
+                2.0 * (4.0 * phi_sq + 1.5 * u_sq), rel=1e-12
+            )
 
     def test_section_factor_oracle(self, su2, model):
         # direct check of the norm relation behind the reported factor:

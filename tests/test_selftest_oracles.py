@@ -1,10 +1,10 @@
 """The stacked selftest suites against their sample-by-sample oracles.
 
-The suites of ``run_selftest`` draw their samples as one stack and run
-both routes of each check as array operations over the sample axis.  The
-loop suites below are the labelled oracles: each is the suite as it was
-before the batching, one sample and one Python-level call at a time,
-through the per-sample public functions (``g_wedge_bracket_entry_path``,
+The suites of ``artifact.selftest.SUITES`` draw their samples as one
+stack and run both routes of each check as array operations over the
+sample axis.  The loop suites below are the labelled oracles: each is
+the suite as it was before the batching, one sample and one Python-level
+call at a time, through the per-sample public functions (``g_wedge_bracket_entry_path``,
 ``quad_form_F``, the symbol tables of ``complex_components``, ...).
 ``oracle_bracket_norm_check`` is the loop form of
 ``lie_algebra.bracket_norm_check``.
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import artifact.cli_interface as cli
+import artifact.selftest as selftest
 import artifact.weitzenbock_engine as weitzenbock_engine
 import artifact.ym_stability as ym_stability
 from artifact.flat_model import KForm, calibrate_model
@@ -391,7 +391,7 @@ def oracle_second_variation(model, seed, samples, tol) -> dict:
 # suite name -> (stacked suite, oracle loop suite)
 PAIRS = {
     name: (func, globals()[f"oracle_{name}"])
-    for name, func in cli._SELFTEST_SUITES
+    for name, func in selftest.SUITES
     if f"oracle_{name}" in globals()
 }
 
@@ -456,20 +456,26 @@ def scaled(func, factor):
 
 
 def test_mutation_bidegree_roundtrip(monkeypatch):
-    monkeypatch.setattr(cli, "_TO_REAL", {2: cli._TO_REAL[2] * (1 + 1e-9)})
-    assert not cli._suite_bidegree_roundtrip(MODEL, 0, 20, 1e-9)["passed"]
+    monkeypatch.setattr(
+        selftest, "_TO_REAL", {2: selftest._TO_REAL[2] * (1 + 1e-9)}
+    )
+    report = selftest._suite_bidegree_roundtrip(MODEL, 0, 20, 1e-9)
+    assert not report["passed"]
 
 
 def test_mutation_lie_dual_path(monkeypatch):
     monkeypatch.setattr(
-        cli, "bracket_via_matrices", scaled(bracket_via_matrices, 1 + 1e-8)
+        selftest, "bracket_via_matrices",
+        scaled(bracket_via_matrices, 1 + 1e-8),
     )
-    assert not cli._suite_lie_dual_path(MODEL, 0, 20, 1e-9)["passed"]
+    assert not selftest._suite_lie_dual_path(MODEL, 0, 20, 1e-9)["passed"]
 
 
 def test_mutation_gauge_roundtrips(monkeypatch):
-    monkeypatch.setattr(cli, "g_wedge_bracket", scaled(g_wedge_bracket, -1.0))
-    report = cli._suite_gauge_roundtrips(MODEL, 0, 20, 1e-9)
+    monkeypatch.setattr(
+        selftest, "g_wedge_bracket", scaled(g_wedge_bracket, -1.0)
+    )
+    report = selftest._suite_gauge_roundtrips(MODEL, 0, 20, 1e-9)
     assert not report["passed"]
     assert report["worst_wedge_dual_path"] > 1e-10
 
@@ -479,8 +485,10 @@ def test_mutation_curvature_operator(monkeypatch):
         endo = build_F_operator_from_components(fc)
         return type(endo)(endo.algebra, np.swapaxes(endo.matrix, -1, -2))
 
-    monkeypatch.setattr(cli, "build_F_operator_from_components", transposed)
-    report = cli._suite_curvature_operator(MODEL, 0, 20, 1e-9)
+    monkeypatch.setattr(
+        selftest, "build_F_operator_from_components", transposed
+    )
+    report = selftest._suite_curvature_operator(MODEL, 0, 20, 1e-9)
     assert not report["passed"]
     assert report["worst_apply_dual_path"] > 1e-10
 
@@ -490,8 +498,8 @@ def test_mutation_ricci_operator(monkeypatch):
         endo = build_R_operator(ricci, algebra)
         return type(endo)(algebra, endo.matrix * (1 + 1e-6))
 
-    monkeypatch.setattr(cli, "build_R_operator", shifted)
-    report = cli._suite_ricci_operator(MODEL, 0, 20, 1e-9)
+    monkeypatch.setattr(selftest, "build_R_operator", shifted)
+    report = selftest._suite_ricci_operator(MODEL, 0, 20, 1e-9)
     assert not report["passed"]
     assert report["worst_diagonal_identity"] > 1e-10
 
@@ -502,8 +510,8 @@ def test_mutation_selfadjointness(monkeypatch):
         upper = np.triu(np.ones(endo.matrix.shape[-2:]))
         return type(endo)(endo.algebra, endo.matrix + upper)
 
-    monkeypatch.setattr(cli, "build_F_operator_from_components", skewed)
-    assert not cli._suite_selfadjointness(MODEL, 0, 20, 1e-9)["passed"]
+    monkeypatch.setattr(selftest, "build_F_operator_from_components", skewed)
+    assert not selftest._suite_selfadjointness(MODEL, 0, 20, 1e-9)["passed"]
 
 
 def test_mutation_estimate_chain(monkeypatch):
@@ -511,7 +519,7 @@ def test_mutation_estimate_chain(monkeypatch):
         weitzenbock_engine, "quad_form_F_complex",
         scaled(weitzenbock_engine.quad_form_F_complex, 10.0),
     )
-    report = cli._suite_estimate_chain(MODEL, 0, 20, 1e-9)
+    report = selftest._suite_estimate_chain(MODEL, 0, 20, 1e-9)
     assert not report["passed"]
     assert report["bound_failures"] > 0
 
@@ -524,6 +532,6 @@ def test_mutation_second_variation(monkeypatch):
         return OneFormSection(image.algebra, 2.0 * image.vectors)
 
     monkeypatch.setattr(ym_stability, "apply_curvature_action", doubled)
-    report = cli._suite_second_variation(MODEL, 0, 20, 1e-9)
+    report = selftest._suite_second_variation(MODEL, 0, 20, 1e-9)
     assert not report["passed"]
     assert report["worst_quad_pair_residual"] > 1e-10

@@ -8,6 +8,7 @@ Ricci operator against a hand-derived diagonal formula.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from artifact.flat_model import calibrate_model
 from artifact.gauge_fields import (
@@ -35,11 +36,11 @@ from artifact.weitzenbock_engine import (
     build_F_operator,
     build_F_operator_from_components,
     build_R_operator,
+    combined_spectra,
     estimate_bound_check,
     operator_spectrum,
     quad_form_F,
     quad_form_F_complex,
-    ricci_quad_trace,
     section_from_stack,
     stack_section,
     v_basis_quad_form,
@@ -73,6 +74,30 @@ def random_section(algebra, rng, real=False):
 def random_components(algebra, rng):
     a = rng.standard_normal((8, algebra.dim))
     return f_components_from_w(algebra, a), a
+
+
+def ricci_quad_trace(ricci: TransverseRicci, section) -> float:
+    """Oracle: Ricci quadratic form by trace contraction.
+
+    Evaluates ``sum_{alpha, mu} R~_{alpha mu} b_{alpha mu}`` with
+    ``b_{alpha mu} = sum_nu <phi_{alpha nu}, phi_{mu nu}>``, which agrees
+    with the operator quadratic form in the pair-sum convention.
+    """
+    algebra = section.algebra
+    raised = ricci.raised()
+    total = 0j
+    for alpha in range(1, 4):
+        for mu in range(1, 4):
+            b_entry = sum(
+                inner_vec(
+                    algebra,
+                    section.component(alpha, nu),
+                    section.component(mu, nu),
+                )
+                for nu in range(1, 4)
+            )
+            total += raised[alpha - 1, mu - 1] * b_entry
+    return float(total.real)
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +430,44 @@ class TestWeightedSpectrum:
         spec = operator_spectrum(build_F_operator_from_components(fc))
         assert spec["hermiticity_residual"] <= 1e-10
         assert spec["eigenvalues"].shape == (9,)
+
+
+SPECTRA_ALGEBRAS = {"su2": make_su(2), "so3": make_so(3), "so5": make_so(5)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(sorted(SPECTRA_ALGEBRAS)),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(1e-3, 1e3),
+)
+def test_combined_spectra_equal_single_calls(name, seed, scale):
+    # the stacked call must give, bit for bit and type for type, what one
+    # operator_spectrum call per operator gives
+    algebra = SPECTRA_ALGEBRAS[name]
+    rng = np.random.default_rng(seed)
+    fc = f_components_from_w(
+        algebra, scale * rng.standard_normal((8, algebra.dim))
+    )
+    herm = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    f_endo = build_F_operator_from_components(fc)
+    r_endo = build_R_operator(
+        TransverseRicci(matrix=herm + herm.conj().T), algebra
+    )
+    combined = TwoZeroEndo(algebra, f_endo.matrix + r_endo.matrix)
+    got = combined_spectra(f_endo, r_endo)
+    for label, endo in (
+        ("curvature", f_endo), ("ricci", r_endo), ("combined", combined)
+    ):
+        want = operator_spectrum(endo)
+        assert got[label].keys() == want.keys()
+        np.testing.assert_array_equal(
+            got[label]["eigenvalues"], want["eigenvalues"]
+        )
+        for key, value in want.items():
+            if key != "eigenvalues":
+                assert got[label][key] == value, (label, key)
+                assert type(got[label][key]) is type(value), (label, key)
 
 
 # ---------------------------------------------------------------------------
