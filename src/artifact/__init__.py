@@ -22,13 +22,11 @@ from .form_decomposition import (
     BidegreeSplit,
     TwoFormSplit,
     bidegree_split,
-    characterize,
     project,
     t_eta_matrix,
 )
 from .lie_algebra import (
     LieAlgebraSpec,
-    LieElement,
     algebra_from_basis,
     make_abelian,
     make_so,
@@ -80,11 +78,9 @@ __all__ = [
     "BidegreeSplit",
     "TwoFormSplit",
     "bidegree_split",
-    "characterize",
     "project",
     "t_eta_matrix",
     "LieAlgebraSpec",
-    "LieElement",
     "algebra_from_basis",
     "make_abelian",
     "make_so",

@@ -42,7 +42,8 @@ zero.  An algebra-valued 2-form is an object
       "components": { ... }
     }
 
-with components keyed per basis: ``"w"`` uses ``"w1"`` .. ``"w8"`` with
+with ``d`` of ``"abelian<d>"`` between 1 and 64, and with components
+keyed per basis: ``"w"`` uses ``"w1"`` .. ``"w8"`` with
 real coefficient vectors; ``"real"`` uses ascending coframe index pairs
 such as ``"12"`` or ``"37"``; ``"complex"`` uses comma-separated symbol
 pairs such as ``"1,-2"`` (positive j for the j-th holomorphic
@@ -122,6 +123,9 @@ _DEFAULT_SAMPLES = 10000
 _DEFAULT_TOL = 1e-9
 _DEFAULT_FORMAT = "json"
 
+# largest d of ``abelian<d>``: its structure constants take d**3 entries
+_MAX_ABELIAN_DIM = 64
+
 
 class InputError(Exception):
     """Malformed input file, field, flag, or environment value."""
@@ -142,8 +146,8 @@ class JobConfig:
     def __post_init__(self):
         if self.command not in _COMMANDS:
             raise InputError(f"unknown command {self.command!r}")
-        if self.tolerance <= 0.0:
-            raise InputError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise InputError("tolerance must be a positive finite number")
         if self.samples < 1:
             raise InputError("samples must be at least 1")
         if self.format not in ("json", "csv"):
@@ -309,7 +313,14 @@ def parse_algebra(value) -> LieAlgebraSpec:
             return make_su(2, inner="trace")
         if name.startswith("abelian"):
             tail = name[len("abelian") :]
-            if tail.isdigit() and int(tail) >= 1:
+            if tail.isdecimal():
+                # count the digits first: int() refuses very long strings
+                digits = len(tail.lstrip("0"))
+                if digits > 2 or not 1 <= int(tail) <= _MAX_ABELIAN_DIM:
+                    raise InputError(
+                        f"field 'algebra': abelian<d> needs 1 <= d <= "
+                        f"{_MAX_ABELIAN_DIM}, got {value!r}"
+                    )
                 return make_abelian(int(tail))
         raise InputError(
             f"field 'algebra': unknown name {value!r}; use so3, so5, su2, "

@@ -157,20 +157,6 @@ class QuotientSpaces:
     def basic_dims(self, d: int = 1) -> tuple:
         return tuple(d * n for n in self.basic_scalar_dims)
 
-    def project_two_form(self, form: KForm) -> np.ndarray:
-        """Coordinates of the class of a 2-form in the quotient."""
-        if form.degree != 2:
-            raise ValueError("expected a 2-form")
-        vec = form.to_vector()
-        return self.l2_basis.T @ vec
-
-    def two_form_from_class(self, coords) -> KForm:
-        """Orthogonal representative of a quotient class."""
-        coords = np.asarray(coords)
-        if coords.shape != (self.l2_basis.shape[1],):
-            raise ValueError("wrong number of quotient coordinates")
-        return KForm.from_vector(2, self.l2_basis @ coords)
-
 
 def build_quotient_spaces(model: ContactModel | None = None) -> QuotientSpaces:
     """Orthonormal quotient bases for the calibrated model.
@@ -438,10 +424,12 @@ def batch_exactness(
     the contraction of the block with its symbol tensor, and one stacked
     SVD per map gives the ranks at ``d = 1``.  A coefficient algebra of
     dimension ``d`` tensors every map with the identity, which multiplies
-    each rank by ``d``.  The stage rows are worked out once per rank
-    pattern and ``d``.  Every covector and ``d`` counts as one report, as
-    in a loop of :func:`exactness_report` (the oracle route); the first
-    three failures are reported in full by that function.
+    each rank by ``d``.  Every stage then has kernel ``d (s_k - r_k)`` and
+    image ``d r_{k-1}``, so exactness does not depend on ``d``: the stage
+    verdict is worked out once per rank pattern.  Every covector and ``d``
+    counts as one report, as in a loop of :func:`exactness_report` (the
+    oracle route); the first three failures are reported in full by that
+    function.
     """
     # a swept covector passes when these leading stages are exact
     if which == FULL_C:
@@ -456,19 +444,10 @@ def batch_exactness(
     verdicts = {}
 
     def verdict(pattern: tuple) -> tuple:
-        """Exactness everywhere and at the checked stages, per d."""
+        """Exactness everywhere and at the checked stages."""
         if pattern not in verdicts:
-            rows = [
-                _stage_rows(dims_at(d), [d * r for r in pattern])
-                for d in dims
-            ]
-            verdicts[pattern] = (
-                [all(row["exact"] for row in stages) for stages in rows],
-                [
-                    all(row["exact"] for row in stages[:checked])
-                    for stages in rows
-                ],
-            )
+            stages = [row["exact"] for row in _stage_rows(dims_at(), pattern)]
+            verdicts[pattern] = (all(stages), all(stages[:checked]))
         return verdicts[pattern]
 
     total = 0
@@ -509,15 +488,14 @@ def batch_exactness(
         for index in np.unique(inverse[probed]):
             pattern = patterns[index]
             probe_patterns.add(pattern)
-            probe_exact = probe_exact and all(verdict(pattern)[0])
-        failed = ~passed & ~probed[:, None]
-        failures += int(np.sum(failed))
-        for row, column in np.argwhere(failed)[: 3 - len(failure_reports)]:
-            failure_reports.append(
-                exactness_report(
-                    block[row], q, which, int(dims[column]), threshold
+            probe_exact = probe_exact and verdict(pattern)[0]
+        failed = np.flatnonzero(~passed & ~probed)
+        failures += per_covector * len(failed)
+        for row in failed[: 3 - len(failure_reports)]:
+            for d in dims[: 3 - len(failure_reports)]:
+                failure_reports.append(
+                    exactness_report(block[row], q, which, int(d), threshold)
                 )
-            )
     out = {
         "which": which,
         "seed": int(seed),

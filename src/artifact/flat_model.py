@@ -43,7 +43,6 @@ __all__ = [
     "transverse_star",
     "contract_reeb",
     "form_inner",
-    "form_norm",
     "basis_keys",
     "mixing_matrix",
     "nearest_mixing_eigenvalues",
@@ -321,25 +320,6 @@ class KForm:
     def norm(self) -> float:
         return float(np.sqrt(np.vdot(self.vector, self.vector).real))
 
-    def evaluate(self, *vectors) -> complex:
-        """Evaluate on ``degree`` tangent vectors (length-7 arrays).
-
-        Sums coefficient times determinant minor over the monomials: the
-        independent route the table-driven kernel is checked against.
-        """
-        if len(vectors) != self.degree:
-            raise ValueError(
-                f"need {self.degree} vectors, got {len(vectors)}"
-            )
-        mats = [np.asarray(v, dtype=complex) for v in vectors]
-        total = 0j
-        for key, value in self.terms():
-            minor = np.array(
-                [[vec[idx - 1] for vec in mats] for idx in key], dtype=complex
-            ).reshape(self.degree, self.degree)
-            total += value * np.linalg.det(minor)
-        return total
-
     def __repr__(self) -> str:
         terms = self.terms()
         if not terms:
@@ -388,20 +368,15 @@ def left_wedge_matrix(a: KForm, degree: int) -> np.ndarray:
     return out
 
 
-def form_inner(a: KForm, b: KForm, model=None) -> complex:
+def form_inner(a: KForm, b: KForm) -> complex:
     """Hermitian inner product, coefficientwise in the orthonormal coframe.
 
-    Linear in the first argument, conjugated in the second.  The ``model``
-    argument is accepted for interface uniformity; the metric is the
-    identity in this coframe.
+    Linear in the first argument, conjugated in the second; the metric is
+    the identity in this coframe.
     """
     if a.degree != b.degree:
         raise ValueError("inner product needs forms of equal degree")
     return complex(np.vdot(b.vector, a.vector))
-
-
-def form_norm(a: KForm, model=None) -> float:
-    return a.norm()
 
 
 _PAIR_ROWS, _PAIR_COLS = np.array(_BASIS_KEYS[2]).T - 1
@@ -475,20 +450,6 @@ class ContactModel:
 
     # -- derived structures ----------------------------------------------
 
-    def phi_pullback(self, oneform: KForm) -> KForm:
-        """Pullback of a 1-form through ``phi``: ``(a o Phi)``."""
-        if oneform.degree != 1:
-            raise ValueError("phi_pullback acts on 1-forms")
-        return KForm._wrap(1, self.phi.T @ oneform.vector)
-
-    def complex_coframe(self) -> list:
-        """The three (1, 0)-forms ``dz^j = e^{2j-1} - i * e^{2j-1} o Phi``."""
-        out = []
-        for j in (1, 2, 3):
-            base = KForm.basis(2 * j - 1)
-            out.append(base + (-1j) * self.phi_pullback(base))
-        return out
-
     def transverse_gram(self) -> np.ndarray:
         """Gram matrix of ``(X, Y) -> (1/2) deta(X, Phi Y)`` on ``H``."""
         deta = _two_form_matrix(self.deta.vector.real)
@@ -524,7 +485,7 @@ def transverse_star(a: KForm, model: ContactModel) -> KForm:
     )
 
 
-def contract_reeb(a: KForm, model: ContactModel = None) -> KForm:
+def contract_reeb(a: KForm) -> KForm:
     """Interior product with the Reeb vector (the ``e7`` direction)."""
     if a.degree == 0:
         return KForm.zero(0)
@@ -693,7 +654,7 @@ def _check_candidates(models: list) -> list:
     return rows
 
 
-def calibrate_model(with_report: bool = False):
+def calibrate_model() -> ContactModel:
     """Search the convention space and return the unique calibrated model.
 
     Candidates range over orientation sign (+1/-1), the scale of ``deta``
@@ -709,6 +670,8 @@ def calibrate_model(with_report: bool = False):
       the ``phi`` pullback (so they deserve the name ``dz^j``).
 
     Raises :class:`CalibrationError` unless exactly one candidate survives.
+    The acceptance row of every candidate comes from
+    :func:`_check_candidates`.
     """
     candidates = [_candidate_model(*convention) for convention in _CONVENTIONS]
     rows = _check_candidates(candidates)
@@ -717,15 +680,7 @@ def calibrate_model(with_report: bool = False):
         raise CalibrationError(
             f"expected exactly one surviving convention, got {len(winners)}"
         )
-    model = winners[0]
-    if not with_report:
-        return model
-    report = {
-        "candidates": rows,
-        "accepted": [r["label"] for r in rows if r["accepted"]],
-        "constants": calibration_constants(model),
-    }
-    return model, report
+    return winners[0]
 
 
 def calibration_constants(model: ContactModel) -> dict:

@@ -51,18 +51,13 @@ __all__ = [
     "project",
     "project_vectors",
     "bidegree_split",
-    "characterize",
     "complex_components",
     "from_complex_components",
     "EIGENVALUE_BY_BLOCK",
-    "PRESENCE_TOLERANCE",
 ]
 
 # eigenvalue attached to each named block of the 2-form split
 EIGENVALUE_BY_BLOCK = {"8": 1.0, "6": -1.0, "1": -2.0, "vertical": 0.0}
-
-# relative threshold deciding whether a block is "present" in characterize
-PRESENCE_TOLERANCE = 1e-10
 
 _EIGEN_MATCH_TOLERANCE = 1e-8
 
@@ -150,9 +145,6 @@ class TwoFormSplit:
 
     def reassemble(self) -> KForm:
         return self.part_8 + self.part_6 + self.part_1 + self.part_vertical
-
-    def norms(self) -> dict:
-        return {label: part.norm() for label, part in self.as_dict().items()}
 
 
 def project(a: KForm, model: ContactModel) -> TwoFormSplit:
@@ -274,7 +266,7 @@ def _real_from_symbols(components: dict, degree: int,
     return _change_basis(columns, values.reshape((len(located),) + shape))
 
 
-def complex_components(a: KForm, model: ContactModel = None) -> dict:
+def complex_components(a: KForm) -> dict:
     """Coefficients of a form in the complex coframe.
 
     Keys are canonical tuples of symbols (+j, -j, 0 as described above);
@@ -288,9 +280,7 @@ def complex_components(a: KForm, model: ContactModel = None) -> dict:
     }
 
 
-def from_complex_components(
-    components: dict, degree: int, model: ContactModel = None
-) -> KForm:
+def from_complex_components(components: dict, degree: int) -> KForm:
     """Inverse of :func:`complex_components`."""
     return KForm.from_vector(degree, _real_from_symbols(components, degree))
 
@@ -332,7 +322,7 @@ class BidegreeSplit:
 
 def bidegree_split(a: KForm, model: ContactModel) -> BidegreeSplit:
     """Split a form by complex type plus an ``eta``-wedge remainder."""
-    components = complex_components(a, model)
+    components = complex_components(a)
     horizontal_groups: dict = {}
     eta_groups: dict = {}
     for symbols, coeff in components.items():
@@ -346,11 +336,11 @@ def bidegree_split(a: KForm, model: ContactModel) -> BidegreeSplit:
         else:
             horizontal_groups.setdefault((p, q), {})[symbols] = coeff
     parts = {
-        pq: from_complex_components(group, a.degree, model)
+        pq: from_complex_components(group, a.degree)
         for pq, group in horizontal_groups.items()
     }
     eta_parts = {
-        pq: from_complex_components(group, a.degree - 1, model)
+        pq: from_complex_components(group, a.degree - 1)
         for pq, group in eta_groups.items()
     }
     parts = {pq: form for pq, form in parts.items() if not form.is_zero(0.0)}
@@ -358,41 +348,3 @@ def bidegree_split(a: KForm, model: ContactModel) -> BidegreeSplit:
         pq: form for pq, form in eta_parts.items() if not form.is_zero(0.0)
     }
     return BidegreeSplit(degree=a.degree, parts=parts, eta_parts=eta_parts)
-
-
-def characterize(a: KForm, model: ContactModel) -> dict:
-    """Name the block structure of a 2-form.
-
-    Returns a dict with the block norms, the presence threshold
-    (``PRESENCE_TOLERANCE`` times the norm of the input) and a label:
-    ``IN_8`` / ``IN_6`` / ``IN_1`` when exactly one transverse block is
-    present, ``MIXED`` otherwise.  Vertical content, and the zero form,
-    are reported as ``MIXED`` with an explanatory note.
-    """
-    split = project(a, model)
-    norms = split.norms()
-    scale = a.norm()
-    threshold = PRESENCE_TOLERANCE * scale
-    present = [label for label, norm in norms.items() if norm > threshold]
-
-    note = ""
-    if scale == 0.0:
-        label = "MIXED"
-        note = "zero form: no block is present"
-    elif present == ["8"]:
-        label = "IN_8"
-    elif present == ["6"]:
-        label = "IN_6"
-    elif present == ["1"]:
-        label = "IN_1"
-    else:
-        label = "MIXED"
-        if "vertical" in present:
-            note = "vertical content present"
-    return {
-        "label": label,
-        "norms": norms,
-        "threshold": threshold,
-        "present": present,
-        "note": note,
-    }

@@ -9,7 +9,7 @@ operation on it: the bracket runs from the wedge index tables of
 pairs the rows through the algebra Gram matrix, and complex components
 come from the change-of-basis matrices of
 :mod:`~artifact.form_decomposition`.  The module provides the
-graded bracket of such forms by two independent routes, the inner product
+graded bracket of such forms, the inner product
 induced by the coframe and the invariant algebra metric, conversions
 between the real two-form families, complex component tables, and
 holomorphic section data, and a two-route classifier for the eigenvalue
@@ -57,7 +57,6 @@ from .flat_model import (
     basis_keys,
     left_wedge_matrix,
     standard_two_form_families,
-    wedge,
 )
 from .form_decomposition import (
     _SYMBOL_KEYS,
@@ -70,9 +69,7 @@ from .form_decomposition import (
 from .lie_algebra import (
     LieAlgebraSpec,
     _scalar,
-    coeffs_of,
     inner_vec,
-    matrix_of,
     norm_vec,
 )
 
@@ -85,7 +82,6 @@ __all__ = [
     "g_inner",
     "g_norm",
     "g_wedge_bracket",
-    "g_wedge_bracket_entry_path",
     "g_wedge_scalar",
     "two_zero_from_v_coefficients",
     "f_components_from_w",
@@ -93,7 +89,6 @@ __all__ = [
     "w_coefficients_from_gform",
     "gform_complex_components",
     "f_components_from_gform",
-    "gform_from_two_zero",
     "omega_component",
     "instanton_classify",
     "f_component_norm_matrix",
@@ -201,23 +196,6 @@ class GValuedForm:
             raise ValueError(f"expected shape {shape}, got {arr.shape}")
         return cls._wrap(algebra, degree, arr)
 
-    def entry_forms(self) -> np.ndarray:
-        """Matrix of scalar forms: the (i, j) entry of the form.
-
-        Views the algebra-valued form through the defining representation
-        and returns an (n, n) object array of :class:`KForm`.
-        """
-        n = self.algebra.matrix_dim
-        entries = np.zeros((n, n, len(basis_keys(self.degree))), dtype=complex)
-        for row, vec in enumerate(self.matrix):
-            if np.any(vec):
-                entries[:, :, row] = matrix_of(self.algebra, vec)
-        grid = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                grid[i, j] = KForm.from_vector(self.degree, entries[i, j])
-        return grid
-
     def _check(self, other: "GValuedForm") -> None:
         if other.algebra is not self.algebra:
             raise ValueError("forms take values in different algebras")
@@ -275,8 +253,9 @@ def g_wedge_bracket(phi: GValuedForm, psi: GValuedForm) -> GValuedForm:
     this computes ``sum_{I,J} e^I ^ e^J (x) [psi_J, phi_I]``: the wedge
     index table pairs the monomials and one structure-constant
     contraction brackets every pair.  On 0-forms it therefore returns
-    ``[psi, phi]``; the entry route below realizes the same operation and
-    the two are cross-checked in the package self-tests.
+    ``[psi, phi]``.  The selftest checks it against the commutators of
+    the matrix entries of both forms, and the tests against a bracket
+    of scalar entry forms.
 
     The contraction is one matrix product: the outer products of the
     paired coefficient vectors, flattened to ``d * d`` columns, times the
@@ -301,45 +280,6 @@ def g_wedge_bracket(phi: GValuedForm, psi: GValuedForm) -> GValuedForm:
     signs = sign.reshape((-1,) + (1,) * (brackets.ndim - 1))
     np.add.at(matrix, target, signs * brackets)
     return GValuedForm._wrap(phi.algebra, total_degree, matrix)
-
-
-def g_wedge_bracket_entry_path(
-    phi: GValuedForm, psi: GValuedForm
-) -> GValuedForm:
-    """Graded bracket computed through matrix entry forms.
-
-    The (i, j) entry of the bracket is
-    ``sum_h (phi^h_j ^ psi^i_h - (-1)^{pq} psi^h_j ^ phi^i_h)``
-    where ``phi^i_j`` are the scalar entry forms in the defining
-    representation.  Independent route to :func:`g_wedge_bracket`.
-    """
-    if phi.algebra is not psi.algebra:
-        raise ValueError("forms take values in different algebras")
-    algebra = phi.algebra
-    n = algebra.matrix_dim
-    total_degree = phi.degree + psi.degree
-    if total_degree > 7:
-        raise ValueError("bracket degree exceeds the fiber dimension")
-    sign = (-1) ** (phi.degree * psi.degree)
-    pe = phi.entry_forms()
-    qe = psi.entry_forms()
-    grid = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            acc = KForm(total_degree)
-            for h in range(n):
-                acc = acc + wedge(pe[h, j], qe[i, h])
-                acc = acc - sign * wedge(qe[h, j], pe[i, h])
-            grid[i, j] = acc
-    entries = np.array(
-        [[grid[i, j].vector for j in range(n)] for i in range(n)]
-    )
-    out = GValuedForm(algebra, total_degree)
-    for row in range(len(basis_keys(total_degree))):
-        mat = entries[:, :, row]
-        if np.any(mat):
-            out.matrix[row] = coeffs_of(algebra, mat)
-    return out
 
 
 def g_wedge_scalar(F: GValuedForm, form: KForm) -> GValuedForm:
@@ -396,10 +336,6 @@ class TwoZeroSection:
         if mu > nu:
             return -self.component(nu, mu)
         return self.phi[PAIRS.index((mu, nu))]
-
-    def stacked(self) -> np.ndarray:
-        """The ``(3, ..., dim)`` component array itself."""
-        return self.phi
 
     def inner_20(self, other: "TwoZeroSection") -> complex | np.ndarray:
         """Pair-sum inner product, the pair values added in row order."""
@@ -467,11 +403,6 @@ class FComponents:
         """F_{mu nubar}; indices run over 1..3."""
         return self.table[mu - 1, nu - 1]
 
-    def reality_residual(self) -> float:
-        """Deviation of the diagonal from the reality rule."""
-        diagonal = self.table[_DIAGONAL]
-        return float(np.max(np.abs(diagonal + np.conj(diagonal))))
-
     def trace_vector(self) -> np.ndarray:
         return self.table[0, 0] + self.table[1, 1] + self.table[2, 2]
 
@@ -504,14 +435,12 @@ def gform_from_w_coefficients(algebra: LieAlgebraSpec, a_rows) -> GValuedForm:
     )
 
 
-def w_coefficients_from_gform(
-    F: GValuedForm, tol: float = 1e-9, require_in_span: bool = True
-) -> np.ndarray:
+def w_coefficients_from_gform(F: GValuedForm) -> np.ndarray:
     """Coefficients of a 2-form on the w family.
 
     Coefficients come from pairing against the family and solving with
-    its Gram matrix; with ``require_in_span`` the reconstruction must
-    match the input within ``tol`` relative to its norm.  A stack of
+    its Gram matrix; the reconstruction must match the input within
+    1e-9 relative to its norm, or ``ValueError`` is raised.  A stack of
     forms gives ``(..., 8, dim)`` rows.
     """
     if F.degree != 2:
@@ -519,14 +448,13 @@ def w_coefficients_from_gform(
     pairings = np.einsum("wk,k...->w...", _W_VECTORS.conj(), F.matrix)
     out = np.linalg.solve(_W_GRAM, pairings.reshape(len(pairings), -1))
     out = np.moveaxis(out.reshape(pairings.shape), 0, -2)
-    if require_in_span:
-        recon = gform_from_w_coefficients(F.algebra, out)
-        resid = np.asarray(g_norm(F - recon))
-        if np.any(resid > tol * np.maximum(g_norm(F), 1.0)):
-            raise ValueError(
-                f"2-form is not in the span of the w family "
-                f"(residual {float(np.max(resid))})"
-            )
+    recon = gform_from_w_coefficients(F.algebra, out)
+    resid = np.asarray(g_norm(F - recon))
+    if np.any(resid > 1e-9 * np.maximum(g_norm(F), 1.0)):
+        raise ValueError(
+            f"2-form is not in the span of the w family "
+            f"(residual {float(np.max(resid))})"
+        )
     return out
 
 
@@ -603,17 +531,6 @@ def f_components_from_gform(
                 f"(size {float(np.max(stray))})"
             )
     return FComponents(F.algebra, rows[_F_TABLE])
-
-
-def gform_from_two_zero(
-    section: TwoZeroSection, model: ContactModel, with_conjugate: bool = False
-) -> GValuedForm:
-    """Realize a section as the 2-form ``phi`` or ``phi + conj(phi)``."""
-    components = dict(zip(PAIRS, section.phi))
-    out = gform_from_complex_components(section.algebra, components, 2)
-    if with_conjugate:
-        out = out + conjugate_gform(out)
-    return out
 
 
 def omega_component(F: GValuedForm, model: ContactModel) -> np.ndarray:

@@ -26,7 +26,6 @@ import numpy as np
 
 __all__ = [
     "LieAlgebraSpec",
-    "LieElement",
     "algebra_from_basis",
     "make_so",
     "make_su",
@@ -70,23 +69,6 @@ class LieAlgebraSpec:
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
-
-    @property
-    def matrix_dim(self) -> int:
-        return self.basis.shape[1]
-
-    def element(self, vector) -> "LieElement":
-        vec = np.asarray(vector, dtype=complex)
-        if vec.shape != (self.dim,):
-            raise ValueError(
-                f"expected a coefficient vector of length {self.dim}"
-            )
-        return LieElement(self, vec)
-
-    def basis_element(self, index: int) -> "LieElement":
-        vec = np.zeros(self.dim, dtype=complex)
-        vec[index] = 1.0
-        return LieElement(self, vec)
 
 
 def killing_matrix(structure: np.ndarray) -> np.ndarray:
@@ -367,47 +349,6 @@ def ad_matrix(spec: LieAlgebraSpec, u) -> np.ndarray:
     return np.einsum(
         "...i,ijk->...kj", np.asarray(u, dtype=complex), spec.structure
     )
-
-
-@dataclass(frozen=True, eq=False)
-class LieElement:
-    """Convenience wrapper pairing an algebra with a coefficient vector."""
-
-    algebra: LieAlgebraSpec
-    vector: np.ndarray
-
-    def bracket(self, other: "LieElement") -> "LieElement":
-        self._check(other)
-        return LieElement(
-            self.algebra, bracket_vec(self.algebra, self.vector, other.vector)
-        )
-
-    def inner(self, other: "LieElement") -> complex:
-        self._check(other)
-        return inner_vec(self.algebra, self.vector, other.vector)
-
-    def norm(self) -> float:
-        return norm_vec(self.algebra, self.vector)
-
-    def matrix(self) -> np.ndarray:
-        return matrix_of(self.algebra, self.vector)
-
-    def __add__(self, other: "LieElement") -> "LieElement":
-        self._check(other)
-        return LieElement(self.algebra, self.vector + other.vector)
-
-    def __sub__(self, other: "LieElement") -> "LieElement":
-        self._check(other)
-        return LieElement(self.algebra, self.vector - other.vector)
-
-    def __mul__(self, scalar) -> "LieElement":
-        return LieElement(self.algebra, self.vector * scalar)
-
-    __rmul__ = __mul__
-
-    def _check(self, other: "LieElement") -> None:
-        if other.algebra is not self.algebra:
-            raise ValueError("elements belong to different algebras")
 
 
 def bracket_norm_check(

@@ -233,8 +233,8 @@ def _suite_gauge_roundtrips(model, seed, samples, tol) -> dict:
     through the matrix entries of both forms: the commutators of the
     entry matrices are added into the monomials through the wedge table
     and pulled back to coefficients once per monomial.  The oracle loop
-    brackets one pair of forms at a time through
-    ``g_wedge_bracket_entry_path``.
+    brackets one pair of forms at a time through their scalar entry
+    forms.
     """
     rng = np.random.default_rng(seed + 3)
     algebra = make_so(3)
@@ -300,7 +300,7 @@ def _suite_curvature_operator(model, seed, samples, tol) -> dict:
         via_matrix = endo.apply(section)
         via_entries = apply_F_xi_path(fc, section)
         worst_apply = max(
-            worst_apply, _worst(via_matrix.stacked() - via_entries.stacked())
+            worst_apply, _worst(via_matrix.phi - via_entries.phi)
         )
 
         q1 = np.real(quad_form_F_complex(fc, section))

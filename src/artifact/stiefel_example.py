@@ -141,13 +141,10 @@ def _curvature_rows(spec: StiefelSpec) -> np.ndarray:
     return rows
 
 
-def alpha_curvature(
-    spec: StiefelSpec, model: ContactModel | None = None
-) -> GValuedForm:
+def alpha_curvature(spec: StiefelSpec) -> GValuedForm:
     """Curvature of the invariant connection, built from its w rows.
 
-    The curvature does not depend on the model; ``model`` is accepted so
-    that every entry point of the module takes the same arguments.
+    The curvature does not depend on the model.
     """
     return gform_from_w_coefficients(
         gauge_algebra(spec), _curvature_rows(spec)
@@ -168,7 +165,7 @@ def sdci_verify(
     """
     if model is None:
         model = calibrate_model()
-    F = alpha_curvature(spec, model)
+    F = alpha_curvature(spec)
     verdict = instanton_classify(F, model, tol=tol)
     off_keys = ("block_6", "block_1", "vertical", "reality")
     residuals = [
@@ -260,7 +257,7 @@ def indefiniteness_search(
         raise ValueError("need at least one random sample")
     if model is None:
         model = calibrate_model()
-    fc = f_components_from_gform(alpha_curvature(spec, model), model)
+    fc = f_components_from_gform(alpha_curvature(spec), model)
     gauge = fc.algebra
     a_rows = _curvature_rows(spec)
 
@@ -323,7 +320,7 @@ def stiefel_report(
         spec = build_stiefel()
     if model is None:
         model = calibrate_model()
-    F = alpha_curvature(spec, model)
+    F = alpha_curvature(spec)
     gauge = F.algebra
     fc = f_components_from_gform(F, model)
     structure = structure_check(spec)

@@ -10,8 +10,9 @@ concatenated vector of length ``3 dim``.  Two endomorphisms act there:
   - [phi_{alpha mu}, F_{nu alphabar}])``;
 * the transverse Ricci term, built from a Hermitian 3x3 tensor through
   ``(R phi)_{mu nu} = sum_alpha (R_{alphabar mu} phi_{alpha nu}
-  - R_{alphabar nu} phi_{alpha mu})`` (indices raised with the transverse
-  metric, a positive multiple of the identity here).
+  - R_{alphabar nu} phi_{alpha mu})``, the barred index raised with the
+  transverse metric normalised to the identity in the complex frame, so
+  the entries of the tensor enter as they are.
 
 The curvature operator comes with independent evaluation routes
 (componentwise formulas, quadratic forms on coefficient families); the
@@ -89,12 +90,10 @@ class TransverseRicci:
 
     ``matrix[alpha - 1, mu - 1]`` holds the entry carrying one barred
     index alpha and one unbarred index mu; Hermitian symmetry ties the
-    two triangles.  ``metric_scale`` is the positive factor c of the
-    transverse metric c * I used to raise indices.
+    two triangles.
     """
 
     matrix: np.ndarray
-    metric_scale: float = 1.0
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
@@ -107,36 +106,24 @@ class TransverseRicci:
                 f"transverse Ricci tensor is not Hermitian "
                 f"(residual {residual})"
             )
-        if self.metric_scale <= 0:
-            raise ValueError("metric scale must be positive")
         mat = (mat + adjoint) / 2.0
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
     @classmethod
-    def einstein(cls, scale: float = 8.0, metric_scale: float = 1.0):
+    def einstein(cls, scale: float = 8.0):
         """Ricci tensor proportional to the transverse metric."""
-        return cls(
-            matrix=scale * metric_scale * np.eye(3), metric_scale=metric_scale
-        )
+        return cls(matrix=scale * np.eye(3))
 
     @classmethod
-    def from_diagonal(cls, values, metric_scale: float = 1.0):
+    def from_diagonal(cls, values):
         """Diagonal tensor; ``(..., 3)`` values give a stack of tensors."""
         vals = np.asarray(values, dtype=float)
         if vals.ndim < 1 or vals.shape[-1] != 3:
             raise ValueError("expected three diagonal values")
         matrix = np.zeros(vals.shape + (3,))
         matrix[..., [0, 1, 2], [0, 1, 2]] = vals
-        return cls(matrix=matrix, metric_scale=metric_scale)
-
-    def entry(self, alpha: int, mu: int) -> complex:
-        """Entry with barred index alpha, unbarred index mu (1..3)."""
-        return complex(self.matrix[alpha - 1, mu - 1])
-
-    def raised(self) -> np.ndarray:
-        """Matrix with the barred index raised by the metric."""
-        return np.asarray(self.matrix) / self.metric_scale
+        return cls(matrix=matrix)
 
 
 def stack_section(section: TwoZeroSection) -> np.ndarray:
@@ -161,7 +148,6 @@ class TwoZeroEndo:
 
     algebra: LieAlgebraSpec
     matrix: np.ndarray
-    label: str = ""
     _weight: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -247,7 +233,7 @@ def build_F_operator_from_components(fc: FComponents) -> TwoZeroEndo:
     d = fc.algebra.dim
     matrix = np.moveaxis(blocks, (0, 1), (-4, -2))
     matrix = matrix.reshape(matrix.shape[:-4] + (3 * d, 3 * d))
-    return TwoZeroEndo(algebra=fc.algebra, matrix=matrix, label="curvature")
+    return TwoZeroEndo(algebra=fc.algebra, matrix=matrix)
 
 
 def build_F_operator(
@@ -377,16 +363,14 @@ def build_R_operator(ricci: TransverseRicci, algebra: LieAlgebraSpec) -> TwoZero
     """Ricci endomorphism on stacked sections.
 
     Implements ``(R phi)_{mu nu} = sum_alpha (R~_{alpha mu} phi_{alpha nu}
-    - R~_{alpha nu} phi_{alpha mu})`` with the barred index raised by the
-    transverse metric.  The resulting pair-space matrix is Hermitian
-    whenever the tensor is.
+    - R~_{alpha nu} phi_{alpha mu})``; with the transverse metric
+    normalised to the identity, ``R~`` is ``ricci.matrix`` itself.  The
+    resulting pair-space matrix is Hermitian whenever the tensor is.
     """
-    pair_matrix = np.einsum(
-        "rcma,...am->...rc", _COUPLING, ricci.raised()
-    )
+    pair_matrix = np.einsum("rcma,...am->...rc", _COUPLING, ricci.matrix)
     # a stack of pair matrices gives the stack of Kronecker products
     matrix = np.kron(pair_matrix, np.eye(algebra.dim))
-    return TwoZeroEndo(algebra=algebra, matrix=matrix, label="ricci")
+    return TwoZeroEndo(algebra=algebra, matrix=matrix)
 
 
 def weighted_spectrum(matrix, weight) -> dict:

@@ -42,7 +42,6 @@ from .flat_model import _PAIR_COLS, _PAIR_ROWS, ContactModel, calibrate_model
 from .lie_algebra import (
     BRACKET_NORM_BOUND,
     LieAlgebraSpec,
-    LieElement,
     _scalar,
     ad_matrix,
     bracket_vec,
@@ -138,9 +137,6 @@ class OneFormSection:
             raise ValueError("index must lie in 1..7")
         return self.vectors[index - 1].copy()
 
-    def element(self, index: int) -> LieElement:
-        return LieElement(self.algebra, self.component(index))
-
     def stacked(self) -> np.ndarray:
         return self.vectors.reshape(-1).copy()
 
@@ -191,9 +187,6 @@ class RicciTensor7:
         if vals.shape != (FORM_INDEX_COUNT,):
             raise ValueError("diagonal needs exactly 7 entries")
         return cls(np.diag(vals))
-
-    def entry(self, i: int, j: int) -> float:
-        return float(self.matrix[i - 1, j - 1])
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.matrix).min())

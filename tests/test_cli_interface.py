@@ -164,6 +164,9 @@ class TestInputParsing:
         assert parse_algebra("abelian4").dim == 4
         with pytest.raises(InputError):
             parse_algebra("sp4")
+        # a superscript digit is a digit to str.isdigit, not to int()
+        with pytest.raises(InputError, match="unknown name"):
+            parse_algebra("abelian\u00b2")
 
     def test_custom_algebra(self):
         payload = {
@@ -421,6 +424,41 @@ class TestExitCodes:
     def test_bad_tolerance_exits_two(self, capsys):
         assert main(["selftest", "--tol", "-1"]) == 2
         assert "tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_tolerance_exits_two(
+        self, tmp_path, monkeypatch, capsys, value
+    ):
+        # keys 12 and 34 carry (2,0) parts that the strict (1,1) check of
+        # vanishing rejects; a non-finite tolerance must not skip it
+        payload = {
+            "algebra": "su2",
+            "basis": "real",
+            "components": {"12": [1, 0, 0], "34": [0, 1, 0], "17": [0, 0, 1]},
+        }
+        path = write_json(tmp_path, "mixed.json", payload)
+        assert main(["vanishing", "--input", path, "--tol", value]) == 2
+        monkeypatch.setenv("ARTIFACT_TOL", value)
+        assert main(["vanishing", "--input", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "input error: tolerance must be a positive finite number"
+        ] * 2
+
+    def test_oversized_abelian_exits_two(self, tmp_path, capsys):
+        # abelian<d> is capped before its d**3 structure constants are
+        # allocated; this size cannot be allocated at all
+        payload = {
+            "algebra": "abelian100000",
+            "basis": "real",
+            "components": {"12": 1.0},
+        }
+        path = write_json(tmp_path, "huge.json", payload)
+        assert main(["classify", "--input", path]) == 2
+        self._assert_one_line_input_error(capsys)
+        with pytest.raises(InputError, match="1 <= d <= 64"):
+            parse_algebra("abelian100000")
 
     def test_bad_environment_format_exits_two(self, monkeypatch, capsys):
         monkeypatch.setenv("ARTIFACT_FORMAT", "parquet")

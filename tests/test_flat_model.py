@@ -16,7 +16,9 @@ from artifact.flat_model import (
     calibration_constants,
     contract_reeb,
     form_inner,
-    form_norm,
+    _CONVENTIONS,
+    _candidate_model,
+    _check_candidates,
     _locate,
     _permutation_sign,
     hodge_star,
@@ -213,7 +215,7 @@ def test_inner_product_is_hermitian_dot():
     assert form_inner(a, b) == pytest.approx(
         np.vdot(b.to_vector(), a.to_vector()), abs=1e-12
     )
-    assert form_norm(a) == pytest.approx(
+    assert a.norm() == pytest.approx(
         float(np.linalg.norm(a.to_vector()))
     )
 
@@ -303,10 +305,11 @@ def test_horizontal_volume_from_reeb_contraction(model):
 
 
 def test_unique_survivor():
-    model, report = calibrate_model(with_report=True)
-    assert len(report["accepted"]) == 1
-    assert report["accepted"][0] == model.label
-    assert len(report["candidates"]) == 24
+    model = calibrate_model()
+    rows = _check_candidates([_candidate_model(*c) for c in _CONVENTIONS])
+    accepted = [row["label"] for row in rows if row["accepted"]]
+    assert accepted == [model.label]
+    assert len(rows) == 24
 
 
 def test_calibrated_signature(model):
@@ -378,9 +381,12 @@ def test_transverse_metric_is_half_identity(model):
 
 
 def test_complex_coframe_eigenvectors(model):
-    for dz in model.complex_coframe():
-        image = model.phi_pullback(dz)
-        assert (image - dz * 1j).norm() <= 1e-12
+    # dz^j = e^{2j-1} - i e^{2j} is a +i eigenvector of the pullback
+    # a -> a o Phi, whose matrix on 1-forms is phi transposed
+    for j in (1, 2, 3):
+        dz = KForm.basis(2 * j - 1) - 1j * KForm.basis(2 * j)
+        image = model.phi.T @ dz.vector
+        assert np.max(np.abs(image - 1j * dz.vector)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from artifact.flat_model import (
 )
 from artifact.form_decomposition import (
     bidegree_split,
-    characterize,
     complex_components,
     eigenspace_projectors,
     from_complex_components,
@@ -171,25 +170,11 @@ def test_project_batch_route_agrees(model):
 
 def test_project_contact_form_is_pure(model):
     split = project(model.omega, model)
-    norms = split.norms()
+    norms = {label: part.norm() for label, part in split.as_dict().items()}
     assert norms["1"] == pytest.approx(model.omega.norm())
     assert norms["8"] <= 1e-12
     assert norms["6"] <= 1e-12
     assert norms["vertical"] <= 1e-12
-
-
-def test_characterize_labels(model):
-    families = standard_two_form_families()
-    assert characterize(families["w"][0], model)["label"] == "IN_8"
-    assert characterize(families["v"][3], model)["label"] == "IN_6"
-    assert characterize(model.omega, model)["label"] == "IN_1"
-    mixed = families["w"][0] + families["v"][0]
-    assert characterize(mixed, model)["label"] == "MIXED"
-    vertical = wedge(model.eta, KForm.basis(2))
-    report = characterize(vertical, model)
-    assert report["label"] == "MIXED"
-    assert "vertical" in report["note"]
-    assert characterize(KForm.zero(2), model)["label"] == "MIXED"
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +188,7 @@ def test_complex_roundtrip_all_degrees(model):
         dim = len(basis_keys(degree))
         vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         form = KForm.from_vector(degree, vec)
-        table = complex_components(form, model)
+        table = complex_components(form)
         back = from_complex_components(table, degree)
         assert (back - form).norm() <= 1e-14 * max(form.norm(), 1.0)
 

@@ -3,7 +3,7 @@
 Two oracles stand beside the dense kernel of ``flat_model`` and the dense
 algebra-valued forms of ``gauge_fields``:
 
-* the determinant route ``KForm.evaluate``, which never touches the wedge
+* the determinant route :func:`evaluate`, which never touches the wedge
   tables: a wedge product evaluated on tangent vectors must equal the
   signed shuffle sum of its factors' values, and every sign in the wedge
   tables must equal the determinant of the permutation it stands for;
@@ -22,11 +22,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from artifact.flat_model import (
+    _CONVENTIONS,
     _WEDGE,
     PLANES,
     REEB_INDEX,
     ContactModel,
     KForm,
+    _candidate_model,
+    _check_candidates,
     basis_keys,
     calibrate_model,
     contract_reeb,
@@ -41,6 +44,7 @@ from artifact.form_decomposition import (
     _TO_COMPLEX,
     _TO_REAL,
     complex_components,
+    eigenspace_projectors,
     from_complex_components,
 )
 from artifact.gauge_fields import (
@@ -269,10 +273,11 @@ CONVENTIONS = list(itertools.product(
 # ---------------------------------------------------------------------------
 
 def test_calibration_rows_match_dict_route():
-    _, report = calibrate_model(with_report=True)
+    rows = _check_candidates([_candidate_model(*c) for c in _CONVENTIONS])
     expected = [dict_check_candidate(*c) for c in CONVENTIONS]
-    assert report["candidates"] == expected
-    assert report["accepted"] == ["sigma=1,kappa=-1.0,s=-1"]
+    assert rows == expected
+    accepted = [row["label"] for row in rows if row["accepted"]]
+    assert accepted == ["sigma=1,kappa=-1.0,s=-1"] == [calibrate_model().label]
 
 
 @pytest.mark.parametrize("sigma,kappa", sorted({c[:2] for c in CONVENTIONS}))
@@ -290,6 +295,20 @@ def test_mixing_matrix_matches_dict_route(sigma, kappa):
 # Wedge product
 # ---------------------------------------------------------------------------
 
+def evaluate(form: KForm, *vectors) -> complex:
+    """Value of a form on ``degree`` tangent vectors (length-7 arrays):
+    coefficient times determinant minor, summed over the monomials."""
+    assert len(vectors) == form.degree
+    mats = [np.asarray(v, dtype=complex) for v in vectors]
+    total = 0j
+    for key, value in form.terms():
+        minor = np.array(
+            [[vec[idx - 1] for vec in mats] for idx in key], dtype=complex
+        ).reshape(form.degree, form.degree)
+        total += value * np.linalg.det(minor)
+    return total
+
+
 def _shuffle_value(a: KForm, b: KForm, vectors) -> complex:
     """Sum over (p, q)-shuffles of sign * a(first p) * b(last q)."""
     p = a.degree
@@ -299,8 +318,8 @@ def _shuffle_value(a: KForm, b: KForm, vectors) -> complex:
         _, sign = sort_key_sign(first + rest)
         total += (
             sign
-            * a.evaluate(*(vectors[i] for i in first))
-            * b.evaluate(*(vectors[i] for i in rest))
+            * evaluate(a, *(vectors[i] for i in first))
+            * evaluate(b, *(vectors[i] for i in rest))
         )
     return total
 
@@ -313,7 +332,7 @@ def test_wedge_matches_determinant_route(pq, seed, sparse):
     b = _random_form(seed + 1, q, sparse)
     rng = np.random.default_rng(seed + 2)
     vectors = list(rng.uniform(-2.0, 2.0, size=(p + q, 7)))
-    lhs = wedge(a, b).evaluate(*vectors)
+    lhs = evaluate(wedge(a, b), *vectors)
     rhs = _shuffle_value(a, b, vectors)
     scale = 1.0 + 35.0 * a.norm() * b.norm() * np.prod(
         [np.linalg.norm(v) for v in vectors]
@@ -433,7 +452,7 @@ def test_wedge_table_signs_match_determinant_route(pq):
         first, second = basis_keys(p)[a], basis_keys(q)[b]
         assert not set(first) & set(second)
         monomial = KForm.basis(*basis_keys(p + q)[t])
-        value = monomial.evaluate(*(units[i - 1] for i in first + second))
+        value = evaluate(monomial, *(units[i - 1] for i in first + second))
         assert value == s
         assert sort_key_sign(first + second)[1] == s
 
@@ -682,5 +701,10 @@ def test_two_form_pairings_match_dict_route(name, seed, sparse):
     gram = np.array([[np.vdot(v.vector, w.vector) for v in family]
                      for w in family])
     expected = np.linalg.solve(gram, pairings)
-    got = w_coefficients_from_gform(F, require_in_span=False)
+    # the w family spans the +1 block, orthogonal to the other blocks, so
+    # the block part of F has the same pairings and lies in the span
+    plus_one = eigenspace_projectors(model)["8"] @ F.matrix
+    got = w_coefficients_from_gform(
+        GValuedForm.from_matrix(F.algebra, 2, plus_one)
+    )
     assert np.allclose(got, expected, rtol=0, atol=1e-11 * _scale(F))

@@ -5,7 +5,6 @@ import pytest
 
 from artifact.lie_algebra import (
     BRACKET_NORM_BOUND,
-    LieElement,
     ad_matrix,
     algebra_from_basis,
     bracket_norm_check,
@@ -322,16 +321,3 @@ def test_rejects_non_closed_basis():
 def test_rejects_unknown_inner():
     with pytest.raises(ValueError):
         make_so(3, inner="exotic")
-
-
-def test_element_wrapper(so3):
-    rng = np.random.default_rng(7)
-    u = LieElement(so3, rng.standard_normal(3))
-    v = LieElement(so3, rng.standard_normal(3))
-    w = u.bracket(v)
-    assert np.max(
-        np.abs(w.vector - bracket_vec(so3, u.vector, v.vector))
-    ) <= 1e-12
-    other = LieElement(make_su(2), rng.standard_normal(3))
-    with pytest.raises(ValueError):
-        u.bracket(other)

@@ -4,8 +4,9 @@ The suites of ``artifact.selftest.SUITES`` draw their samples as one
 stack and run both routes of each check as array operations over the
 sample axis.  The loop suites below are the labelled oracles: each is
 the suite as it was before the batching, one sample and one Python-level
-call at a time, through the per-sample public functions (``g_wedge_bracket_entry_path``,
-``quad_form_F``, the symbol tables of ``complex_components``, ...).
+call at a time, through the per-sample functions (the entry-form bracket
+of ``oracle_routes``, ``quad_form_F``, the symbol tables of
+``complex_components``, ...).
 ``oracle_bracket_norm_check`` is the loop form of
 ``lie_algebra.bracket_norm_check``.
 
@@ -32,7 +33,6 @@ from artifact.gauge_fields import (
     f_components_from_gform,
     g_norm,
     g_wedge_bracket,
-    g_wedge_bracket_entry_path,
     gform_complex_components,
     gform_from_complex_components,
     gform_from_w_coefficients,
@@ -67,6 +67,7 @@ from artifact.ym_stability import (
     curvature_grid_norms,
     curvature_quad_paths,
 )
+from oracle_routes import g_wedge_bracket_entry_path
 
 MODEL = calibrate_model()
 
@@ -115,7 +116,7 @@ def oracle_bidegree_roundtrip(model, seed, samples, tol) -> dict:
     worst = 0.0
     for _ in range(min(samples, 200)):
         form = KForm.from_vector(2, rng.standard_normal(21))
-        table = complex_components(form, model)
+        table = complex_components(form)
         back = from_complex_components(table, 2)
         worst = max(
             worst,
@@ -214,7 +215,7 @@ def oracle_curvature_operator(model, seed, samples, tol) -> dict:
                 float(
                     np.max(
                         np.abs(
-                            via_matrix.stacked() - via_entries.stacked()
+                            via_matrix.phi - via_entries.phi
                         )
                     )
                 ),

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from artifact import stiefel_example
-from artifact.flat_model import calibrate_model
+from artifact.flat_model import calibrate_model, standard_two_form_families
 from artifact.gauge_fields import (
     f_components_from_gform,
     g_norm,
@@ -20,7 +20,6 @@ from artifact.gauge_fields import (
     instanton_classify,
     omega_component,
     two_zero_from_v_coefficients,
-    gform_from_two_zero,
 )
 from artifact.lie_algebra import norm_vec
 from artifact.weitzenbock_engine import quad_form_F
@@ -126,7 +125,7 @@ class TestStructure:
 
 class TestCurvature:
     def test_coefficient_is_inverse_second_scale(self, spec, model):
-        F = alpha_curvature(spec, model)
+        F = alpha_curvature(spec)
         # the coefficient 1/y2 = 8/3 sits on the key (1, 3) of the first
         # self-dual generator, carried by the first fiber direction
         vec = F.vector_at(1, 3)
@@ -138,11 +137,11 @@ class TestCurvature:
         # unit fiber vectors of squared norm 6
         for y2, expected in ((3.0 / 8.0, 16.0), (1.0, 6.0), (2.0, 3.0)):
             spec = build_stiefel(1.0, y2, 1.0)
-            F = alpha_curvature(spec, model)
+            F = alpha_curvature(spec)
             assert g_norm(F) == pytest.approx(expected)
 
     def test_component_frobenius(self, spec, model):
-        F = alpha_curvature(spec, model)
+        F = alpha_curvature(spec)
         fc = f_components_from_gform(F, model)
         from artifact.gauge_fields import f_component_norm_matrix
 
@@ -151,11 +150,11 @@ class TestCurvature:
         ) == pytest.approx(8.0)
 
     def test_classifies_self_dual(self, spec, model):
-        F = alpha_curvature(spec, model)
+        F = alpha_curvature(spec)
         assert instanton_classify(F, model)["label"] == "SD"
 
     def test_no_contact_component(self, spec, model):
-        F = alpha_curvature(spec, model)
+        F = alpha_curvature(spec)
         assert np.max(np.abs(omega_component(F, model))) <= 1e-15
 
 
@@ -234,7 +233,7 @@ class TestIndefiniteness:
 
 def _oracle_quads(spec, model, seed, samples):
     """Per-sample draws and quadratic forms, one section at a time."""
-    F = alpha_curvature(spec, model)
+    F = alpha_curvature(spec)
     gauge = F.algebra
     fc = f_components_from_gform(F, model)
     rng = np.random.default_rng(seed)
@@ -322,19 +321,16 @@ class TestBatchedSearchOracle:
 
 class TestPerturbations:
     def test_anti_self_dual_admixture_breaks_the_label(self, spec, model):
-        F = alpha_curvature(spec, model)
+        F = alpha_curvature(spec)
         gauge = F.algebra
         rows = np.zeros((6, 3))
         rows[0, 0] = 0.1
-        bad = F + gform_from_two_zero(
-            two_zero_from_v_coefficients(gauge, rows),
-            model,
-            with_conjugate=True,
-        )
+        v_family = standard_two_form_families()["v"]
+        bad = F + gform_from_terms(gauge, 2, list(zip(v_family, rows)))
         assert instanton_classify(bad, model)["label"] == "NONE"
 
     def test_contact_admixture_shows_in_pairing(self, spec, model):
-        F = alpha_curvature(spec, model)
+        F = alpha_curvature(spec)
         gauge = F.algebra
         u = np.array([0.0, 1.0, 0.0])
         for eps in (1e-3, 1e-2, 1e-1):

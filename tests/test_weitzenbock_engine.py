@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from artifact.flat_model import calibrate_model
+from artifact.flat_model import calibrate_model, standard_two_form_families
 from artifact.gauge_fields import (
     GValuedForm,
     f_components_from_w,
     g_norm,
-    gform_from_two_zero,
+    gform_from_terms,
     gform_from_w_coefficients,
     two_zero_from_v_coefficients,
 )
@@ -81,10 +81,11 @@ def ricci_quad_trace(ricci: TransverseRicci, section) -> float:
 
     Evaluates ``sum_{alpha, mu} R~_{alpha mu} b_{alpha mu}`` with
     ``b_{alpha mu} = sum_nu <phi_{alpha nu}, phi_{mu nu}>``, which agrees
-    with the operator quadratic form in the pair-sum convention.
+    with the operator quadratic form in the pair-sum convention; the
+    raised tensor ``R~`` is ``ricci.matrix``.
     """
     algebra = section.algebra
-    raised = ricci.raised()
+    raised = ricci.matrix
     total = 0j
     for alpha in range(1, 4):
         for mu in range(1, 4):
@@ -109,17 +110,10 @@ class TestTransverseRicci:
     def test_einstein_constructor(self):
         ric = TransverseRicci.einstein(8.0)
         assert np.array_equal(ric.matrix, 8.0 * np.eye(3))
-        assert np.array_equal(ric.raised(), 8.0 * np.eye(3))
-
-    def test_metric_scale_raises_index(self):
-        ric = TransverseRicci.einstein(8.0, metric_scale=2.0)
-        assert np.array_equal(ric.matrix, 16.0 * np.eye(3))
-        assert np.array_equal(ric.raised(), 8.0 * np.eye(3))
 
     def test_from_diagonal(self):
         ric = TransverseRicci.from_diagonal([1.0, 2.0, 3.0])
-        assert ric.entry(2, 2) == 2.0
-        assert ric.entry(1, 3) == 0.0
+        assert np.array_equal(ric.matrix, np.diag([1.0, 2.0, 3.0]))
 
     def test_shape_enforced(self):
         with pytest.raises(ValueError):
@@ -131,10 +125,6 @@ class TestTransverseRicci:
             TransverseRicci(matrix=bad)
         good = np.array([[1.0, 1.0j], [-1.0j, 1.0]])
         TransverseRicci(matrix=np.pad(good, ((0, 1), (0, 1))) + np.diag([0, 0, 1.0]))
-
-    def test_positive_metric_scale(self):
-        with pytest.raises(ValueError):
-            TransverseRicci(matrix=np.eye(3), metric_scale=0.0)
 
     def test_matrix_read_only(self):
         ric = TransverseRicci.einstein(8.0)
@@ -152,7 +142,7 @@ class TestStacking:
         rng = np.random.default_rng(1)
         section = random_section(su2, rng)
         back = section_from_stack(su2, stack_section(section))
-        assert np.allclose(back.stacked(), section.stacked())
+        assert np.allclose(back.phi, section.phi)
 
     def test_length_enforced(self, su2):
         with pytest.raises(ValueError):
@@ -207,8 +197,8 @@ class TestCurvatureOperator:
             fc, _ = random_components(algebra, rng)
             endo = build_F_operator_from_components(fc)
             section = random_section(algebra, rng)
-            left = endo.apply(section).stacked()
-            right = apply_F_xi_path(fc, section).stacked()
+            left = endo.apply(section).phi
+            right = apply_F_xi_path(fc, section).phi
             scale = max(float(np.max(np.abs(left))), 1.0)
             assert np.max(np.abs(left - right)) <= 1e-12 * scale
 
@@ -294,8 +284,8 @@ class TestCurvatureOperator:
     def test_build_from_form_requires_instanton(self, su2, model):
         rng = np.random.default_rng(15)
         b = rng.standard_normal((6, 3))
-        section = two_zero_from_v_coefficients(su2, b)
-        F = gform_from_two_zero(section, model, with_conjugate=True)
+        v_family = standard_two_form_families()["v"]
+        F = gform_from_terms(su2, 2, list(zip(v_family, b)))
         with pytest.raises(ValueError):
             build_F_operator(F, model)
 
@@ -318,12 +308,6 @@ class TestCurvatureOperator:
 class TestRicciOperator:
     def test_einstein_gives_exact_multiple_of_identity(self, su2):
         endo = build_R_operator(TransverseRicci.einstein(8.0), su2)
-        assert np.array_equal(endo.matrix, 16.0 * np.eye(9))
-
-    def test_metric_scale_cancels(self, su2):
-        endo = build_R_operator(
-            TransverseRicci.einstein(8.0, metric_scale=2.0), su2
-        )
         assert np.array_equal(endo.matrix, 16.0 * np.eye(9))
 
     def test_diagonal_oracle(self, su2):
@@ -570,8 +554,8 @@ class TestVanishingReport:
     def test_non_instanton_input_rejected(self, su2, model):
         rng = np.random.default_rng(53)
         b = rng.standard_normal((6, 3))
-        section = two_zero_from_v_coefficients(su2, b)
-        F = gform_from_two_zero(section, model, with_conjugate=True)
+        v_family = standard_two_form_families()["v"]
+        F = gform_from_terms(su2, 2, list(zip(v_family, b)))
         with pytest.raises(ValueError):
             vanishing_report(F, TransverseRicci.einstein(8.0), model)
 

@@ -9,14 +9,12 @@ wedge products.
 import numpy as np
 import pytest
 
-from artifact.flat_model import calibrate_model
+from artifact.flat_model import calibrate_model, standard_two_form_families
 from artifact.gauge_fields import (
     GValuedForm,
     g_norm,
     gform_from_terms,
-    gform_from_two_zero,
     gform_from_w_coefficients,
-    two_zero_from_v_coefficients,
 )
 from artifact.lie_algebra import (
     BRACKET_NORM_BOUND,
@@ -141,8 +139,8 @@ class TestRicciTensor7:
 
     def test_from_diagonal_and_entry(self):
         ric = RicciTensor7.from_diagonal([1, 2, 3, 4, 5, 6, 7])
-        assert ric.entry(3, 3) == 3.0
-        assert ric.entry(1, 2) == 0.0
+        assert ric.matrix[2, 2] == 3.0
+        assert ric.matrix[0, 1] == 0.0
         assert ric.min_eigenvalue() == pytest.approx(1.0)
 
     def test_symmetry_enforced(self):
@@ -334,7 +332,7 @@ class TestSecondVariation:
             np.real((out["matrix"] @ stacked) @ weight @ np.conj(stacked))
         )
         ricci_part = sum(
-            ric.entry(i, i)
+            ric.matrix[i - 1, i - 1]
             * inner_vec(
                 su2, section.vectors[i - 1], section.vectors[i - 1]
             ).real
@@ -366,8 +364,8 @@ class TestTorsion:
     def test_anti_self_dual_also_vanishes(self, su2, model):
         rng = np.random.default_rng(41)
         b = rng.standard_normal((6, 3))
-        section = two_zero_from_v_coefficients(su2, b)
-        F = gform_from_two_zero(section, model, with_conjugate=True)
+        v_family = standard_two_form_families()["v"]
+        F = gform_from_terms(su2, 2, list(zip(v_family, b)))
         out = torsion_residuals(F, model)
         assert out["six_form_residual"] <= 1e-12 * g_norm(F)
         assert out["seven_form_residual"] <= 1e-12 * g_norm(F)
