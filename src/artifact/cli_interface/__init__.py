@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -176,7 +177,14 @@ def _resolve(explicit, flag: str, default, cast):
         ) from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    Sharing is safe: parsing does not change the parser, and no default
+    reads the environment (:func:`config_from_args` resolves the
+    ``ARTIFACT_*`` fallbacks on every call).
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", help="input JSON file")
     common.add_argument("--output", help="write the report here")

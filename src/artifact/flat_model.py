@@ -24,6 +24,7 @@ permutation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -654,8 +655,13 @@ def _check_candidates(models: list) -> list:
     return rows
 
 
+@functools.cache
 def calibrate_model() -> ContactModel:
     """Search the convention space and return the unique calibrated model.
+
+    The search runs once per process; every later call returns the same
+    model, which is frozen with read-only arrays and so is shared safely.
+    ``calibrate_model.__wrapped__()`` runs a fresh search.
 
     Candidates range over orientation sign (+1/-1), the scale of ``deta``
     on each plane (+-2, +-1, +-1/2) and the rotation sign of ``phi``.  A

@@ -143,9 +143,6 @@ class TwoFormSplit:
             "vertical": self.part_vertical,
         }
 
-    def reassemble(self) -> KForm:
-        return self.part_8 + self.part_6 + self.part_1 + self.part_vertical
-
 
 def project(a: KForm, model: ContactModel) -> TwoFormSplit:
     """Spectral projection of a 2-form onto the four blocks."""
@@ -297,27 +294,6 @@ class BidegreeSplit:
     degree: int
     parts: dict
     eta_parts: dict
-
-    def horizontal(self) -> KForm:
-        total = KForm.zero(self.degree)
-        for part in self.parts.values():
-            total = total + part
-        return total
-
-    def eta_remainder(self) -> KForm:
-        total = KForm.zero(self.degree - 1) if self.degree else KForm.zero(0)
-        for part in self.eta_parts.values():
-            total = total + part
-        return total
-
-    def reassemble(self, model: ContactModel) -> KForm:
-        total = self.horizontal()
-        if self.eta_parts:
-            total = total + wedge(model.eta, self.eta_remainder())
-        return total
-
-    def part(self, p: int, q: int) -> KForm:
-        return self.parts.get((p, q), KForm.zero(self.degree)).copy()
 
 
 def bidegree_split(a: KForm, model: ContactModel) -> BidegreeSplit:

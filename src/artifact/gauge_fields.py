@@ -145,13 +145,6 @@ class GValuedForm:
         if sign:
             self.matrix[position] += sign * vec
 
-    def vector_at(self, *key) -> np.ndarray:
-        """Coefficient vector at a key, with the permutation sign."""
-        position, sign = _locate(self.degree, key)
-        if not sign:
-            return np.zeros(self.algebra.dim, dtype=complex)
-        return sign * self.matrix[position]
-
     def copy(self) -> "GValuedForm":
         return self._wrap(self.algebra, self.degree, self.matrix.copy())
 
@@ -463,7 +456,7 @@ def _complex_rows(F: GValuedForm) -> np.ndarray:
     return _change_basis(_TO_COMPLEX[F.degree], F.matrix)
 
 
-def gform_complex_components(F: GValuedForm, model: ContactModel) -> dict:
+def gform_complex_components(F: GValuedForm) -> dict:
     """Complex symbol components of an algebra-valued form.
 
     Returns a dict mapping canonical symbol tuples to coefficient

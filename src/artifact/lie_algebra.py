@@ -7,6 +7,12 @@ complexified algebra appear throughout the curvature computations); the
 inner product extends sesquilinearly through coefficient conjugation,
 never through entrywise matrix conjugation.
 
+The named algebras of :func:`make_so`, :func:`make_su` and
+:func:`make_abelian` are built and checked once per process and then
+shared (the eight most recently used of each constructor); their
+arrays are read-only.  An algebra from an explicit basis
+(:func:`algebra_from_basis`) is built anew on every call.
+
 Two bracket routes are kept deliberately separate: the structure-constant
 contraction and the matrix commutator pulled back through the basis.
 Agreement of the two is part of the package self-checks.
@@ -20,6 +26,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +55,11 @@ BRACKET_NORM_BOUND = float(np.sqrt(2.0))
 
 _CLOSURE_TOLERANCE = 1e-10
 _INVARIANCE_TOLERANCE = 1e-10
+# matrix entries per block of the stacked commutators in algebra_from_basis
+_PAIR_BLOCK_ENTRIES = 1 << 20
+# named algebras kept per constructor: abelian(64) alone holds about 10 MB,
+# so a process that builds many sizes keeps only the most recent ones
+_NAMED_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,27 +126,30 @@ def algebra_from_basis(
         raise ValueError("basis matrices are linearly dependent")
 
     structure = np.zeros((d, d, d))
-    for i in range(d):
-        for j in range(i + 1, d):
-            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            coeff = pinv @ comm.reshape(-1)
-            resid = float(
-                np.linalg.norm(
-                    np.einsum("k,kab->ab", coeff, mats) - comm
-                )
-            )
-            scale = max(float(np.linalg.norm(comm)), 1.0)
-            if resid > _CLOSURE_TOLERANCE * scale:
+    pairs = np.transpose(np.triu_indices(d, 1))
+    # all pairs i < j at once, in blocks that bound the commutator stack
+    step = max(1, _PAIR_BLOCK_ENTRIES // flat.shape[1])
+    for start in range(0, len(pairs), step):
+        i, j = pairs[start:start + step].T
+        comm = (mats[i] @ mats[j] - mats[j] @ mats[i]).reshape(len(i), -1)
+        coeff = comm @ pinv.T
+        resid = np.linalg.norm(coeff @ flat - comm, axis=1)
+        scale = np.maximum(np.linalg.norm(comm, axis=1), 1.0)
+        not_closed = resid > _CLOSURE_TOLERANCE * scale
+        not_real = np.max(np.abs(coeff.imag), axis=1) > _CLOSURE_TOLERANCE
+        failed = np.flatnonzero(not_closed | not_real)
+        if failed.size:
+            p = failed[0]
+            if not_closed[p]:
                 raise ValueError(
                     f"basis is not closed under commutators "
-                    f"(pair {i},{j}, residual {resid})"
+                    f"(pair {i[p]},{j[p]}, residual {float(resid[p])})"
                 )
-            if float(np.max(np.abs(coeff.imag))) > _CLOSURE_TOLERANCE:
-                raise ValueError(
-                    f"structure constants are not real (pair {i},{j})"
-                )
-            structure[i, j] = coeff.real
-            structure[j, i] = -coeff.real
+            raise ValueError(
+                f"structure constants are not real (pair {i[p]},{j[p]})"
+            )
+        structure[i, j] = coeff.real
+        structure[j, i] = -coeff.real
 
     mode = inner
     if inner == "killing":
@@ -173,6 +188,7 @@ def algebra_from_basis(
     return spec
 
 
+@functools.lru_cache(maxsize=_NAMED_CACHE_SIZE)
 def make_so(n: int, inner: str = "killing") -> LieAlgebraSpec:
     """Real antisymmetric n x n matrices, basis E_ij - E_ji for i < j.
 
@@ -194,6 +210,7 @@ def make_so(n: int, inner: str = "killing") -> LieAlgebraSpec:
     return algebra_from_basis(f"so({n})", np.array(mats), inner=inner)
 
 
+@functools.lru_cache(maxsize=_NAMED_CACHE_SIZE)
 def make_su(n: int, inner: str = "killing") -> LieAlgebraSpec:
     """Traceless anti-Hermitian n x n matrices.
 
@@ -224,6 +241,7 @@ def make_su(n: int, inner: str = "killing") -> LieAlgebraSpec:
     return algebra_from_basis(f"su({n})", np.array(mats), inner=inner)
 
 
+@functools.lru_cache(maxsize=_NAMED_CACHE_SIZE)
 def make_abelian(d: int) -> LieAlgebraSpec:
     """Abelian algebra of d imaginary diagonal matrices."""
     if d < 1:

@@ -245,7 +245,7 @@ def _suite_gauge_roundtrips(model, seed, samples, tol) -> dict:
     F = gform_from_w_coefficients(algebra, rows)
     worst_w = _worst(w_coefficients_from_gform(F) - rows)
 
-    table = gform_complex_components(F, model)
+    table = gform_complex_components(F)
     rebuilt = gform_from_complex_components(algebra, table, 2)
     worst_complex = _worst(F.matrix - rebuilt.matrix)
 

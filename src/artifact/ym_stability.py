@@ -124,32 +124,17 @@ class OneFormSection:
     def zero(cls, algebra: LieAlgebraSpec) -> "OneFormSection":
         return cls(algebra, np.zeros((FORM_INDEX_COUNT, algebra.dim)))
 
-    @classmethod
-    def from_stack(cls, algebra: LieAlgebraSpec, stacked) -> "OneFormSection":
-        arr = _require_real(stacked, "stacked coefficients").reshape(
-            FORM_INDEX_COUNT, algebra.dim
-        )
-        return cls(algebra, arr)
-
     def component(self, index: int) -> np.ndarray:
         """Coefficient vector on ``e^index`` for ``index`` in 1..7."""
         if not 1 <= index <= FORM_INDEX_COUNT:
             raise ValueError("index must lie in 1..7")
         return self.vectors[index - 1].copy()
 
-    def stacked(self) -> np.ndarray:
-        return self.vectors.reshape(-1).copy()
-
     def norm(self) -> float:
         total = 0.0
         for row in self.vectors:
             total += inner_vec(self.algebra, row, row).real
         return float(np.sqrt(max(total, 0.0)))
-
-    def component_norms(self) -> np.ndarray:
-        return np.array(
-            [norm_vec(self.algebra, row) for row in self.vectors]
-        )
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,16 @@ from artifact.gauge_fields import GValuedForm
 from artifact.lie_algebra import coeffs_of, matrix_of
 
 
+def vector_at(F, *key):
+    """Oracle read-out of the coefficient vector of ``F`` at a key in any
+    order, with the permutation sign: ``KForm.coefficient`` of each
+    algebra component, apart from the row tables behind ``F.matrix``."""
+    return np.array([
+        KForm.from_vector(F.degree, column).coefficient(*key)
+        for column in F.matrix.T
+    ])
+
+
 def g_wedge_bracket_entry_path(phi, psi):
     """Oracle route for ``g_wedge_bracket`` through the scalar entry forms
     ``phi^i_j`` of both forms in the defining representation: entry (i, j)

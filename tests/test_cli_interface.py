@@ -209,8 +209,7 @@ class TestInputParsing:
                 },
             }
         )
-        # each parse builds its own algebra object, so compare the raw
-        # coefficient matrices instead of subtracting forms
+        # compare the raw coefficient matrices of the three parses
         reference = via_w.to_matrix()
         assert np.max(np.abs(via_real.to_matrix() - reference)) <= 1e-14
         assert np.max(np.abs(via_complex.to_matrix() - reference)) <= 1e-14
@@ -559,6 +558,41 @@ def test_module_entry_point_runs_without_runpy_warning():
 
 
 class TestDeterminism:
+    def test_parser_is_shared_and_environment_read_per_job(
+        self, monkeypatch
+    ):
+        import artifact.cli_interface as cli
+
+        seeds = []
+
+        def record(cfg):
+            seeds.append(cfg.seed)
+            return 0
+
+        monkeypatch.setattr(cli, "run", record)
+        assert build_parser() is build_parser()
+        assert main(["calibrate", "--seed", "3"]) == 0
+        monkeypatch.setenv("ARTIFACT_SEED", "9")
+        assert main(["calibrate"]) == 0
+        assert seeds == [3, 9]
+
+    def test_interleaved_jobs_repeat_byte_for_byte(self, tmp_path, capsys):
+        first = write_json(tmp_path, "sd.json", SD_PAYLOAD)
+        so5_rows = np.eye(10)[:2].tolist()
+        other = write_json(tmp_path, "so5.json", {
+            "algebra": "so5",
+            "basis": "w",
+            "components": {"w1": so5_rows[0], "w3": so5_rows[1]},
+        })
+        outcomes = []
+        for command, path in (
+            ("classify", first), ("spectrum", other), ("classify", first)
+        ):
+            code = main([command, "--input", path])
+            outcomes.append((code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[2]
+        assert outcomes[0][0] == 0 and outcomes[1][0] in (0, 1)
+
     def test_selftest_byte_identical(self, tmp_path):
         first = tmp_path / "one.json"
         second = tmp_path / "two.json"

@@ -336,6 +336,17 @@ def test_calibrated_model_is_read_only(model):
     assert model.signature() == (1, -1.0, -1)
 
 
+def test_calibration_runs_once_and_matches_a_fresh_search():
+    shared = calibrate_model()
+    assert calibrate_model() is shared
+    fresh = calibrate_model.__wrapped__()
+    assert fresh is not shared
+    assert fresh.label == shared.label
+    assert fresh.orientation_sign == shared.orientation_sign
+    assert np.array_equal(fresh.deta.vector, shared.deta.vector)
+    assert np.array_equal(fresh.phi, shared.phi)
+
+
 def test_model_keeps_its_own_arrays():
     phi = np.zeros((7, 7))
     deta = KForm.basis(1, 2)

@@ -673,9 +673,8 @@ def test_inner_and_complex_components_match_dict_route(name, degree, seed,
     assert abs(g_inner(a, b) - expected) <= 1e-12 * _scale(a, b) * np.max(
         np.abs(algebra.gram)
     )
-    model = calibrate_model()
     table = dict_gform_complex_components(as_dict(a))
-    got = gform_complex_components(a, model)
+    got = gform_complex_components(a)
     assert set(got) <= set(table)
     for sym, vec in table.items():
         assert np.allclose(got.get(sym, 0.0), vec, rtol=0,

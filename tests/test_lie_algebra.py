@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from artifact import lie_algebra
 from artifact.lie_algebra import (
     BRACKET_NORM_BOUND,
     ad_matrix,
@@ -294,6 +295,38 @@ def test_subalgebra_bracket_matches_parent(so5):
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_so(3),
+        lambda: make_so(5),
+        lambda: make_su(2),
+        lambda: make_su(2, inner="trace"),
+        lambda: make_abelian(2),
+    ],
+    ids=["so3", "so5", "su2", "su2_trace", "abelian2"],
+)
+def test_named_algebras_are_built_once_and_read_only(build):
+    spec = build()
+    assert build() is spec
+    for array in (spec.basis, spec.structure, spec.gram, spec.coeff_pinv):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_named_algebra_cache_is_bounded():
+    for d in range(1, 2 * lie_algebra._NAMED_CACHE_SIZE + 1):
+        make_abelian(d)
+    assert make_abelian.cache_info().currsize == lie_algebra._NAMED_CACHE_SIZE
+
+
+def test_custom_algebras_are_never_shared():
+    basis = make_su(2).basis
+    first = algebra_from_basis("custom", basis)
+    assert algebra_from_basis("custom", basis) is not first
+    assert np.array_equal(first.structure, make_su(2).structure)
+
+
 # ---------------------------------------------------------------------------
 # Construction errors
 # ---------------------------------------------------------------------------
@@ -316,6 +349,43 @@ def test_rejects_non_closed_basis():
     mats[1, 2, 0] = -1.0
     with pytest.raises(ValueError):
         algebra_from_basis("open", mats)
+
+
+def _open_at_pair_0_2():
+    """Two commuting diagonal generators and a rotation that mixes
+    coordinates 0 and 1: pair (0, 1) closes, (0, 2) and (1, 2) do not."""
+    mats = np.zeros((3, 4, 4), dtype=complex)
+    mats[0, 0, 0] = 1j
+    mats[1, 1, 1] = 1j
+    mats[2, 0, 1] = 1.0
+    mats[2, 1, 0] = -1.0
+    return mats
+
+
+def test_closure_error_names_first_failing_pair():
+    with pytest.raises(ValueError, match=r"closed .*\(pair 0,2, residual"):
+        algebra_from_basis("open", _open_at_pair_0_2())
+
+
+def test_reality_error_names_first_failing_pair():
+    # i diag(1, -1) brackets the two real generators into i times each
+    # other: closed, with imaginary structure constants
+    mats = np.zeros((3, 2, 2), dtype=complex)
+    mats[0] = np.diag([1j, -1j])
+    mats[1, 0, 1] = mats[1, 1, 0] = 1.0
+    mats[2, 0, 1], mats[2, 1, 0] = 1.0, -1.0
+    with pytest.raises(ValueError, match=r"not real \(pair 0,1\)"):
+        algebra_from_basis("complex", mats)
+
+
+def test_pair_blocks_do_not_change_the_result(monkeypatch, so5):
+    # one pair per block of the stacked commutators
+    monkeypatch.setattr(lie_algebra, "_PAIR_BLOCK_ENTRIES", 1)
+    rebuilt = algebra_from_basis("so(5)", so5.basis)
+    assert np.array_equal(rebuilt.structure, so5.structure)
+    assert np.array_equal(rebuilt.gram, so5.gram)
+    with pytest.raises(ValueError, match=r"\(pair 0,2, residual"):
+        algebra_from_basis("open", _open_at_pair_0_2())
 
 
 def test_rejects_unknown_inner():

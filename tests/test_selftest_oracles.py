@@ -170,7 +170,7 @@ def oracle_gauge_roundtrips(model, seed, samples, tol) -> dict:
         back = w_coefficients_from_gform(F)
         worst_w = max(worst_w, float(np.max(np.abs(back - rows))))
 
-        table = gform_complex_components(F, model)
+        table = gform_complex_components(F)
         rebuilt = gform_from_complex_components(algebra, table, 2)
         worst_complex = max(
             worst_complex, float(np.max(np.abs(F.matrix - rebuilt.matrix)))
@@ -354,8 +354,8 @@ def oracle_second_variation(model, seed, samples, tol) -> dict:
     for _ in range(trials):
         a_rows = rng.standard_normal((8, algebra.dim))
         F = gform_from_w_coefficients(algebra, a_rows)
-        section = OneFormSection.from_stack(
-            algebra, rng.standard_normal(7 * algebra.dim)
+        section = OneFormSection(
+            algebra, rng.standard_normal((7, algebra.dim))
         )
         paths = curvature_quad_paths(F, section)
         worst_pair = max(worst_pair, paths["agreement"])

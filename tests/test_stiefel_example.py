@@ -36,6 +36,7 @@ from artifact.stiefel_example import (
     stiefel_report,
     structure_check,
 )
+from oracle_routes import vector_at
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +129,7 @@ class TestCurvature:
         F = alpha_curvature(spec)
         # the coefficient 1/y2 = 8/3 sits on the key (1, 3) of the first
         # self-dual generator, carried by the first fiber direction
-        vec = F.vector_at(1, 3)
+        vec = vector_at(F, 1, 3)
         assert vec[0] == pytest.approx(8.0 / 3.0)
         assert vec[1] == 0.0 and vec[2] == 0.0
 
