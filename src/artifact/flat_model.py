@@ -399,8 +399,8 @@ class ContactModel:
     ``deta`` is the differential of the contact form (a horizontal 2-form);
     ``phi`` is the 7x7 matrix of the endomorphism that rotates each
     horizontal plane and kills the Reeb direction.  The model keeps
-    read-only copies of both arrays, so that caches keyed on
-    :meth:`signature` cannot go stale.
+    read-only copies of both arrays, so that the tables built once per
+    model cannot go stale.
     """
 
     orientation_sign: int
@@ -442,7 +442,7 @@ class ContactModel:
         return int(round(self.phi[1, 0]))
 
     def signature(self) -> tuple:
-        """Hashable tag identifying the convention tuple (used for caches)."""
+        """The convention tuple, as the ``calibrate`` report prints it."""
         return (
             int(self.orientation_sign),
             self.deta_coefficient,

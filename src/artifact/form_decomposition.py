@@ -7,7 +7,7 @@ Two-forms split into four blocks under the symmetric mixing operator
 namely the 8-dimensional +1 eigenspace (the self-dual block), the
 6-dimensional -1 eigenspace, the line spanned by ``deta`` with eigenvalue
 -2, and the 6-dimensional kernel of vertical forms.  :func:`project`
-realizes the split through cached spectral projectors.
+realizes the split through spectral projectors built once per model.
 
 Independently of the eigenvalue picture, any form decomposes by complex
 type with respect to the calibrated coframe ``dz^j = e^{2j-1} - i e^{2j}``
@@ -22,8 +22,10 @@ makes a scaled conjugate transpose.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -69,61 +71,53 @@ def t_eta_apply(a: KForm, model: ContactModel) -> KForm:
     return hodge_star(wedge(model.eta, model.deta, a), model)
 
 
-_MATRIX_CACHE: dict = {}
-_EIGEN_CACHE: dict = {}
-
-
+@functools.cache
 def t_eta_matrix(model: ContactModel) -> np.ndarray:
-    """21x21 symmetric matrix of the mixing operator in the lex basis."""
-    sig = model.signature()
-    cached = _MATRIX_CACHE.get(sig)
-    if cached is None:
-        mat = mixing_matrix(model)
-        asym = float(np.max(np.abs(mat - mat.T)))
-        if asym > 1e-12:
-            raise CalibrationError(
-                f"mixing operator matrix is not symmetric (residual {asym})"
-            )
-        _MATRIX_CACHE[sig] = mat
-        cached = mat
-    return cached.copy()
+    """21x21 symmetric matrix of the mixing operator in the lex basis.
+
+    Built once per model and shared read-only; ``t_eta_matrix.__wrapped__``
+    builds it anew.
+    """
+    mat = mixing_matrix(model)
+    asym = float(np.max(np.abs(mat - mat.T)))
+    if asym > 1e-12:
+        raise CalibrationError(
+            f"mixing operator matrix is not symmetric (residual {asym})"
+        )
+    mat.setflags(write=False)
+    return mat
 
 
-def eigenspace_projectors(model: ContactModel) -> dict:
+@functools.cache
+def eigenspace_projectors(model: ContactModel) -> MappingProxyType:
     """Orthogonal projectors onto the four eigenvalue blocks.
 
     Eigenvalues of the mixing matrix are matched against {+1, -1, -2, 0}
     within 1e-8; anything unmatched aborts, since it would mean the model
-    is not calibrated.
+    is not calibrated.  Built once per model and shared read-only;
+    ``eigenspace_projectors.__wrapped__`` builds them anew.
     """
-    sig = model.signature()
-    cached = _EIGEN_CACHE.get(sig)
-    if cached is None:
-        mat = t_eta_matrix(model)
-        evals, evecs = np.linalg.eigh(mat)
-        nearest, distance = nearest_mixing_eigenvalues(evals)
-        stray = np.flatnonzero(distance > _EIGEN_MATCH_TOLERANCE)
-        if len(stray):
-            raise CalibrationError(
-                f"unexpected mixing eigenvalue {evals[stray[0]]!r}"
-            )
-        blocks, _ = nearest_mixing_eigenvalues(
-            list(EIGENVALUE_BY_BLOCK.values())
+    evals, evecs = np.linalg.eigh(t_eta_matrix(model))
+    nearest, distance = nearest_mixing_eigenvalues(evals)
+    stray = np.flatnonzero(distance > _EIGEN_MATCH_TOLERANCE)
+    if len(stray):
+        raise CalibrationError(
+            f"unexpected mixing eigenvalue {evals[stray[0]]!r}"
         )
-        projectors = {}
-        counts = {}
-        for label, index in zip(EIGENVALUE_BY_BLOCK, blocks):
-            basis = evecs[:, nearest == index]
-            projectors[label] = basis @ basis.T
-            counts[label] = basis.shape[1]
-        expected = {"8": 8, "6": 6, "1": 1, "vertical": 6}
-        if counts != expected:
-            raise CalibrationError(
-                f"unexpected eigenvalue multiplicities {counts}"
-            )
-        _EIGEN_CACHE[sig] = projectors
-        cached = projectors
-    return {label: proj.copy() for label, proj in cached.items()}
+    blocks, _ = nearest_mixing_eigenvalues(list(EIGENVALUE_BY_BLOCK.values()))
+    projectors = {}
+    counts = {}
+    for label, index in zip(EIGENVALUE_BY_BLOCK, blocks):
+        basis = evecs[:, nearest == index]
+        projectors[label] = basis @ basis.T
+        projectors[label].setflags(write=False)
+        counts[label] = basis.shape[1]
+    expected = {"8": 8, "6": 6, "1": 1, "vertical": 6}
+    if counts != expected:
+        raise CalibrationError(
+            f"unexpected eigenvalue multiplicities {counts}"
+        )
+    return MappingProxyType(projectors)
 
 
 @dataclass

@@ -145,9 +145,6 @@ class GValuedForm:
         if sign:
             self.matrix[position] += sign * vec
 
-    def copy(self) -> "GValuedForm":
-        return self._wrap(self.algebra, self.degree, self.matrix.copy())
-
     def __add__(self, other: "GValuedForm") -> "GValuedForm":
         self._check(other)
         matrix = self.matrix + other.matrix
@@ -163,12 +160,6 @@ class GValuedForm:
 
     def __neg__(self) -> "GValuedForm":
         return (-1.0) * self
-
-    def norm(self) -> float:
-        return g_norm(self)
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.norm() <= tol
 
     def to_matrix(self) -> np.ndarray:
         """(n_keys, dim) coefficient array in the lex key basis."""
@@ -503,7 +494,6 @@ def _largest_norm(rows) -> float:
 
 def f_components_from_gform(
     F: GValuedForm,
-    model: ContactModel,
     tol: float = 1e-9,
     strict: bool = True,
 ) -> FComponents:

@@ -163,6 +163,13 @@ def algebra_from_basis(
     else:
         raise ValueError(f"unknown inner mode {inner!r}")
 
+    return _checked_spec(name, mats, structure, gram, mode, pinv)
+
+
+def _checked_spec(name, basis, structure, gram, inner_mode,
+                  coeff_pinv) -> LieAlgebraSpec:
+    """A frozen :class:`LieAlgebraSpec` once its Gram matrix is checked
+    to be positive definite and ad-invariant."""
     eigs = np.linalg.eigvalsh(gram)
     if eigs.min() <= 0:
         raise ValueError("inner product Gram matrix is not positive definite")
@@ -177,11 +184,11 @@ def algebra_from_basis(
 
     spec = LieAlgebraSpec(
         name=name,
-        basis=mats,
+        basis=basis,
         structure=structure,
         gram=gram,
-        inner_mode=mode,
-        coeff_pinv=pinv,
+        inner_mode=inner_mode,
+        coeff_pinv=coeff_pinv,
     )
     for arr in (spec.basis, spec.structure, spec.gram, spec.coeff_pinv):
         arr.setflags(write=False)
@@ -277,29 +284,14 @@ def subalgebra_spec(
             f"(outside-span coefficient {worst:.3e})"
         )
     basis = np.asarray(parent.basis[picks])
-    structure = np.asarray(parent.structure[np.ix_(picks, picks, picks)])
-    gram = np.asarray(parent.gram[np.ix_(picks, picks)])
-    eigs = np.linalg.eigvalsh(gram)
-    if eigs.min() <= 0:
-        raise ValueError("restricted inner product is not positive definite")
-    invariance = np.einsum("ijl,lk->ijk", structure, gram)
-    residual = float(np.max(np.abs(invariance + invariance.transpose(0, 2, 1))))
-    if residual > _INVARIANCE_TOLERANCE:
-        raise ValueError(
-            f"restricted inner product is not ad-invariant ({residual})"
-        )
-    label = name or f"{parent.name}|{tuple(int(i) for i in indices)}"
-    spec = LieAlgebraSpec(
-        name=label,
-        basis=basis,
-        structure=structure,
-        gram=gram,
-        inner_mode=parent.inner_mode,
-        coeff_pinv=np.linalg.pinv(basis.reshape(len(picks), -1).T),
+    return _checked_spec(
+        name or f"{parent.name}|{tuple(int(i) for i in indices)}",
+        basis,
+        np.asarray(parent.structure[np.ix_(picks, picks, picks)]),
+        np.asarray(parent.gram[np.ix_(picks, picks)]),
+        parent.inner_mode,
+        np.linalg.pinv(basis.reshape(len(picks), -1).T),
     )
-    for arr in (spec.basis, spec.structure, spec.gram, spec.coeff_pinv):
-        arr.setflags(write=False)
-    return spec
 
 
 def _scalar(value):

@@ -175,7 +175,7 @@ def sdci_verify(
     ]
     worst = max(residuals) if residuals else 0.0
     omega_part = float(np.max(np.abs(omega_component(F, model))))
-    fc = f_components_from_gform(F, model)
+    fc = f_components_from_gform(F)
     trace = float(np.max(np.abs(fc.trace_vector())))
     scale = g_norm(F)
     passed = (
@@ -255,9 +255,7 @@ def indefiniteness_search(
     """
     if samples < 1:
         raise ValueError("need at least one random sample")
-    if model is None:
-        model = calibrate_model()
-    fc = f_components_from_gform(alpha_curvature(spec), model)
+    fc = f_components_from_gform(alpha_curvature(spec))
     gauge = fc.algebra
     a_rows = _curvature_rows(spec)
 
@@ -322,7 +320,7 @@ def stiefel_report(
         model = calibrate_model()
     F = alpha_curvature(spec)
     gauge = F.algebra
-    fc = f_components_from_gform(F, model)
+    fc = f_components_from_gform(F)
     structure = structure_check(spec)
     sdci = sdci_verify(spec, model)
     indefinite = indefiniteness_search(spec, model, seed, samples)

@@ -83,6 +83,10 @@ POSITIVITY_RELATIVE_FLOOR = 1e-10
 # times the operator quadratic form in the pair-sum convention
 V_QUAD_TO_OPERATOR_FACTOR = 4.0
 
+# constant of the estimate chain -lambda_min(F) <= sqrt(2) ||B||_F, B the
+# matrix of curvature component norms
+_ESTIMATE_CHAIN_CONSTANT = np.sqrt(2.0)
+
 
 @dataclass(frozen=True, eq=False)
 class TransverseRicci:
@@ -255,7 +259,7 @@ def build_F_operator(
                 f"pass allow_non_instanton to proceed"
             )
     fc = f_components_from_gform(
-        F, model, tol=tol, strict=not allow_non_instanton
+        F, tol=tol, strict=not allow_non_instanton
     )
     return build_F_operator_from_components(fc)
 
@@ -447,12 +451,12 @@ def estimate_bound_check(
     a_matrix = phi_component_norm_matrix(section)
     b_matrix = f_component_norm_matrix(fc)
     bound_bracket = (
-        np.sqrt(2.0) / 2.0
+        _ESTIMATE_CHAIN_CONSTANT / 2.0
         * np.trace(a_matrix @ a_matrix @ b_matrix, axis1=-2, axis2=-1)
     )
     b_frobenius = _frobenius(b_matrix)
     phi_sq = np.asarray(section.norm_20()) ** 2
-    bound_product = np.sqrt(2.0) * b_frobenius * phi_sq
+    bound_product = _ESTIMATE_CHAIN_CONSTANT * b_frobenius * phi_sq
     scale = np.maximum(bound_product, 1.0)
     return {
         "quad_form": _scalar(lhs),
@@ -486,7 +490,7 @@ def vanishing_report(
     Frobenius norm of its component table; the verdict uses the
     component version.
     """
-    fc = f_components_from_gform(F, model, tol=tol)
+    fc = f_components_from_gform(F, tol=tol)
     f_endo = build_F_operator_from_components(fc)
     r_endo = build_R_operator(ricci, F.algebra)
     spectra = combined_spectra(f_endo, r_endo)
@@ -498,8 +502,8 @@ def vanishing_report(
     b_matrix = f_component_norm_matrix(fc)
     component_norm = float(np.linalg.norm(b_matrix))
     form_norm = g_norm(F)
-    threshold_component = lam / np.sqrt(2.0)
-    threshold_form = np.sqrt(2.0) * lam
+    threshold_component = lam / _ESTIMATE_CHAIN_CONSTANT
+    threshold_form = _ESTIMATE_CHAIN_CONSTANT * lam
     energy_bound_holds = (
         r_spec["positive"] and component_norm < threshold_component
     )

@@ -120,22 +120,6 @@ class OneFormSection:
         arr.setflags(write=False)
         object.__setattr__(self, "vectors", arr)
 
-    @classmethod
-    def zero(cls, algebra: LieAlgebraSpec) -> "OneFormSection":
-        return cls(algebra, np.zeros((FORM_INDEX_COUNT, algebra.dim)))
-
-    def component(self, index: int) -> np.ndarray:
-        """Coefficient vector on ``e^index`` for ``index`` in 1..7."""
-        if not 1 <= index <= FORM_INDEX_COUNT:
-            raise ValueError("index must lie in 1..7")
-        return self.vectors[index - 1].copy()
-
-    def norm(self) -> float:
-        total = 0.0
-        for row in self.vectors:
-            total += inner_vec(self.algebra, row, row).real
-        return float(np.sqrt(max(total, 0.0)))
-
 
 @dataclass(frozen=True)
 class RicciTensor7:
@@ -165,13 +149,6 @@ class RicciTensor7:
         seven dimensions with three horizontal planes (2 * 3 = 6).
         """
         return cls(np.eye(FORM_INDEX_COUNT) * float(scale))
-
-    @classmethod
-    def from_diagonal(cls, values) -> "RicciTensor7":
-        vals = _require_real(values, "diagonal")
-        if vals.shape != (FORM_INDEX_COUNT,):
-            raise ValueError("diagonal needs exactly 7 entries")
-        return cls(np.diag(vals))
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.matrix).min())

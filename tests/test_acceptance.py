@@ -12,9 +12,8 @@ against random search, and byte comparison for determinism.
 import time
 
 import numpy as np
-import pytest
 
-from artifact.cli_interface import main, run_selftest
+from artifact.cli_interface import main
 from artifact.deformation_symbols import (
     BASIC_B,
     FULL_C,
@@ -65,7 +64,6 @@ from artifact.weitzenbock_engine import (
     quad_form_F,
     stack_section,
 )
-from artifact.stiefel_example import stiefel_report
 from artifact.ym_stability import (
     RicciTensor7,
     algebraic_second_variation,

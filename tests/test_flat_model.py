@@ -1,7 +1,5 @@
 """Exterior algebra, Hodge duality, and convention calibration."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st

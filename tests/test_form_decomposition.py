@@ -8,7 +8,6 @@ import artifact.form_decomposition as form_decomposition
 from artifact.flat_model import (
     CalibrationError,
     KForm,
-    REEB_INDEX,
     basis_keys,
     _spectrum_ok,
     calibrate_model,
@@ -301,13 +300,31 @@ def test_spectrum_check_matches_hit_rule(seed, scale, moved):
 def test_projectors_reject_unmatched_or_miscounted_spectra(
     model, monkeypatch
 ):
-    monkeypatch.setattr(form_decomposition, "_EIGEN_CACHE", {})
+    build = eigenspace_projectors.__wrapped__
     stray = np.diag(np.repeat([1.0, -1.0, -2.0, 0.0, 0.5], [8, 6, 1, 5, 1]))
     monkeypatch.setattr(form_decomposition, "t_eta_matrix", lambda m: stray)
     with pytest.raises(CalibrationError, match="unexpected mixing eigenvalue"):
-        eigenspace_projectors(model)
+        build(model)
     wrong = np.diag(np.repeat([1.0, -1.0, -2.0, 0.0], [9, 5, 1, 6]))
     monkeypatch.setattr(form_decomposition, "t_eta_matrix", lambda m: wrong)
     with pytest.raises(CalibrationError,
                        match="unexpected eigenvalue multiplicities"):
-        eigenspace_projectors(model)
+        build(model)
+
+
+def test_tables_are_built_once_per_model_and_shared_read_only(model):
+    matrix = t_eta_matrix(model)
+    projectors = eigenspace_projectors(model)
+    assert t_eta_matrix(model) is matrix
+    assert eigenspace_projectors(model) is projectors
+    for array in (matrix, *projectors.values()):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+    with pytest.raises(TypeError):
+        projectors["8"] = np.eye(21)
+    assert np.array_equal(t_eta_matrix.__wrapped__(model), matrix)
+    fresh = eigenspace_projectors.__wrapped__(model)
+    assert list(fresh) == list(projectors)
+    for label, proj in fresh.items():
+        assert proj is not projectors[label]
+        assert np.array_equal(proj, projectors[label])

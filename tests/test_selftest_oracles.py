@@ -203,7 +203,7 @@ def oracle_curvature_operator(model, seed, samples, tol) -> dict:
         for _ in range(min(samples, 150)):
             a_rows = rng.standard_normal((8, algebra.dim))
             F = gform_from_w_coefficients(algebra, a_rows)
-            fc = f_components_from_gform(F, model)
+            fc = f_components_from_gform(F)
             endo = build_F_operator_from_components(fc)
             b_rows = rng.standard_normal((6, algebra.dim))
             section = two_zero_from_v_coefficients(algebra, b_rows)
@@ -282,7 +282,7 @@ def oracle_selfadjointness(model, seed, samples, tol) -> dict:
     for _ in range(min(samples, 100)):
         a_rows = rng.standard_normal((8, algebra.dim))
         F = gform_from_w_coefficients(algebra, a_rows)
-        fc = f_components_from_gform(F, model)
+        fc = f_components_from_gform(F)
         f_endo = build_F_operator_from_components(fc)
         r_endo = build_R_operator(
             TransverseRicci.from_diagonal(rng.uniform(0.5, 4.0, size=3)),
@@ -307,7 +307,7 @@ def oracle_estimate_chain(model, seed, samples, tol) -> dict:
         for _ in range(min(samples, 100)):
             a_rows = rng.standard_normal((8, algebra.dim))
             F = gform_from_w_coefficients(algebra, a_rows)
-            fc = f_components_from_gform(F, model)
+            fc = f_components_from_gform(F)
             section = two_zero_from_v_coefficients(
                 algebra, rng.standard_normal((6, algebra.dim))
             )

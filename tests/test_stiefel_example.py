@@ -21,13 +21,11 @@ from artifact.gauge_fields import (
     omega_component,
     two_zero_from_v_coefficients,
 )
-from artifact.lie_algebra import norm_vec
 from artifact.weitzenbock_engine import quad_form_F
 from artifact.stiefel_example import (
     SAMPLE_BLOCK,
     SDCI_TOLERANCE,
     STIEFEL_EINSTEIN_Y,
-    StiefelSpec,
     alpha_curvature,
     build_stiefel,
     gauge_algebra,
@@ -143,7 +141,7 @@ class TestCurvature:
 
     def test_component_frobenius(self, spec, model):
         F = alpha_curvature(spec)
-        fc = f_components_from_gform(F, model)
+        fc = f_components_from_gform(F)
         from artifact.gauge_fields import f_component_norm_matrix
 
         assert float(
@@ -236,7 +234,7 @@ def _oracle_quads(spec, model, seed, samples):
     """Per-sample draws and quadratic forms, one section at a time."""
     F = alpha_curvature(spec)
     gauge = F.algebra
-    fc = f_components_from_gform(F, model)
+    fc = f_components_from_gform(F)
     rng = np.random.default_rng(seed)
     quads = []
     for _ in range(samples):

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from artifact.flat_model import calibrate_model, standard_two_form_families
 from artifact.gauge_fields import (
-    GValuedForm,
     f_components_from_w,
     g_norm,
     gform_from_terms,

@@ -77,7 +77,10 @@ def curvature_quad_bound_check(F, section) -> tuple:
     ``|<R_F B, B>| / (||F|| ||B||^2)``.
     """
     quad = abs(curvature_quad_paths(F, section)["pair_with_section"])
-    scale = g_norm(F) * section.norm() ** 2
+    section_sq = sum(
+        inner_vec(section.algebra, row, row).real for row in section.vectors
+    )
+    scale = g_norm(F) * section_sq
     holds = quad <= BRACKET_NORM_BOUND * scale * (1.0 + 1e-12) + 1e-12
     return holds, quad / scale if scale > 0.0 else 0.0
 
@@ -100,30 +103,16 @@ class TestOneFormSection:
         with pytest.raises(ValueError):
             OneFormSection(su2, bad)
 
-    def test_component_is_one_based(self, su2):
-        rows = np.zeros((7, 3))
-        rows[2] = [1.0, 2.0, 3.0]
-        section = OneFormSection(su2, rows)
-        assert np.allclose(section.component(3), [1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
-            section.component(0)
-        with pytest.raises(ValueError):
-            section.component(8)
-
     def test_norm_uses_algebra_gram(self, so3):
         rows = np.zeros((7, 3))
         rows[0] = [1.0, 0.0, 0.0]
         rows[4] = [0.0, 2.0, 0.0]
         section = OneFormSection(so3, rows)
         # so(3) Killing weights each coefficient by 2
-        assert section.norm() == pytest.approx(np.sqrt(2.0 * (1.0 + 4.0)))
         norms = norm_vec(so3, section.vectors)
         assert norms[0] == pytest.approx(np.sqrt(2.0))
         assert norms[4] == pytest.approx(2.0 * np.sqrt(2.0))
-
-    def test_zero_constructor(self, su2):
-        section = OneFormSection.zero(su2)
-        assert section.norm() == 0.0
+        assert np.linalg.norm(norms) == pytest.approx(np.sqrt(2.0 * 5.0))
 
 
 class TestRicciTensor7:
@@ -133,7 +122,7 @@ class TestRicciTensor7:
         assert ric.min_eigenvalue() == pytest.approx(6.0)
 
     def test_from_diagonal_and_entry(self):
-        ric = RicciTensor7.from_diagonal([1, 2, 3, 4, 5, 6, 7])
+        ric = RicciTensor7(np.diag([1, 2, 3, 4, 5, 6, 7]))
         assert ric.matrix[2, 2] == 3.0
         assert ric.matrix[0, 1] == 0.0
         assert ric.min_eigenvalue() == pytest.approx(1.0)
@@ -147,10 +136,6 @@ class TestRicciTensor7:
     def test_shape_enforced(self):
         with pytest.raises(ValueError):
             RicciTensor7(np.eye(6))
-
-    def test_diagonal_length_enforced(self):
-        with pytest.raises(ValueError):
-            RicciTensor7.from_diagonal([1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +271,7 @@ class TestCurvatureCoupling:
 
 class TestSecondVariation:
     def test_zero_curvature_reduces_to_ricci(self, su2):
-        ric = RicciTensor7.from_diagonal([1, 2, 3, 4, 5, 6, 7])
+        ric = RicciTensor7(np.diag([1, 2, 3, 4, 5, 6, 7]))
         out = algebraic_second_variation(GValuedForm(su2, 2), ric)
         assert np.allclose(out["matrix"], np.kron(ric.matrix, np.eye(3)))
         assert out["min_eigenvalue"] == pytest.approx(1.0)
@@ -318,7 +303,7 @@ class TestSecondVariation:
         # <V B, B> = <B o Ric, B> + 2 <R_F B, B> in the invariant product
         rng = np.random.default_rng(32)
         F = random_sd_curvature(su2, rng)
-        ric = RicciTensor7.from_diagonal([1, 2, 3, 4, 5, 6, 7])
+        ric = RicciTensor7(np.diag([1, 2, 3, 4, 5, 6, 7]))
         out = algebraic_second_variation(F, ric)
         section = random_oneform(su2, rng)
         stacked = section.vectors.reshape(-1)
@@ -407,7 +392,7 @@ class TestStabilityReport:
     def test_nonpositive_ricci_inconclusive(self, su2, model):
         rng = np.random.default_rng(51)
         F = random_sd_curvature(su2, rng, scale=0.01)
-        ric = RicciTensor7.from_diagonal([-1, 6, 6, 6, 6, 6, 6])
+        ric = RicciTensor7(np.diag([-1, 6, 6, 6, 6, 6, 6]))
         out = stability_report(F, ric, model)
         assert out["verdict"] == INCONCLUSIVE
         assert out["reason"] == "smallest Ricci eigenvalue is not positive"
