@@ -228,7 +228,11 @@ def _change_basis(matrix: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
 
     ``einsum`` adds each entry's terms one after another in column order,
     so the last digits of the results do not depend on how a BLAS kernel
-    would block the sum.
+    would block the sum.  The structure-constant kernels
+    ``lie_algebra.ad_matrix`` and ``bracket_vec`` do run on BLAS, for
+    speed: the reports they feed may change in the last digits with the
+    BLAS build, well within the relative tolerance 1e-9 at which
+    ``benchmarks/verify.py`` compares reports.
     """
     return np.einsum("ij,j...->i...", matrix, coefficients)
 

@@ -20,8 +20,11 @@ Agreement of the two is part of the package self-checks.
 The vector kernels (brackets, matrices, coefficients, inner products and
 norms) also take stacks: leading axes run over samples and the algebra
 axis comes last.  Each sample of a stack is computed with the same
-operations in the same order as a single vector, so the results agree
-bit for bit.
+operations as a single vector.  The structure-constant contractions
+(:func:`bracket_vec`, :func:`ad_matrix`) are BLAS matrix products, whose
+blocking of a sum may depend on the stack size, so a sample of a stack
+can differ from the same vector alone in the last digits; the other
+kernels agree bit for bit.
 """
 
 from __future__ import annotations
@@ -301,13 +304,17 @@ def _scalar(value):
 
 
 def bracket_vec(spec: LieAlgebraSpec, u, v) -> np.ndarray:
-    """[u, v] through the structure constants."""
-    return np.einsum(
-        "...i,...j,ijk->...k",
-        np.asarray(u, dtype=complex),
-        np.asarray(v, dtype=complex),
-        spec.structure,
-    )
+    """[u, v] through the structure constants.
+
+    The outer products ``u_i v_j`` are contracted with the structure
+    constants as one matrix product against their ``(d*d, d)`` view.
+    """
+    d = spec.dim
+    u = np.asarray(u, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    outer = u[..., :, None] * v[..., None, :]
+    flat = outer.reshape(outer.shape[:-2] + (d * d,))
+    return flat @ spec.structure.reshape(d * d, d)
 
 
 def matrix_of(spec: LieAlgebraSpec, u) -> np.ndarray:
@@ -355,10 +362,14 @@ def norm_vec(spec: LieAlgebraSpec, u) -> float | np.ndarray:
 
 
 def ad_matrix(spec: LieAlgebraSpec, u) -> np.ndarray:
-    """Matrix of ad_u = [u, .] on coefficient vectors."""
-    return np.einsum(
-        "...i,ijk->...kj", np.asarray(u, dtype=complex), spec.structure
-    )
+    """Matrix of ad_u = [u, .] on coefficient vectors.
+
+    One matrix product of ``u`` with the ``(d, d*d)`` view of the
+    structure constants; real vectors give real matrices.
+    """
+    d = spec.dim
+    flat = np.asarray(u) @ spec.structure.reshape(d, d * d)
+    return np.swapaxes(flat.reshape(flat.shape[:-1] + (d, d)), -1, -2)
 
 
 def bracket_norm_check(

@@ -30,7 +30,7 @@ then come back per sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -152,7 +152,6 @@ class TwoZeroEndo:
 
     algebra: LieAlgebraSpec
     matrix: np.ndarray
-    _weight: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         d = self.algebra.dim
@@ -161,13 +160,6 @@ class TwoZeroEndo:
             raise ValueError(f"operator matrix must be {3 * d}x{3 * d}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-        weight = np.kron(np.eye(3), self.algebra.gram)
-        weight.setflags(write=False)
-        object.__setattr__(self, "_weight", weight)
-
-    def weight(self) -> np.ndarray:
-        """Gram matrix of the section inner product on stacked vectors."""
-        return self._weight.copy()
 
     def _image(self, vec: np.ndarray) -> np.ndarray:
         """``M vec`` on one stacked vector or per sample on a stack."""
@@ -176,8 +168,11 @@ class TwoZeroEndo:
     def _pair(
         self, first: np.ndarray, second: np.ndarray
     ) -> complex | np.ndarray:
-        """``first W second`` per sample, W the section Gram matrix."""
-        left = (first @ self._weight)[..., None, :]
+        """``first W second`` per sample, W = kron(I_3, gram) the section
+        Gram matrix, applied to each component of ``first``."""
+        d = self.algebra.dim
+        rows = first.reshape(first.shape[:-1] + (3, d)) @ self.algebra.gram
+        left = rows.reshape(first.shape)[..., None, :]
         return _scalar((left @ second[..., :, None])[..., 0, 0])
 
     def apply(self, section: TwoZeroSection) -> TwoZeroSection:
@@ -377,18 +372,31 @@ def build_R_operator(ricci: TransverseRicci, algebra: LieAlgebraSpec) -> TwoZero
     return TwoZeroEndo(algebra=algebra, matrix=matrix)
 
 
-def weighted_spectrum(matrix, weight) -> dict:
-    """Spectrum of an operator in a weighted inner product.
+def weighted_spectrum(matrix, gram) -> dict:
+    """Spectrum of an operator in a block-diagonal weighted inner product.
 
-    The operator is conjugated by the square root of the Gram matrix of
-    the inner product; the conjugate must be Hermitian for a self-adjoint
-    operator, and its deviation is reported alongside the eigenvalues.
-    A stack of ``(..., n, n)`` matrices gives every entry per matrix.
+    ``gram`` is the d x d Gram block of the inner product; the operator
+    acts on n stacked coefficient vectors of length d (n = 3 for (2,0)
+    sections, 7 for 1-forms), so the weight is ``kron(I_n, gram)``.  The
+    operator is conjugated by the square root of that weight, taken from
+    one eigendecomposition of the block; the conjugate must be Hermitian
+    for a self-adjoint operator, and its deviation is reported alongside
+    the eigenvalues.  A stack of ``(..., n d, n d)`` matrices gives every
+    entry per matrix.
     """
-    evals, evecs = np.linalg.eigh(np.asarray(weight))
-    root = evecs @ np.diag(np.sqrt(evals)) @ evecs.T
-    inv_root = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.T
-    conjugated = root @ np.asarray(matrix) @ inv_root
+    matrix = np.asarray(matrix)
+    evals, evecs = np.linalg.eigh(np.asarray(gram))
+    d = len(evals)
+    size = matrix.shape[-1]
+    n = size // d
+    lead = matrix.shape[:-2]
+    root = (evecs * np.sqrt(evals)) @ evecs.T
+    inv_root = (evecs / np.sqrt(evals)) @ evecs.T
+    # kron(I_n, root) @ matrix @ kron(I_n, inv_root): root acts on the
+    # row index and inv_root on the column index of every d x d block
+    left = root @ matrix.reshape(lead + (n, d, size))
+    conjugated = left.reshape(lead + (n * d * n, d)) @ inv_root
+    conjugated = conjugated.reshape(matrix.shape)
     adjoint = np.swapaxes(conjugated.conj(), -1, -2)
     herm_residual = np.max(np.abs(conjugated - adjoint), axis=(-2, -1))
     spectrum = np.linalg.eigvalsh((conjugated + adjoint) / 2.0)
@@ -406,20 +414,20 @@ def weighted_spectrum(matrix, weight) -> dict:
 
 def operator_spectrum(endo: TwoZeroEndo) -> dict:
     """Spectrum of an endomorphism in the weighted inner product."""
-    return weighted_spectrum(endo.matrix, endo.weight())
+    return weighted_spectrum(endo.matrix, endo.algebra.gram)
 
 
 def combined_spectra(f_endo: TwoZeroEndo, r_endo: TwoZeroEndo) -> dict:
     """Spectra of the curvature, Ricci and combined (sum) operators.
 
     The three share the section weight, so one :func:`weighted_spectrum`
-    call on the stack of their matrices diagonalises it once; each entry
+    call on the stack of their matrices takes its root once; each entry
     equals :func:`operator_spectrum` of that operator.
     """
     matrices = np.stack(
         [f_endo.matrix, r_endo.matrix, f_endo.matrix + r_endo.matrix]
     )
-    stacked = weighted_spectrum(matrices, f_endo.weight())
+    stacked = weighted_spectrum(matrices, f_endo.algebra.gram)
     return {
         label: {key: _scalar(value[i]) for key, value in stacked.items()}
         for i, label in enumerate(("curvature", "ricci", "combined"))

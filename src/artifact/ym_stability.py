@@ -195,14 +195,16 @@ def curvature_action_oneforms(F: GValuedForm) -> np.ndarray:
     commutative algebras and is self-adjoint in the invariant inner
     product because the components are antisymmetric in ``(j, i)``.
     """
+    # a real curvature gives a real action: check the coefficients, not
+    # the (7 d)^2 entries of the action, and assemble from their real parts
+    _require_real(F.matrix, "curvature action matrix")
+    grid = np.ascontiguousarray(curvature_components_grid(F).real)
     # ads[j, i] = ad(F_{ji}) is block (i, j); the zero diagonal of the
     # grid gives zero diagonal blocks
-    ads = ad_matrix(F.algebra, curvature_components_grid(F))
+    ads = ad_matrix(F.algebra, grid)
     out = np.moveaxis(ads, (1, 0), (-4, -2))
     size = FORM_INDEX_COUNT * F.algebra.dim
-    return _require_real(
-        out.reshape(out.shape[:-4] + (size, size)), "curvature action matrix"
-    )
+    return out.reshape(out.shape[:-4] + (size, size))
 
 
 def apply_curvature_action(
@@ -266,21 +268,20 @@ def algebraic_second_variation(
     """Zero-order second variation ``B -> B o Ric + 2 R_F(B)``.
 
     Returns the matrix on the stacked coefficient space together with
-    its spectrum in the invariant inner product.  The full second
-    variation adds a nonnegative rough Laplacian, so a positive minimum
-    eigenvalue here certifies stability of the connection.
+    its spectrum in the invariant inner product, whose Gram matrix on
+    the stack is ``kron(I_7, gram)``.  The full second variation adds a
+    nonnegative rough Laplacian, so a positive minimum eigenvalue here
+    certifies stability of the connection.
     """
     algebra = F.algebra
     d = algebra.dim
     ricci_block = np.kron(ricci.matrix, np.eye(d))
     coupling = curvature_action_oneforms(F)
     matrix = ricci_block + 2.0 * coupling
-    weight = np.kron(np.eye(FORM_INDEX_COUNT), algebra.gram)
-    spectrum = weighted_spectrum(matrix, weight)
+    spectrum = weighted_spectrum(matrix, algebra.gram)
     return {
         "matrix": matrix,
         "coupling": coupling,
-        "weight": weight,
         "spectrum": spectrum,
         "min_eigenvalue": spectrum["min"],
         "certified_stable": spectrum["positive"],

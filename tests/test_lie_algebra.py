@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from artifact import lie_algebra
 from artifact.lie_algebra import (
@@ -21,6 +22,7 @@ from artifact.lie_algebra import (
     norm_vec,
     subalgebra_spec,
 )
+from oracle_routes import ad_matrix_einsum, bracket_vec_einsum
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +178,77 @@ def test_ad_matrix_implements_bracket(so3, su2):
         assert np.max(
             np.abs(ad_matrix(spec, u) @ v - bracket_vec(spec, u, v))
         ) <= 1e-12
+
+
+def _mixed_so4():
+    """so(4) in a fixed non-orthogonal basis: the pseudo-inverse route of
+    ``algebra_from_basis`` and structure constants that are not integers."""
+    mix = np.eye(6) + 0.25 * np.arange(36).reshape(6, 6) % 1.5
+    return algebra_from_basis(
+        "mixed so(4)", np.einsum("ij,jab->iab", mix, make_so(4).basis)
+    )
+
+
+KERNEL_ALGEBRAS = {
+    "su2": lambda: make_su(2),
+    "su2_trace": lambda: make_su(2, inner="trace"),
+    "so3": lambda: make_so(3),
+    "so5": lambda: make_so(5),
+    "so7": lambda: make_so(7),
+    "custom": _mixed_so4,
+}
+
+
+def _kernel_inputs(name, lead, complex_values, exponent, seed, count):
+    spec = KERNEL_ALGEBRAS[name]()
+    rng = np.random.default_rng(seed)
+    shape = (count,) + lead + (spec.dim,)
+    vectors = rng.standard_normal(shape)
+    if complex_values:
+        vectors = vectors + 1j * rng.standard_normal(shape)
+    return spec, 10.0 ** exponent * vectors
+
+
+_KERNEL_CASES = dict(
+    name=st.sampled_from(sorted(KERNEL_ALGEBRAS)),
+    lead=st.sampled_from([(), (1,), (4,), (2, 3)]),
+    complex_values=st.booleans(),
+    exponent=st.integers(-3, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_KERNEL_CASES)
+def test_bracket_vec_matches_einsum_oracle(
+    name, lead, complex_values, exponent, seed
+):
+    # budget relative to the sum of the term magnitudes of each entry
+    spec, (u, v) = _kernel_inputs(
+        name, lead, complex_values, exponent, seed, 2
+    )
+    got = bracket_vec(spec, u, v)
+    want = bracket_vec_einsum(spec, u, v)
+    scale = np.einsum(
+        "...i,...j,ijk->...k", np.abs(u), np.abs(v), np.abs(spec.structure)
+    )
+    assert got.shape == want.shape == lead + (spec.dim,)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_KERNEL_CASES)
+def test_ad_matrix_matches_einsum_oracle(
+    name, lead, complex_values, exponent, seed
+):
+    spec, (u,) = _kernel_inputs(name, lead, complex_values, exponent, seed, 1)
+    got = ad_matrix(spec, u)
+    want = ad_matrix_einsum(spec, u)
+    scale = np.einsum("...i,ijk->...kj", np.abs(u), np.abs(spec.structure))
+    assert got.shape == want.shape == lead + (spec.dim, spec.dim)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+    # a real vector gives a real matrix
+    assert np.iscomplexobj(got) == complex_values
 
 
 def test_matrix_coeff_round_trip(so5):

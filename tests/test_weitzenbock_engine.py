@@ -19,6 +19,7 @@ from artifact.gauge_fields import (
     two_zero_from_v_coefficients,
 )
 from artifact.lie_algebra import (
+    algebra_from_basis,
     bracket_vec,
     inner_vec,
     make_abelian,
@@ -46,6 +47,7 @@ from artifact.weitzenbock_engine import (
     vanishing_report,
     weighted_spectrum,
 )
+from oracle_routes import weighted_spectrum_dense
 
 
 @pytest.fixture(scope="module")
@@ -152,8 +154,24 @@ class TestStacking:
             TwoZeroEndo(algebra=su2, matrix=np.eye(5))
 
     def test_weight_is_block_gram(self, su2):
-        endo = TwoZeroEndo(algebra=su2, matrix=np.eye(9))
-        assert np.array_equal(endo.weight(), np.kron(np.eye(3), su2.gram))
+        # both section pairings use the Gram matrix kron(I_3, gram); the
+        # skewed basis of su(2) has a Gram matrix that is not diagonal
+        skew = algebra_from_basis(
+            "skew", su2.basis + np.roll(su2.basis, 1, axis=0)
+        )
+        rng = np.random.default_rng(4)
+        mat = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        endo = TwoZeroEndo(algebra=skew, matrix=mat)
+        section = random_section(skew, rng)
+        vec = stack_section(section)
+        weight = np.kron(np.eye(3), skew.gram)
+        assert np.count_nonzero(skew.gram - np.diag(np.diag(skew.gram)))
+        assert endo.quad(section) == pytest.approx(
+            (mat @ vec) @ weight @ np.conj(vec), rel=1e-12
+        )
+        assert endo.quad_bilinear(section) == pytest.approx(
+            (mat @ vec) @ weight @ vec, rel=1e-12
+        )
 
     def test_apply_matches_matrix(self, su2):
         rng = np.random.default_rng(2)
@@ -413,6 +431,85 @@ class TestWeightedSpectrum:
         spec = operator_spectrum(build_F_operator_from_components(fc))
         assert spec["hermiticity_residual"] <= 1e-10
         assert spec["eigenvalues"].shape == (9,)
+
+
+# smallest eigenvalue of the block-spectrum operators, in floors of the
+# largest; None draws an unconstrained spectrum
+_FLOOR_OFFSETS = [-1000.0, -100.0, -20.0, -11.0, -1.0, 0.0, 1.0, 11.0,
+                  20.0, 100.0, 1000.0, None]
+
+
+def _gram_root(gram, power):
+    evals, evecs = np.linalg.eigh(gram)
+    return (evecs * evals ** power) @ evecs.T
+
+
+def _weighted_operator(rng, gram, n, offset, complex_values, perturbed):
+    """An operator self-adjoint in the weight ``kron(I_n, gram)`` with a
+    spectrum chosen here, optionally plus a perturbation that breaks the
+    self-adjointness."""
+    size = n * gram.shape[0]
+    if offset is None:
+        spectrum = rng.standard_normal(size)
+    else:
+        spectrum = rng.uniform(0.1, 1.0, size)
+        spectrum[0] = offset * POSITIVITY_RELATIVE_FLOOR * spectrum.max()
+    basis = rng.standard_normal((size, size))
+    if complex_values:
+        basis = basis + 1j * rng.standard_normal((size, size))
+    unitary, _ = np.linalg.qr(basis)
+    herm = (unitary * spectrum) @ unitary.conj().T
+    matrix = (
+        np.kron(np.eye(n), _gram_root(gram, -0.5))
+        @ herm
+        @ np.kron(np.eye(n), _gram_root(gram, 0.5))
+    )
+    if perturbed:
+        matrix = matrix + 1e-3 * rng.standard_normal((size, size))
+    return matrix
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.integers(1, 8),
+    n=st.sampled_from([1, 3, 7]),
+    lead=st.sampled_from([(), (3,)]),
+    offset=st.sampled_from(_FLOOR_OFFSETS),
+    complex_values=st.booleans(),
+    perturbed=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_spectrum_matches_dense_weight_oracle(
+    d, n, lead, offset, complex_values, perturbed, seed
+):
+    # the d x d Gram block against one eigh of the whole kron(I_n, gram)
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d))
+    gram = a @ a.T + d * np.eye(d)
+    matrices = np.array([
+        _weighted_operator(rng, gram, n, offset, complex_values, perturbed)
+        for _ in range(int(np.prod(lead)))
+    ]).reshape(lead + (n * d, n * d))
+    got = weighted_spectrum(matrices, gram)
+    want = weighted_spectrum_dense(matrices, np.kron(np.eye(n), gram))
+    assert got.keys() == want.keys()
+    eigs, oracle = got["eigenvalues"], want["eigenvalues"]
+    largest = np.max(np.abs(oracle), axis=-1)
+    assert eigs.shape == oracle.shape == lead + (n * d,)
+    assert np.all(np.abs(eigs - oracle) <= 1e-10 * largest[..., None])
+    assert np.all(
+        np.abs(np.subtract(got["hermiticity_residual"],
+                           want["hermiticity_residual"]))
+        <= 1e-10 * np.maximum(want["hermiticity_residual"], largest)
+    )
+    # verdicts agree wherever the smallest eigenvalue lies more than ten
+    # floors away from the threshold of that verdict
+    floors = np.asarray(want["min"]) / (POSITIVITY_RELATIVE_FLOOR * largest)
+    for key, threshold in (("positive", 1.0), ("nonnegative", -1.0)):
+        outside = np.abs(floors - threshold) > 10.0
+        assert np.array_equal(
+            np.asarray(got[key])[outside], np.asarray(want[key])[outside]
+        )
 
 
 SPECTRA_ALGEBRAS = {"su2": make_su(2), "so3": make_so(3), "so5": make_so(5)}

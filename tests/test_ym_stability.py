@@ -215,6 +215,26 @@ class TestCurvatureCoupling:
         F = gform_from_w_coefficients(ab, a)
         assert np.max(np.abs(curvature_action_oneforms(F))) == 0.0
 
+    def test_imaginary_curvature_rejected(self, su2):
+        # the reality check reads the coefficients: an imaginary part above
+        # the tolerance raises, one below it leaves the real action as is
+        rng = np.random.default_rng(20)
+        F = random_sd_curvature(su2, rng)
+        scale = np.max(np.abs(F.matrix))
+        for size, raises in ((1e-6, True), (1e-9, True), (1e-12, False)):
+            noise = size * scale * rng.standard_normal(F.matrix.shape)
+            noisy = GValuedForm.from_matrix(su2, 2, F.matrix + 1j * noise)
+            if raises:
+                with pytest.raises(
+                    ValueError, match="curvature action matrix must be real"
+                ):
+                    curvature_action_oneforms(noisy)
+            else:
+                assert np.array_equal(
+                    curvature_action_oneforms(noisy),
+                    curvature_action_oneforms(F),
+                )
+
     def test_action_self_adjoint_in_weight(self, su2):
         rng = np.random.default_rng(16)
         F = random_sd_curvature(su2, rng)
@@ -307,7 +327,7 @@ class TestSecondVariation:
         out = algebraic_second_variation(F, ric)
         section = random_oneform(su2, rng)
         stacked = section.vectors.reshape(-1)
-        weight = out["weight"]
+        weight = np.kron(np.eye(FORM_INDEX_COUNT), su2.gram)
         quad = float(
             np.real((out["matrix"] @ stacked) @ weight @ np.conj(stacked))
         )
