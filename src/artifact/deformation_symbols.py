@@ -14,9 +14,18 @@ data: functions, horizontal 1-forms, and the 7-dimensional block of
 horizontal 2-forms of eigenvalues -1 and -2, with scalar dimensions
 (1, 6, 7).
 
-A first-order operator differentiates once, so its leading part at a
-covector ``xi`` is wedging with ``xi`` followed by the projection onto
-the target quotient.  The connection term is order zero and drops out.
+Each complex is described once, by its *stage bases*: one matrix
+``B_k`` per stage whose orthonormal columns span that stage inside the
+k-forms (``B_0 = (1)`` for the functions, ``I_7`` for all 1-forms, its
+first six columns for the horizontal ones).  A first-order operator
+differentiates once, so its leading part at a covector ``xi`` is wedging
+with ``xi`` followed by the projection onto the next stage:
+
+    sigma_k(xi) = B_{k+1}^T W_k(xi) B_k,
+
+where ``W_k(xi)`` is :func:`wedge_matrix` of ``xi`` on k-forms.  The
+maps, the tensors of the batched sweep and the stage dimensions all come
+from these bases.  The connection term is order zero and drops out.
 Compositions of consecutive symbols vanish identically because wedging
 twice with the same covector gives zero and the discarded +1 block
 generates an ideal: its wedge with any 1-form lands in the space the
@@ -35,15 +44,16 @@ interpretation.
 
 Sweeps over many covectors run along the sample axis.  The maps are
 linear in the covector, so :func:`build_quotient_spaces` stores each one
-as a tensor over the seven basis covectors; a block of covectors is
-contracted with it in one einsum, and one stacked singular value
-decomposition per map gives the ranks of the whole block.  Blocks hold at
-most ``SAMPLE_BLOCK`` covectors, which bounds memory for any sample
-count.  The single-covector functions :func:`symbol_maps`,
-:func:`basic_symbol_maps` and :func:`exactness_report` build each map from
-the wedge with the covector itself; they are the oracle routes the
-batched sweep is tested against, and they produce the full reports of any
-covector the sweep finds failing.
+as a tensor over the seven basis covectors: the same product at the axis
+covectors.  A block of covectors is contracted with it in one einsum, and
+one stacked singular value decomposition per map gives the ranks of the
+whole block.  Blocks hold at most ``SAMPLE_BLOCK`` covectors, which
+bounds memory for any sample count.  The single-covector functions
+:func:`symbol_maps`, :func:`basic_symbol_maps` and
+:func:`exactness_report` build each map from the wedge with the covector
+itself; they are the oracle routes the batched sweep is tested against,
+and they produce the full reports of any covector the sweep finds
+failing.
 """
 
 from __future__ import annotations
@@ -57,7 +67,6 @@ from .flat_model import (
     KForm,
     REEB_INDEX,
     basis_keys,
-    calibrate_model,
     left_wedge_matrix,
     standard_two_form_families,
     wedge,
@@ -92,15 +101,12 @@ SAMPLE_BLOCK = 4096
 _HORIZONTAL_COUNT = 6
 
 
-def _columns_from_forms(forms, degree: int) -> np.ndarray:
-    keys = basis_keys(degree)
-    out = np.zeros((len(keys), len(forms)))
-    for col, form in enumerate(forms):
-        vec = form.to_vector()
-        if np.max(np.abs(vec.imag)) > 1e-14:
-            raise ValueError("quotient basis forms must be real")
-        out[:, col] = vec.real
-    return out
+def _columns_from_forms(forms) -> np.ndarray:
+    """The real coefficient vectors of ``forms``, as matrix columns."""
+    columns = np.stack([form.vector for form in forms], axis=1)
+    if np.max(np.abs(columns.imag)) > 1e-14:
+        raise ValueError("quotient basis forms must be real")
+    return columns.real.copy()
 
 
 def wedge_matrix(xi_form: KForm, from_degree: int) -> np.ndarray:
@@ -120,18 +126,21 @@ def covector_form(xi) -> KForm:
 
 @dataclass(frozen=True)
 class QuotientSpaces:
-    """Coordinate bases for the quotient targets and the discarded ideal.
+    """Stage bases of the two complexes, and the discarded ideal.
 
-    All basis matrices carry orthonormal columns in the 21- and
-    35-dimensional coordinate spaces of 2- and 3-forms, except the
-    ideal bases, which are stored unnormalized for span checks.
-    ``l2_basis`` spans the orthogonal complement of the +1 block in the
-    2-forms; ``l3_basis`` spans the contact wedge of the -1 and -2
-    blocks inside the 3-forms.
+    A complex is the tuple ``stage_bases[which]`` of its stage bases:
+    the columns of ``B_k`` span stage ``k`` inside the k-forms, and the
+    symbol at a covector ``xi`` is ``B_{k+1}^T W_k(xi) B_k``.  The full
+    complex has ``(1, I_7, l2_basis, l3_basis)``, the basic one ``(1,
+    I_7[:, :6], basic2_basis)``.  ``symbol_tensors[which]`` holds the same
+    maps as tensors ``T`` of shape ``(7, target, source)``: the map at
+    ``xi`` is ``sum_a xi[a] T[a]``.
 
-    ``full_symbol_tensors`` and ``basic_symbol_tensors`` hold the symbol
-    maps of each complex as tensors ``T`` of shape ``(7, target,
-    source)``: the map at a covector ``xi`` is ``sum_a xi[a] T[a]``.
+    All stage bases carry orthonormal columns in the 21- and
+    35-dimensional coordinate spaces of 2- and 3-forms; the ideal bases
+    are stored unnormalized for span checks.  ``l2_basis`` spans the
+    orthogonal complement of the +1 block in the 2-forms; ``l3_basis``
+    spans the contact wedge of the -1 and -2 blocks inside the 3-forms.
     """
 
     model: ContactModel
@@ -140,26 +149,22 @@ class QuotientSpaces:
     basic2_basis: np.ndarray = field(repr=False)
     ideal2_basis: np.ndarray = field(repr=False)
     ideal3_basis: np.ndarray = field(repr=False)
-    full_symbol_tensors: tuple = field(repr=False)
-    basic_symbol_tensors: tuple = field(repr=False)
+    stage_bases: dict = field(repr=False)
+    symbol_tensors: dict = field(repr=False)
 
-    @property
-    def scalar_dims(self) -> tuple:
-        return (1, 7, self.l2_basis.shape[1], self.l3_basis.shape[1])
+    def bases(self, which: str) -> tuple:
+        """The stage bases of the complex tagged ``which``."""
+        if which not in self.stage_bases:
+            raise ValueError(f"unknown complex tag {which!r}")
+        return self.stage_bases[which]
 
-    def dims(self, d: int = 1) -> tuple:
-        return tuple(d * n for n in self.scalar_dims)
-
-    @property
-    def basic_scalar_dims(self) -> tuple:
-        return (1, _HORIZONTAL_COUNT, self.basic2_basis.shape[1])
-
-    def basic_dims(self, d: int = 1) -> tuple:
-        return tuple(d * n for n in self.basic_scalar_dims)
+    def dims(self, which: str, d: int = 1) -> tuple:
+        """Stage dimensions for a coefficient algebra of dimension ``d``."""
+        return tuple(d * basis.shape[1] for basis in self.bases(which))
 
 
-def build_quotient_spaces(model: ContactModel | None = None) -> QuotientSpaces:
-    """Orthonormal quotient bases for the calibrated model.
+def build_quotient_spaces(model: ContactModel) -> QuotientSpaces:
+    """Orthonormal stage bases for the calibrated model.
 
     The 2-form quotient keeps the -1 family (normalized), the line of
     the contact 2-form, and the six vertical directions; the discarded
@@ -167,8 +172,6 @@ def build_quotient_spaces(model: ContactModel | None = None) -> QuotientSpaces:
     horizontal part plus the contact wedge of the +1 family, so the
     quotient is spanned by the contact wedge of the retained blocks.
     """
-    if model is None:
-        model = calibrate_model()
     families = standard_two_form_families()
     w_forms = families["w"]
     v_forms = families["v"]
@@ -192,41 +195,46 @@ def build_quotient_spaces(model: ContactModel | None = None) -> QuotientSpaces:
     ]
     ideal3 = horizontal_triples + [wedge(eta, form) for form in w_forms]
 
-    l2_basis = _columns_from_forms(l2, 2)
-    l3_basis = _columns_from_forms(l3_forms, 3)
-    basic2_basis = _columns_from_forms(basic2, 2)
-    # wedge matrices of the seven basis covectors, stacked on axis 0
+    l2_basis = _columns_from_forms(l2)
+    l3_basis = _columns_from_forms(l3_forms)
+    basic2_basis = _columns_from_forms(basic2)
+    functions = np.ones((1, 1))
+    stage_bases = {
+        FULL_C: (functions, np.eye(7), l2_basis, l3_basis),
+        BASIC_B: (functions, np.eye(7)[:, :_HORIZONTAL_COUNT], basic2_basis),
+    }
+    # wedge matrices of the seven basis covectors, stacked on axis 0, for
+    # each degree a symbol map starts from
     axes = [covector_form(row) for row in np.eye(7)]
-    w1 = np.stack([wedge_matrix(xi, 1) for xi in axes])
-    w2 = np.stack([wedge_matrix(xi, 2) for xi in axes])
+    axis_wedges = [
+        np.stack([wedge_matrix(xi, k) for xi in axes])
+        for k in range(max(map(len, stage_bases.values())) - 1)
+    ]
     spaces = QuotientSpaces(
         model=model,
         l2_basis=l2_basis,
         l3_basis=l3_basis,
         basic2_basis=basic2_basis,
-        ideal2_basis=_columns_from_forms(ideal2, 2),
-        ideal3_basis=_columns_from_forms(ideal3, 3),
-        full_symbol_tensors=(
-            np.eye(7)[:, :, None],
-            l2_basis.T @ w1,
-            l3_basis.T @ w2 @ l2_basis,
-        ),
-        basic_symbol_tensors=(
-            np.eye(7)[:, :_HORIZONTAL_COUNT, None],
-            basic2_basis.T @ w1[:, :, :_HORIZONTAL_COUNT],
-        ),
-    )
-    for matrix, label in (
-        (spaces.l2_basis, "2-form quotient"),
-        (spaces.l3_basis, "3-form quotient"),
-        (spaces.basic2_basis, "basic 2-form block"),
-    ):
-        gram = matrix.T @ matrix
-        residual = np.max(np.abs(gram - np.eye(matrix.shape[1])))
-        if residual > 1e-12:
-            raise ValueError(
-                f"{label} basis is not orthonormal; residual {residual:.3e}"
+        ideal2_basis=_columns_from_forms(ideal2),
+        ideal3_basis=_columns_from_forms(ideal3),
+        stage_bases=stage_bases,
+        symbol_tensors={
+            which: tuple(
+                bases[k + 1].T @ axis_wedges[k] @ bases[k]
+                for k in range(len(bases) - 1)
             )
+            for which, bases in stage_bases.items()
+        },
+    )
+    for which, bases in stage_bases.items():
+        for k, basis in enumerate(bases):
+            gram = basis.T @ basis
+            residual = np.max(np.abs(gram - np.eye(basis.shape[1])))
+            if residual > 1e-12:
+                raise ValueError(
+                    f"stage {k} basis of {which} is not orthonormal; "
+                    f"residual {residual:.3e}"
+                )
     cross = np.max(np.abs(spaces.l2_basis.T @ spaces.ideal2_basis))
     if cross > 1e-12:
         raise ValueError("quotient basis does not annihilate the ideal")
@@ -265,12 +273,10 @@ def _expand(matrix: np.ndarray, d: int) -> np.ndarray:
     return np.kron(matrix, np.eye(d))
 
 
-def symbol_maps(xi, q: QuotientSpaces, d: int = 1) -> tuple:
-    """Leading-order maps of the full complex at a nonzero covector.
-
-    Returns three matrices of shapes ``(7d, d)``, ``(13d, 7d)`` and
-    ``(7d, 13d)``.  Consecutive compositions vanish identically.
-    """
+def _stage_maps(xi, q: QuotientSpaces, which: str, d: int) -> tuple:
+    """``B_{k+1}^T W_k(xi) B_k`` for each stage of a complex, each
+    tensored with ``I_d``; ``W_k`` wedges with the covector itself."""
+    bases = q.bases(which)
     vec = np.asarray(xi, dtype=float)
     if vec.shape != (7,):
         raise ValueError("a covector needs exactly 7 real coefficients")
@@ -279,12 +285,19 @@ def symbol_maps(xi, q: QuotientSpaces, d: int = 1) -> tuple:
     if d < 1:
         raise ValueError("coefficient dimension must be at least 1")
     xi_form = covector_form(vec)
-    sigma0 = vec.reshape(7, 1)
-    w1 = wedge_matrix(xi_form, 1)
-    sigma1 = q.l2_basis.T @ w1
-    w2 = wedge_matrix(xi_form, 2)
-    sigma2 = q.l3_basis.T @ w2 @ q.l2_basis
-    return (_expand(sigma0, d), _expand(sigma1, d), _expand(sigma2, d))
+    return tuple(
+        _expand(bases[k + 1].T @ wedge_matrix(xi_form, k) @ bases[k], d)
+        for k in range(len(bases) - 1)
+    )
+
+
+def symbol_maps(xi, q: QuotientSpaces, d: int = 1) -> tuple:
+    """Leading-order maps of the full complex at a nonzero covector.
+
+    Returns three matrices of shapes ``(7d, d)``, ``(13d, 7d)`` and
+    ``(7d, 13d)``.  Consecutive compositions vanish identically.
+    """
+    return _stage_maps(xi, q, FULL_C, d)
 
 
 def basic_symbol_maps(xi, q: QuotientSpaces, d: int = 1) -> tuple:
@@ -294,20 +307,7 @@ def basic_symbol_maps(xi, q: QuotientSpaces, d: int = 1) -> tuple:
     horizontal part of the covector acts, so both maps vanish when the
     covector is vertical.
     """
-    vec = np.asarray(xi, dtype=float)
-    if vec.shape != (7,):
-        raise ValueError("a covector needs exactly 7 real coefficients")
-    if not np.any(vec != 0.0):
-        raise ValueError("the covector must be nonzero")
-    if d < 1:
-        raise ValueError("coefficient dimension must be at least 1")
-    xi_form = covector_form(vec)
-    b0 = vec[: _HORIZONTAL_COUNT].reshape(_HORIZONTAL_COUNT, 1)
-    w1 = wedge_matrix(xi_form, 1)
-    embed_h = np.zeros((7, _HORIZONTAL_COUNT))
-    embed_h[: _HORIZONTAL_COUNT, :] = np.eye(_HORIZONTAL_COUNT)
-    b1 = q.basic2_basis.T @ w1 @ embed_h
-    return (_expand(b0, d), _expand(b1, d))
+    return _stage_maps(xi, q, BASIC_B, d)
 
 
 def _stage_rows(dims, ranks) -> list:
@@ -347,14 +347,8 @@ def exactness_report(
 ) -> dict:
     """Rank and exactness data of a symbol sequence at one covector."""
     vec = np.asarray(xi, dtype=float)
-    if which == FULL_C:
-        maps = symbol_maps(vec, q, d)
-        dims = q.dims(d)
-    elif which == BASIC_B:
-        maps = basic_symbol_maps(vec, q, d)
-        dims = q.basic_dims(d)
-    else:
-        raise ValueError(f"unknown complex tag {which!r}")
+    maps = _stage_maps(vec, q, which, d)
+    dims = q.dims(which, d)
     ranks = [numerical_rank(m, threshold) for m in maps]
     compositions = [
         float(np.max(np.abs(maps[k + 1] @ maps[k])))
@@ -431,13 +425,10 @@ def batch_exactness(
     oracle route); the first three failures are reported in full by that
     function.
     """
+    stage_dims = q.dims(which)
+    tensors = q.symbol_tensors[which]
     # a swept covector passes when these leading stages are exact
-    if which == FULL_C:
-        tensors, dims_at, checked = q.full_symbol_tensors, q.dims, None
-    elif which == BASIC_B:
-        tensors, dims_at, checked = q.basic_symbol_tensors, q.basic_dims, 2
-    else:
-        raise ValueError(f"unknown complex tag {which!r}")
+    checked = None if which == FULL_C else 2
     if any(d < 1 for d in dims):
         raise ValueError("coefficient dimension must be at least 1")
     per_covector = len(dims)
@@ -446,7 +437,8 @@ def batch_exactness(
     def verdict(pattern: tuple) -> tuple:
         """Exactness everywhere and at the checked stages."""
         if pattern not in verdicts:
-            stages = [row["exact"] for row in _stage_rows(dims_at(), pattern)]
+            rows = _stage_rows(stage_dims, pattern)
+            stages = [row["exact"] for row in rows]
             verdicts[pattern] = (all(stages), all(stages[:checked]))
         return verdicts[pattern]
 
@@ -517,7 +509,7 @@ def batch_exactness(
             ),
             "exact_everywhere": bool(probe_count and probe_exact),
         }
-    if which == BASIC_B:
+    else:
         out["vertical_degenerate"] = bool(
             probe_count and all(0 in key for key in probe_patterns)
         )

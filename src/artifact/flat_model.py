@@ -332,27 +332,18 @@ class KForm:
         return f"KForm({self.degree}, {' '.join(bits)})"
 
 
-def _wedge_vectors(p: int, a: np.ndarray, q: int, b: np.ndarray) -> np.ndarray:
-    target, left, right, sign = _WEDGE[p, q]
-    terms = a[left] * b[right] * sign
-    size = len(_BASIS_KEYS[p + q])
-    out = np.empty(size, dtype=complex)
-    out.real = np.bincount(target, terms.real, size)
-    out.imag = np.bincount(target, terms.imag, size)
-    return out
-
-
 def wedge(*forms: KForm) -> KForm:
-    """Exterior product of any number of forms."""
+    """Exterior product of any number of forms, folded from the left
+    through :func:`left_wedge_matrix`."""
     if not forms:
         raise ValueError("wedge needs at least one form")
-    degree, acc = forms[0].degree, forms[0].vector.copy()
+    acc = forms[0].copy()
     for nxt in forms[1:]:
-        if degree + nxt.degree > 7:
-            raise ValueError("wedge degree exceeds the fiber dimension")
-        acc = _wedge_vectors(degree, acc, nxt.degree, nxt.vector)
-        degree += nxt.degree
-    return KForm._wrap(degree, acc)
+        acc = KForm._wrap(
+            acc.degree + nxt.degree,
+            left_wedge_matrix(acc, nxt.degree) @ nxt.vector,
+        )
+    return acc
 
 
 def left_wedge_matrix(a: KForm, degree: int) -> np.ndarray:
@@ -384,8 +375,11 @@ _PAIR_ROWS, _PAIR_COLS = np.array(_BASIS_KEYS[2]).T - 1
 
 
 def _two_form_matrix(vector: np.ndarray) -> np.ndarray:
-    """Antisymmetric 7x7 matrix ``A`` with ``a(X, Y) = X^T A Y``."""
-    out = np.zeros((7, 7), dtype=vector.dtype)
+    """Antisymmetric 7x7 matrix ``A`` with ``a(X, Y) = X^T A Y``.
+
+    Axes of ``vector`` after the first follow the two matrix axes.
+    """
+    out = np.zeros((7, 7) + vector.shape[1:], dtype=vector.dtype)
     out[_PAIR_ROWS, _PAIR_COLS] = vector
     out[_PAIR_COLS, _PAIR_ROWS] = -vector
     return out

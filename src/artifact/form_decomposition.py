@@ -142,11 +142,9 @@ def project(a: KForm, model: ContactModel) -> TwoFormSplit:
     """Spectral projection of a 2-form onto the four blocks."""
     if a.degree != 2:
         raise ValueError("project acts on 2-forms")
-    projectors = eigenspace_projectors(model)
-    vec = a.to_vector()
     parts = {
-        label: KForm.from_vector(2, proj @ vec)
-        for label, proj in projectors.items()
+        label: KForm.from_vector(2, vector)
+        for label, vector in project_vectors(a.vector, model).items()
     }
     return TwoFormSplit(
         part_8=parts["8"],

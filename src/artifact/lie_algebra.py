@@ -58,6 +58,10 @@ BRACKET_NORM_BOUND = float(np.sqrt(2.0))
 
 _CLOSURE_TOLERANCE = 1e-10
 _INVARIANCE_TOLERANCE = 1e-10
+# relative residual up to which a matrix counts as in the span of a basis
+_SPAN_TOLERANCE = 1e-9
+# slack on the sqrt(2) bound before a sampled bracket ratio fails it
+_BRACKET_BOUND_SLACK = 1e-9
 # matrix entries per block of the stacked commutators in algebra_from_basis
 _PAIR_BLOCK_ENTRIES = 1 << 20
 # named algebras kept per constructor: abelian(64) alone holds about 10 MB,
@@ -253,13 +257,27 @@ def make_su(n: int, inner: str = "killing") -> LieAlgebraSpec:
 
 @functools.lru_cache(maxsize=_NAMED_CACHE_SIZE)
 def make_abelian(d: int) -> LieAlgebraSpec:
-    """Abelian algebra of d imaginary diagonal matrices."""
+    """Abelian algebra of d imaginary diagonal matrices, in closed form.
+
+    The generators ``i E_kk`` commute, so every structure constant is
+    zero and the Killing form vanishes; the inner product is the negative
+    trace form, the identity; the basis is orthonormal, so coefficients
+    come from the conjugated flattened basis.  This is the spec that
+    :func:`algebra_from_basis` derives from all the commutators.
+    """
     if d < 1:
         raise ValueError("need at least one generator")
     mats = np.zeros((d, d, d), dtype=complex)
     for k in range(d):
         mats[k, k, k] = 1j
-    return algebra_from_basis(f"abelian({d})", mats)
+    return _checked_spec(
+        f"abelian({d})",
+        mats,
+        np.zeros((d, d, d)),
+        np.eye(d),
+        "trace",
+        mats.reshape(d, -1).conj(),
+    )
 
 
 def subalgebra_spec(
@@ -324,13 +342,13 @@ def matrix_of(spec: LieAlgebraSpec, u) -> np.ndarray:
     )
 
 
-def coeffs_of(spec: LieAlgebraSpec, mat, tol: float = 1e-9) -> np.ndarray:
+def coeffs_of(spec: LieAlgebraSpec, mat) -> np.ndarray:
     """Coefficient vector of a matrix; rejects matrices outside the span."""
     m = np.asarray(mat, dtype=complex)
     coeff = m.reshape(m.shape[:-2] + (-1,)) @ spec.coeff_pinv.T
     resid = np.linalg.norm(matrix_of(spec, coeff) - m, axis=(-2, -1))
     scale = np.maximum(np.linalg.norm(m, axis=(-2, -1)), 1.0)
-    if np.any(resid > tol * scale):
+    if np.any(resid > _SPAN_TOLERANCE * scale):
         raise ValueError(
             f"matrix is not in the span of the basis "
             f"(residual {float(np.max(resid))})"
@@ -376,7 +394,6 @@ def bracket_norm_check(
     spec: LieAlgebraSpec,
     samples: int = 1000,
     seed: int = 0,
-    tol: float = 1e-9,
 ) -> dict:
     """Sample the commutator norm ratio ||[a,b]|| / (||a|| ||b||).
 
@@ -412,7 +429,7 @@ def bracket_norm_check(
         "inner_mode": spec.inner_mode,
         "max_ratio": max_ratio,
         "bound": BRACKET_NORM_BOUND,
-        "passed": max_ratio <= BRACKET_NORM_BOUND + tol,
+        "passed": max_ratio <= BRACKET_NORM_BOUND + _BRACKET_BOUND_SLACK,
         "attained": abs(max_ratio - BRACKET_NORM_BOUND) <= 1e-6,
         "samples": samples,
     }

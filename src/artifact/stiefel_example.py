@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flat_model import ContactModel, calibrate_model
+from .flat_model import ContactModel
 from .lie_algebra import (
     LieAlgebraSpec,
     make_so,
@@ -36,7 +36,6 @@ from .lie_algebra import (
 )
 from .gauge_fields import (
     GValuedForm,
-    f_component_norm_matrix,
     f_components_from_gform,
     g_norm,
     gform_from_w_coefficients,
@@ -153,7 +152,7 @@ def alpha_curvature(spec: StiefelSpec) -> GValuedForm:
 
 def sdci_verify(
     spec: StiefelSpec,
-    model: ContactModel | None = None,
+    model: ContactModel,
     tol: float = SDCI_TOLERANCE,
 ) -> dict:
     """Certify that the invariant curvature is of self-dual type.
@@ -163,8 +162,6 @@ def sdci_verify(
     the trace of the component table; all must vanish within ``tol``
     relative to the curvature norm for a pass.
     """
-    if model is None:
-        model = calibrate_model()
     F = alpha_curvature(spec)
     verdict = instanton_classify(F, model, tol=tol)
     off_keys = ("block_6", "block_1", "vertical", "reality")
@@ -302,8 +299,7 @@ def indefiniteness_search(
 
 
 def stiefel_report(
-    spec: StiefelSpec | None = None,
-    model: ContactModel | None = None,
+    model: ContactModel,
     seed: int = 0,
     samples: int = 200,
 ) -> dict:
@@ -312,15 +308,12 @@ def stiefel_report(
     Gathers the structural checks, the self-dual certification, the
     sign witnesses, the positivity report for the combined curvature
     and Ricci endomorphism, and the stability report for the energy's
-    second variation, all on the same curvature data.
+    second variation, all on the same curvature data, for the Einstein
+    spec of :func:`build_stiefel`.
     """
-    if spec is None:
-        spec = build_stiefel()
-    if model is None:
-        model = calibrate_model()
+    spec = build_stiefel()
     F = alpha_curvature(spec)
     gauge = F.algebra
-    fc = f_components_from_gform(F)
     structure = structure_check(spec)
     sdci = sdci_verify(spec, model)
     indefinite = indefiniteness_search(spec, model, seed, samples)
@@ -342,9 +335,9 @@ def stiefel_report(
         "sdci": sdci,
         "curvature": {
             "form_norm": float(g_norm(F)),
-            "component_frobenius": float(
-                np.linalg.norm(f_component_norm_matrix(fc))
-            ),
+            "component_frobenius": vanishing["norms"][
+                "component_frobenius"
+            ],
             "fiber_norms": fiber_norms,
         },
         "indefiniteness": indefinite,

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flat_model import _PAIR_COLS, _PAIR_ROWS, ContactModel, calibrate_model
+from .flat_model import ContactModel, _two_form_matrix
 from .lie_algebra import (
     BRACKET_NORM_BOUND,
     LieAlgebraSpec,
@@ -168,13 +168,7 @@ def curvature_components_grid(F: GValuedForm) -> np.ndarray:
     """
     if F.degree != 2:
         raise ValueError("expected a curvature 2-form")
-    grid = np.zeros(
-        (FORM_INDEX_COUNT, FORM_INDEX_COUNT) + F.matrix.shape[1:],
-        dtype=complex,
-    )
-    grid[_PAIR_ROWS, _PAIR_COLS] = F.matrix
-    grid[_PAIR_COLS, _PAIR_ROWS] = -F.matrix
-    return grid
+    return _two_form_matrix(F.matrix)
 
 
 def curvature_grid_norms(F: GValuedForm) -> np.ndarray:
@@ -308,7 +302,7 @@ def torsion_residuals(F: GValuedForm, model: ContactModel) -> dict:
 def stability_report(
     F: GValuedForm,
     ricci: RicciTensor7,
-    model: ContactModel | None = None,
+    model: ContactModel,
     classification_tol: float = 1e-9,
 ) -> dict:
     """Stability verdict for a connection with curvature ``F``.
@@ -321,8 +315,6 @@ def stability_report(
     norm test fails.  Torsion residuals and the curvature type label
     are included as criticality diagnostics.
     """
-    if model is None:
-        model = calibrate_model()
     c = ricci.min_eigenvalue()
     f_norm = g_norm(F)
     threshold = c / (2.0 * BRACKET_NORM_BOUND)

@@ -4,6 +4,12 @@ only tests call them."""
 
 import numpy as np
 
+from artifact.deformation_symbols import (
+    BASIC_B,
+    FULL_C,
+    covector_form,
+    wedge_matrix,
+)
 from artifact.flat_model import KForm, basis_keys, wedge
 from artifact.gauge_fields import GValuedForm
 from artifact.lie_algebra import _scalar, coeffs_of, matrix_of
@@ -91,4 +97,58 @@ def weighted_spectrum_dense(matrix, weight):
         "hermiticity_residual": _scalar(herm_residual),
         "positive": _scalar(low > POSITIVITY_RELATIVE_FLOOR * largest),
         "nonnegative": _scalar(low >= -POSITIVITY_RELATIVE_FLOOR * largest),
+    }
+
+
+# The symbol complexes written out by hand, one formula per complex and
+# stage: the oracle for the stage-basis route of ``deformation_symbols``.
+
+_HORIZONTAL = 6
+
+
+def _kron_identity(matrix, d):
+    return matrix if d == 1 else np.kron(matrix, np.eye(d))
+
+
+def full_symbol_maps_explicit(xi, q, d=1):
+    """Oracle route for ``symbol_maps``: the covector itself, then the
+    wedge into the 2-form quotient, then the wedge from it into the
+    3-form quotient."""
+    vec = np.asarray(xi, dtype=float)
+    xi_form = covector_form(vec)
+    sigma0 = vec.reshape(7, 1)
+    sigma1 = q.l2_basis.T @ wedge_matrix(xi_form, 1)
+    sigma2 = q.l3_basis.T @ wedge_matrix(xi_form, 2) @ q.l2_basis
+    return tuple(_kron_identity(m, d) for m in (sigma0, sigma1, sigma2))
+
+
+def basic_symbol_maps_explicit(xi, q, d=1):
+    """Oracle route for ``basic_symbol_maps``: the horizontal part of the
+    covector, then the wedge of horizontal 1-forms into the basic block,
+    through an explicit embedding of the horizontal 1-forms."""
+    vec = np.asarray(xi, dtype=float)
+    b0 = vec[:_HORIZONTAL].reshape(_HORIZONTAL, 1)
+    embed_h = np.zeros((7, _HORIZONTAL))
+    embed_h[:_HORIZONTAL, :] = np.eye(_HORIZONTAL)
+    b1 = q.basic2_basis.T @ wedge_matrix(covector_form(vec), 1) @ embed_h
+    return tuple(_kron_identity(m, d) for m in (b0, b1))
+
+
+def symbol_tensors_explicit(q):
+    """Oracle route for ``QuotientSpaces.symbol_tensors``: the tensors of
+    both complexes over the seven axis covectors, written out stage by
+    stage, keyed by complex tag."""
+    axes = [covector_form(row) for row in np.eye(7)]
+    w1 = np.stack([wedge_matrix(xi, 1) for xi in axes])
+    w2 = np.stack([wedge_matrix(xi, 2) for xi in axes])
+    return {
+        FULL_C: (
+            np.eye(7)[:, :, None],
+            q.l2_basis.T @ w1,
+            q.l3_basis.T @ w2 @ q.l2_basis,
+        ),
+        BASIC_B: (
+            np.eye(7)[:, :_HORIZONTAL, None],
+            q.basic2_basis.T @ w1[:, :, :_HORIZONTAL],
+        ),
     }

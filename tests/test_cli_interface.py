@@ -459,6 +459,18 @@ class TestExitCodes:
         with pytest.raises(InputError, match="1 <= d <= 64"):
             parse_algebra("abelian100000")
 
+    def test_largest_abelian_classifies(self, tmp_path, capsys):
+        # abelian64 is the largest algebra the schema accepts
+        payload = {
+            "algebra": "abelian64",
+            "basis": "real",
+            "components": {"12": [1.0] + [0.0] * 63},
+        }
+        path = write_json(tmp_path, "abelian64.json", payload)
+        assert main(["classify", "--input", path]) == 0
+        # e^12 on one generator, whose trace-form norm is 1
+        assert json.loads(capsys.readouterr().out)["norm"] == 1.0
+
     def test_bad_environment_format_exits_two(self, monkeypatch, capsys):
         monkeypatch.setenv("ARTIFACT_FORMAT", "parquet")
         assert main(["calibrate"]) == 2

@@ -4,7 +4,9 @@ Rank patterns are checked against hand-derived values at axis covectors
 and generic random ones, compositions against exact zero, and the
 quotient bases against independent span and orthogonality oracles.
 The batched sweep is checked against the per-covector loop it replaced,
-kept here as the oracle route.
+kept here as the oracle route, and the stage-basis route of both
+complexes against their formulas written out by hand in
+``oracle_routes``.
 """
 
 import numpy as np
@@ -34,6 +36,11 @@ from artifact.deformation_symbols import (
     numerical_rank,
     symbol_maps,
     wedge_matrix,
+)
+from oracle_routes import (
+    basic_symbol_maps_explicit,
+    full_symbol_maps_explicit,
+    symbol_tensors_explicit,
 )
 
 
@@ -76,15 +83,15 @@ def horizontal_triple_span_rank() -> int:
 
 class TestQuotientSpaces:
     def test_scalar_dimensions(self, spaces):
-        assert spaces.scalar_dims == (1, 7, 13, 7)
-        assert spaces.basic_scalar_dims == (1, 6, 7)
+        assert spaces.dims(FULL_C) == (1, 7, 13, 7)
+        assert spaces.dims(BASIC_B) == (1, 6, 7)
 
     def test_dims_scale_with_coefficients(self, spaces):
-        assert spaces.dims(3) == (3, 21, 39, 21)
-        assert spaces.basic_dims(2) == (2, 12, 14)
+        assert spaces.dims(FULL_C, 3) == (3, 21, 39, 21)
+        assert spaces.dims(BASIC_B, 2) == (2, 12, 14)
 
     def test_alternating_sum_vanishes(self, spaces):
-        dims = spaces.scalar_dims
+        dims = spaces.dims(FULL_C)
         assert sum((-1) ** k * n for k, n in enumerate(dims)) == 0
 
     def test_bases_are_orthonormal(self, spaces):
@@ -115,6 +122,43 @@ class TestQuotientSpaces:
 
     def test_horizontal_triple_span_rank(self):
         assert horizontal_triple_span_rank() == 18
+
+
+# ---------------------------------------------------------------------------
+# Stage-basis route against the formulas written out per complex
+# ---------------------------------------------------------------------------
+
+# the seven axis covectors, then 50 seeded normal ones
+STAGE_COVECTORS = np.concatenate(
+    [np.eye(7), np.random.default_rng(16).normal(size=(50, 7))]
+)
+
+
+def _assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+class TestStageBasisRoute:
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize(
+        "route, oracle",
+        [
+            (symbol_maps, full_symbol_maps_explicit),
+            (basic_symbol_maps, basic_symbol_maps_explicit),
+        ],
+        ids=[FULL_C, BASIC_B],
+    )
+    def test_maps_equal_explicit_formulas(self, spaces, route, oracle, d):
+        for xi in STAGE_COVECTORS:
+            _assert_same_arrays(route(xi, spaces, d), oracle(xi, spaces, d))
+
+    @pytest.mark.parametrize("which", [FULL_C, BASIC_B])
+    def test_tensors_equal_explicit_formulas(self, spaces, which):
+        want = symbol_tensors_explicit(spaces)[which]
+        _assert_same_arrays(spaces.symbol_tensors[which], want)
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +195,16 @@ class TestCovectorHelpers:
         mat = wedge_matrix(xi, 2)
         keys2 = basis_keys(2)
         coords = rng.standard_normal(len(keys2))
-        alpha = KForm(2, dict(zip(keys2, coords)))
-        image = wedge(xi, alpha)
-        assert np.allclose(mat @ coords, image.to_vector().real)
+        alpha = dict(zip(keys2, coords))
+        # (xi ^ alpha)_{ijk} = xi_i alpha_jk - xi_j alpha_ik + xi_k alpha_ij,
+        # written out apart from the wedge tables that ``wedge`` also uses
+        expected = [
+            vec[i - 1] * alpha[j, k]
+            - vec[j - 1] * alpha[i, k]
+            + vec[k - 1] * alpha[i, j]
+            for i, j, k in basis_keys(3)
+        ]
+        assert np.allclose(mat @ coords, expected)
 
     def test_wedge_matrix_requires_one_form(self):
         with pytest.raises(ValueError):
@@ -287,8 +338,12 @@ class TestBasicSymbolMaps:
         assert report["ranks"][0] == 1
 
     def test_unknown_tag_rejected(self, spaces):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown complex tag"):
             exactness_report(GENERIC_XI, spaces, "OTHER", 1)
+        with pytest.raises(ValueError, match="unknown complex tag"):
+            batch_exactness(spaces, "OTHER", samples=1)
+        with pytest.raises(ValueError, match="unknown complex tag"):
+            spaces.dims("OTHER")
 
 
 # ---------------------------------------------------------------------------

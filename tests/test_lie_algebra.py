@@ -106,6 +106,18 @@ def test_abelian_falls_back_to_trace():
     assert np.max(np.abs(spec.structure)) == 0.0
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_abelian_closed_form_matches_basis_oracle(d):
+    # oracle route: algebra_from_basis on the same diagonal generators,
+    # which forms every commutator and derives the spec from them
+    basis = 1j * np.array([np.diag(row) for row in np.eye(d)])
+    oracle = algebra_from_basis(f"abelian({d})", basis)
+    spec = make_abelian(d)
+    assert (spec.name, spec.inner_mode) == (oracle.name, oracle.inner_mode)
+    for name in ("basis", "structure", "gram", "coeff_pinv"):
+        assert np.array_equal(getattr(spec, name), getattr(oracle, name))
+
+
 def test_killing_proportional_to_trace():
     for factory, n, expected in (
         (make_so, 3, 1.0),
