@@ -477,7 +477,10 @@ def batch_exactness(
             probed = ~np.any(block[:, :_HORIZONTAL_COUNT], axis=1)
         passed = np.array([verdict(p)[1] for p in patterns])[inverse]
         probe_count += per_covector * int(np.sum(probed))
-        for index in np.unique(inverse[probed]):
+        # the patterns met by a probed covector, in pattern order
+        for index in np.flatnonzero(
+            np.bincount(inverse[probed], minlength=len(patterns))
+        ):
             pattern = patterns[index]
             probe_patterns.add(pattern)
             probe_exact = probe_exact and verdict(pattern)[0]

@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -498,7 +499,8 @@ def _fixed_dz(j: int) -> KForm:
     return KForm.basis(2 * j - 1) + (-1j) * KForm.basis(2 * j)
 
 
-def standard_two_form_families() -> dict:
+@functools.cache
+def standard_two_form_families() -> MappingProxyType:
     """The two standard families of horizontal 2-forms.
 
     ``w`` spans the 8-dimensional eigenspace the package calls the
@@ -509,7 +511,9 @@ def standard_two_form_families() -> dict:
         w1 = (dz1 ^ cbar dz2 - dz2 ^ cbar dz1) / 2          etc.
         v1 = (dz1 ^ dz2 + cbar dz1 ^ cbar dz2) / 2          etc.
 
-    Every member has squared norm 2.
+    Every member has squared norm 2.  Built once per process and shared
+    read-only: a mapping of tuples of forms whose vectors are read-only;
+    ``standard_two_form_families.__wrapped__()`` builds them anew.
     """
     dz = {j: _fixed_dz(j) for j in (1, 2, 3)}
     dzb = {j: dz[j].conjugate() for j in (1, 2, 3)}
@@ -526,7 +530,9 @@ def standard_two_form_families() -> dict:
         v.append(0.5 * (wedge(dz[mu], dz[nu]) + wedge(dzb[mu], dzb[nu])))
         v.append(0.5j * (wedge(dzb[mu], dzb[nu]) - wedge(dz[mu], dz[nu])))
 
-    return {"w": w, "v": v}
+    for form in w + v:
+        form.vector.setflags(write=False)
+    return MappingProxyType({"w": tuple(w), "v": tuple(v)})
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ Component conventions for a 2-form written in the standard families:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +53,8 @@ from .flat_model import (
     PAIRS,
     CalibrationError,
     ContactModel,
-    KForm,
     _locate,
     basis_keys,
-    left_wedge_matrix,
     standard_two_form_families,
 )
 from .form_decomposition import (
@@ -77,12 +76,10 @@ __all__ = [
     "GValuedForm",
     "TwoZeroSection",
     "FComponents",
-    "gform_from_terms",
     "conjugate_gform",
     "g_inner",
     "g_norm",
     "g_wedge_bracket",
-    "g_wedge_scalar",
     "two_zero_from_v_coefficients",
     "f_components_from_w",
     "gform_from_w_coefficients",
@@ -187,24 +184,6 @@ class GValuedForm:
             raise ValueError("forms have different degrees")
 
 
-def gform_from_terms(
-    algebra: LieAlgebraSpec, degree: int, terms
-) -> GValuedForm:
-    """Sum of ``form (x) vector`` terms with scalar :class:`KForm` parts."""
-    forms, vectors = [], []
-    for form, vector in terms:
-        if form.degree != degree:
-            raise ValueError("term degree does not match")
-        forms.append(form.vector)
-        vectors.append(np.asarray(vector, dtype=complex))
-    if not forms:
-        return GValuedForm(algebra, degree)
-    # the sum of the outer products, added term by term
-    return GValuedForm._wrap(
-        algebra, degree, np.einsum("tk,td->kd", forms, vectors)
-    )
-
-
 def conjugate_gform(a: GValuedForm) -> GValuedForm:
     """Conjugation over the real algebra: coefficient vectors conjugate."""
     return GValuedForm._wrap(a.algebra, a.degree, a.matrix.conj())
@@ -264,17 +243,6 @@ def g_wedge_bracket(phi: GValuedForm, psi: GValuedForm) -> GValuedForm:
     signs = sign.reshape((-1,) + (1,) * (brackets.ndim - 1))
     np.add.at(matrix, target, signs * brackets)
     return GValuedForm._wrap(phi.algebra, total_degree, matrix)
-
-
-def g_wedge_scalar(F: GValuedForm, form: KForm) -> GValuedForm:
-    """Wedge an algebra-valued form with a scalar form on the right."""
-    degree = F.degree + form.degree
-    # F ^ form = (-1)^{pq} form ^ F, one left-wedge matrix for all columns
-    swap = (-1) ** (F.degree * form.degree)
-    matrix = left_wedge_matrix(form, F.degree) * swap
-    return GValuedForm._wrap(
-        F.algebra, degree, np.einsum("tr,rd->td", matrix, F.matrix)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -485,11 +453,8 @@ _PURE_ROWS = [
     row for symbols, row in _SYMBOL_ROW.items()
     if 0 not in symbols and row not in _MIXED_ROWS
 ]
-
-
-def _largest_norm(rows) -> float:
-    """Largest Euclidean norm among coefficient rows, 0.0 for none."""
-    return max((float(np.linalg.norm(row)) for row in rows), default=0.0)
+# every row outside type (1,1), in row order
+_STRAY_ROWS = sorted(_PURE_ROWS + _ETA_ROWS)
 
 
 def f_components_from_gform(
@@ -507,7 +472,7 @@ def f_components_from_gform(
         raise ValueError("expected a 2-form")
     rows = _complex_rows(F)
     if strict:
-        stray = np.abs(np.delete(rows, _MIXED_ROWS, axis=0)).max(axis=(0, -1))
+        stray = np.abs(rows[_STRAY_ROWS]).max(axis=(0, -1))
         if np.any(stray > tol * np.maximum(g_norm(F), 1.0)):
             raise ValueError(
                 f"form has components outside type (1,1) "
@@ -548,6 +513,32 @@ def _classify_from_residuals(residuals: dict, scale: float, tol: float):
     return candidates[0]
 
 
+@functools.cache
+def _classifier_tables(model: ContactModel) -> tuple:
+    """Per-model tables of :func:`instanton_classify`.
+
+    The four block projectors stacked in the order of
+    ``EIGENVALUE_BY_BLOCK`` as one ``(4, 21, 21)`` array, the complex
+    (1,1) rows of ``omega`` in the order of ``_MIXED_ROWS``, and the norm
+    of ``omega``.  Built once per model and shared read-only;
+    ``_classifier_tables.__wrapped__`` builds them anew.
+    """
+    projectors = np.stack(list(eigenspace_projectors(model).values()))
+    omega = model.omega.vector
+    omega_rows = _change_basis(_TO_COMPLEX[2], omega)[_MIXED_ROWS]
+    for table in (projectors, omega_rows):
+        table.setflags(write=False)
+    return projectors, omega_rows, float(np.linalg.norm(omega))
+
+
+# the rows of route two grouped by block: the (1,1) rows, whose contact
+# line is removed before they count for block_8, then the (2,0) and (0,2)
+# rows (block_6), then the eta rows (vertical); _GROUP_STARTS holds the
+# first position of each group
+_GROUPED_ROWS = _MIXED_ROWS + _PURE_ROWS + _ETA_ROWS
+_GROUP_STARTS = np.cumsum([0, len(_MIXED_ROWS), len(_PURE_ROWS)])
+
+
 def instanton_classify(
     F: GValuedForm, model: ContactModel, tol: float = INSTANTON_TOLERANCE
 ) -> dict:
@@ -555,46 +546,55 @@ def instanton_classify(
 
     Labels: ``SD`` (the +1 block), ``ASD`` (the -1 block),
     ``LAMBDA_MINUS_2`` (the line of the contact 2-form) and ``NONE``.
-    Two independent routes are evaluated, one through the spectral
-    projectors, one through complex types, and must agree; ``tol`` is
-    relative to the norm of the input.
+    Two independent routes are evaluated and must agree; ``tol`` is
+    relative to the norm of the input.  Each route is one stacked
+    reduction over per-model tables:
+
+    * route one multiplies the coefficient matrix by the four block
+      projectors, stacked once per model, and takes the four Frobenius
+      norms in one call;
+    * route two changes to complex coefficients once, removes the
+      contact line from the (1,1) rows as ``omega_rows (x) u`` with
+      ``u`` from :func:`omega_component`, takes every row norm in one
+      reduction and keeps the largest of each complex type.
     """
     if F.degree != 2:
         raise ValueError("expected a 2-form")
     scale = g_norm(F)
     reality = g_norm(F - conjugate_gform(F))
+    projectors, omega_rows, omega_norm = _classifier_tables(model)
 
-    # route one: spectral projectors acting on the coefficient matrix.
-    # Plain Frobenius norms suffice for the residuals: the algebra Gram
-    # matrix is positive definite, so a block vanishes in one norm exactly
-    # when it vanishes in the other.
-    mat = F.to_matrix()
-    projectors = eigenspace_projectors(model)
-    block_norm = {
-        label: float(np.linalg.norm(proj @ mat))
-        for label, proj in projectors.items()
-    }
+    # route one: spectral projectors acting on the coefficient matrix,
+    # whose real and imaginary parts stand side by side so that one real
+    # product serves both.  Plain Frobenius norms suffice for the
+    # residuals: the algebra Gram matrix is positive definite, so a block
+    # vanishes in one norm exactly when it vanishes in the other.
+    parts = np.concatenate([F.matrix.real, F.matrix.imag], axis=-1)
+    blocks = (projectors @ parts).reshape(len(projectors), -1)
+    block_8, block_6, block_1, vertical = (
+        np.sqrt(np.vecdot(blocks, blocks)).tolist()
+    )
     residuals_eigen = {
-        "block_8": block_norm["8"],
-        "block_6": block_norm["6"],
-        "block_1": block_norm["1"],
-        "vertical": block_norm["vertical"],
+        "block_8": block_8,
+        "block_6": block_6,
+        "block_1": block_1,
+        "vertical": vertical,
         "reality": reality,
     }
     label_eigen = _classify_from_residuals(residuals_eigen, scale, tol)
 
     # route two: complex types together with the contact component; the
     # (1,1) part splits into the contact line and its complement
-    rows = _complex_rows(F)
     omega_vec = omega_component(F, model)
-    omega_norm = float(np.linalg.norm(model.omega.to_vector()))
-    omega_part = gform_from_terms(F.algebra, 2, [(model.omega, omega_vec)])
-    perp_rows = _complex_rows(F - omega_part)
+    grouped = _complex_rows(F)[_GROUPED_ROWS]
+    grouped[: len(_MIXED_ROWS)] -= omega_rows[:, None] * omega_vec
+    norms = np.sqrt(np.vecdot(grouped, grouped).real)
+    largest = np.maximum.reduceat(norms, _GROUP_STARTS).tolist()
     residuals_type = {
-        "block_8": _largest_norm(perp_rows[_MIXED_ROWS]),
-        "block_6": _largest_norm(rows[_PURE_ROWS]),
+        "block_8": largest[0],
+        "block_6": largest[1],
         "block_1": float(np.linalg.norm(omega_vec)) * omega_norm,
-        "vertical": _largest_norm(rows[_ETA_ROWS]),
+        "vertical": largest[2],
         "reality": reality,
     }
     label_type = _classify_from_residuals(residuals_type, scale, tol)

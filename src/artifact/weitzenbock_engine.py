@@ -30,6 +30,7 @@ then come back per sample.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,7 @@ from .gauge_fields import (
     phi_component_norm_matrix,
 )
 from .lie_algebra import (
+    _NAMED_CACHE_SIZE,
     LieAlgebraSpec,
     _scalar,
     ad_matrix,
@@ -82,6 +84,11 @@ POSITIVITY_RELATIVE_FLOOR = 1e-10
 # the quadratic form written on coefficient families equals this factor
 # times the operator quadratic form in the pair-sum convention
 V_QUAD_TO_OPERATOR_FACTOR = 4.0
+
+# Gram blocks whose roots weighted_spectrum keeps, as many as named
+# algebras per constructor: a process that meets many algebras keeps only
+# the most recent ones
+_GRAM_ROOT_CACHE_SIZE = _NAMED_CACHE_SIZE
 
 # constant of the estimate chain -lambda_min(F) <= sqrt(2) ||B||_F, B the
 # matrix of curvature component norms
@@ -358,17 +365,43 @@ def v_basis_quad_form(
     return _scalar(np.real(total))
 
 
+def _identity_blocks(matrix, d: int) -> np.ndarray:
+    """``kron(matrix, I_d)`` by broadcasting: the ``(n, n)`` matrix, or
+    each matrix of a ``(..., n, n)`` stack, times the d x d identity
+    block by block, as a ``(..., n d, n d)`` array."""
+    matrix = np.asarray(matrix)
+    n = matrix.shape[-1]
+    blocks = matrix[..., :, None, :, None] * np.eye(d)[:, None, :]
+    return blocks.reshape(matrix.shape[:-2] + (n * d, n * d))
+
+
+@functools.lru_cache(maxsize=_GRAM_ROOT_CACHE_SIZE)
+def _gram_roots(dtype: str, d: int, raw: bytes) -> tuple:
+    """Square root and inverse square root of a d x d Gram block given by
+    its bytes, from one eigendecomposition; both read-only."""
+    gram = np.frombuffer(raw, dtype=dtype).reshape(d, d)
+    evals, evecs = np.linalg.eigh(gram)
+    root = (evecs * np.sqrt(evals)) @ evecs.T
+    inv_root = (evecs / np.sqrt(evals)) @ evecs.T
+    for table in (root, inv_root):
+        table.setflags(write=False)
+    return root, inv_root
+
+
 def build_R_operator(ricci: TransverseRicci, algebra: LieAlgebraSpec) -> TwoZeroEndo:
     """Ricci endomorphism on stacked sections.
 
     Implements ``(R phi)_{mu nu} = sum_alpha (R~_{alpha mu} phi_{alpha nu}
     - R~_{alpha nu} phi_{alpha mu})``; with the transverse metric
     normalised to the identity, ``R~`` is ``ricci.matrix`` itself.  The
-    resulting pair-space matrix is Hermitian whenever the tensor is.
+    resulting pair-space matrix is Hermitian whenever the tensor is; its
+    entries multiply the d x d identity block by block
+    (``kron(pair_matrix, I_d)``, formed by broadcasting), and a stack of
+    tensors gives the stack of operators.
     """
     pair_matrix = np.einsum("rcma,...am->...rc", _COUPLING, ricci.matrix)
     # a stack of pair matrices gives the stack of Kronecker products
-    matrix = np.kron(pair_matrix, np.eye(algebra.dim))
+    matrix = _identity_blocks(pair_matrix, algebra.dim)
     return TwoZeroEndo(algebra=algebra, matrix=matrix)
 
 
@@ -378,28 +411,32 @@ def weighted_spectrum(matrix, gram) -> dict:
     ``gram`` is the d x d Gram block of the inner product; the operator
     acts on n stacked coefficient vectors of length d (n = 3 for (2,0)
     sections, 7 for 1-forms), so the weight is ``kron(I_n, gram)``.  The
-    operator is conjugated by the square root of that weight, taken from
-    one eigendecomposition of the block; the conjugate must be Hermitian
-    for a self-adjoint operator, and its deviation is reported alongside
-    the eigenvalues.  A stack of ``(..., n d, n d)`` matrices gives every
-    entry per matrix.
+    operator is conjugated by the square root of that weight, applied
+    block by block; the root and its inverse come from one
+    eigendecomposition of the Gram block, kept in a small cache keyed by
+    the block's bytes (the last ``_GRAM_ROOT_CACHE_SIZE`` blocks).  The
+    conjugate must be Hermitian for a self-adjoint operator, and its
+    deviation is reported alongside the eigenvalues.  A stack of
+    ``(..., n d, n d)`` matrices gives every entry per matrix.
     """
     matrix = np.asarray(matrix)
-    evals, evecs = np.linalg.eigh(np.asarray(gram))
-    d = len(evals)
+    gram = np.ascontiguousarray(gram)
+    d = len(gram)
+    root, inv_root = _gram_roots(gram.dtype.str, d, gram.tobytes())
     size = matrix.shape[-1]
     n = size // d
     lead = matrix.shape[:-2]
-    root = (evecs * np.sqrt(evals)) @ evecs.T
-    inv_root = (evecs / np.sqrt(evals)) @ evecs.T
     # kron(I_n, root) @ matrix @ kron(I_n, inv_root): root acts on the
     # row index and inv_root on the column index of every d x d block
     left = root @ matrix.reshape(lead + (n, d, size))
     conjugated = left.reshape(lead + (n * d * n, d)) @ inv_root
     conjugated = conjugated.reshape(matrix.shape)
-    adjoint = np.swapaxes(conjugated.conj(), -1, -2)
+    # the adjoint laid out contiguously once serves both passes below
+    adjoint = np.ascontiguousarray(np.swapaxes(conjugated.conj(), -1, -2))
     herm_residual = np.max(np.abs(conjugated - adjoint), axis=(-2, -1))
-    spectrum = np.linalg.eigvalsh((conjugated + adjoint) / 2.0)
+    hermitian = conjugated + adjoint
+    hermitian /= 2.0
+    spectrum = np.linalg.eigvalsh(hermitian)
     largest = np.max(np.abs(spectrum), axis=-1, initial=0.0)
     low = spectrum.min(axis=-1)
     return {

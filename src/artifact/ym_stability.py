@@ -34,11 +34,12 @@ sample, the coupling and second-variation matrices as ``(..., 7 d, 7 d)``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flat_model import ContactModel, _two_form_matrix
+from .flat_model import ContactModel, _two_form_matrix, left_wedge_matrix
 from .lie_algebra import (
     BRACKET_NORM_BOUND,
     LieAlgebraSpec,
@@ -48,13 +49,12 @@ from .lie_algebra import (
     inner_vec,
     norm_vec,
 )
-from .gauge_fields import (
-    GValuedForm,
-    g_norm,
-    g_wedge_scalar,
-    instanton_classify,
+from .gauge_fields import GValuedForm, g_norm, instanton_classify
+from .weitzenbock_engine import (
+    POSITIVITY_RELATIVE_FLOOR,
+    _identity_blocks,
+    weighted_spectrum,
 )
-from .weitzenbock_engine import POSITIVITY_RELATIVE_FLOOR, weighted_spectrum
 
 __all__ = [
     "FORM_INDEX_COUNT",
@@ -151,6 +151,12 @@ class RicciTensor7:
         return cls(np.eye(FORM_INDEX_COUNT) * float(scale))
 
     def min_eigenvalue(self) -> float:
+        """Smallest eigenvalue, computed once per tensor (the matrix is
+        read-only)."""
+        return self._min_eigenvalue
+
+    @functools.cached_property
+    def _min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.matrix).min())
 
 
@@ -263,15 +269,15 @@ def algebraic_second_variation(
 
     Returns the matrix on the stacked coefficient space together with
     its spectrum in the invariant inner product, whose Gram matrix on
-    the stack is ``kron(I_7, gram)``.  The full second variation adds a
+    the stack is ``kron(I_7, gram)``.  The Ricci part ``kron(Ric, I_d)``
+    is formed by broadcasting, and a stack of curvatures gives the stack
+    of matrices and spectra.  The full second variation adds a
     nonnegative rough Laplacian, so a positive minimum eigenvalue here
     certifies stability of the connection.
     """
     algebra = F.algebra
-    d = algebra.dim
-    ricci_block = np.kron(ricci.matrix, np.eye(d))
     coupling = curvature_action_oneforms(F)
-    matrix = ricci_block + 2.0 * coupling
+    matrix = _identity_blocks(ricci.matrix, algebra.dim) + 2.0 * coupling
     spectrum = weighted_spectrum(matrix, algebra.gram)
     return {
         "matrix": matrix,
@@ -282,6 +288,26 @@ def algebraic_second_variation(
     }
 
 
+@functools.cache
+def _torsion_maps(model: ContactModel) -> np.ndarray:
+    """The maps ``F -> F ^ deta ^ deta`` (2-forms to 6-forms, rows 0-6)
+    and ``F -> F ^ deta ^ deta ^ eta`` (to the 7-form, row 7) stacked as
+    one real ``(8, 21)`` matrix in the lex bases.
+
+    Both are compositions of left-wedge matrices with small integer or
+    dyadic entries, so every entry of the composition is exact.  Built
+    once per model and shared read-only; ``_torsion_maps.__wrapped__``
+    builds it anew.
+    """
+    # a 2-form commutes with every form, so F ^ deta = deta ^ F
+    six = left_wedge_matrix(model.deta, 4) @ left_wedge_matrix(model.deta, 2)
+    # eta ^ six-form = six-form ^ eta, as 6 is even
+    seven = left_wedge_matrix(model.eta, 6) @ six
+    maps = np.concatenate([six, seven]).real
+    maps.setflags(write=False)
+    return maps
+
+
 def torsion_residuals(F: GValuedForm, model: ContactModel) -> dict:
     """Norms of the curvature paired with the square of ``deta``.
 
@@ -290,9 +316,16 @@ def torsion_residuals(F: GValuedForm, model: ContactModel) -> dict:
     7-form.  Both vanish exactly when the curvature has no component
     on the line of the contact 2-form and no vertical part, which is
     the reason self-dual connections are automatically critical.
+
+    Both forms come from one product of the coefficient matrix with the
+    composed wedge maps, built once per model; a stack of curvatures
+    gives both norms per sample.
     """
-    six_form = g_wedge_scalar(g_wedge_scalar(F, model.deta), model.deta)
-    seven_form = g_wedge_scalar(six_form, model.eta)
+    if F.degree != 2:
+        raise ValueError("expected a curvature 2-form")
+    forms = np.einsum("tr,r...->t...", _torsion_maps(model), F.matrix)
+    six_form = GValuedForm._wrap(F.algebra, 6, forms[:7])
+    seven_form = GValuedForm._wrap(F.algebra, 7, forms[7:])
     return {
         "six_form_residual": g_norm(six_form),
         "seven_form_residual": g_norm(seven_form),

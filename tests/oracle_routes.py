@@ -10,8 +10,25 @@ from artifact.deformation_symbols import (
     covector_form,
     wedge_matrix,
 )
-from artifact.flat_model import KForm, basis_keys, wedge
-from artifact.gauge_fields import GValuedForm
+from artifact.flat_model import (
+    CalibrationError,
+    KForm,
+    basis_keys,
+    left_wedge_matrix,
+    wedge,
+)
+from artifact.form_decomposition import eigenspace_projectors
+from artifact.gauge_fields import (
+    _ETA_ROWS,
+    _MIXED_ROWS,
+    _PURE_ROWS,
+    GValuedForm,
+    _classify_from_residuals,
+    _complex_rows,
+    conjugate_gform,
+    g_norm,
+    omega_component,
+)
 from artifact.lie_algebra import _scalar, coeffs_of, matrix_of
 from artifact.weitzenbock_engine import POSITIVITY_RELATIVE_FLOOR
 
@@ -55,6 +72,103 @@ def g_wedge_bracket_entry_path(phi, psi):
         if np.any(mat):
             out.matrix[row] = coeffs_of(algebra, mat)
     return out
+
+
+def gform_from_terms(algebra, degree, terms):
+    """Sum of ``form (x) vector`` terms with scalar :class:`KForm` parts:
+    the outer products, added term by term."""
+    forms, vectors = [], []
+    for form, vector in terms:
+        if form.degree != degree:
+            raise ValueError("term degree does not match")
+        forms.append(form.vector)
+        vectors.append(np.asarray(vector, dtype=complex))
+    if not forms:
+        return GValuedForm(algebra, degree)
+    return GValuedForm._wrap(
+        algebra, degree, np.einsum("tk,td->kd", forms, vectors)
+    )
+
+
+def g_wedge_scalar(F, form):
+    """Wedge an algebra-valued form with a scalar form on the right, by
+    one left-wedge matrix of the scalar form: ``F ^ form = (-1)^{pq}
+    form ^ F``."""
+    degree = F.degree + form.degree
+    swap = (-1) ** (F.degree * form.degree)
+    matrix = left_wedge_matrix(form, F.degree) * swap
+    return GValuedForm._wrap(
+        F.algebra, degree, np.einsum("tr,rd->td", matrix, F.matrix)
+    )
+
+
+def torsion_residuals_chain(F, model):
+    """Oracle route for ``ym_stability.torsion_residuals``: the torsion
+    forms wedged out factor by factor, ``(F ^ deta) ^ deta`` and then
+    ``^ eta``, each step a fresh left-wedge matrix."""
+    six_form = g_wedge_scalar(g_wedge_scalar(F, model.deta), model.deta)
+    seven_form = g_wedge_scalar(six_form, model.eta)
+    return {
+        "six_form_residual": g_norm(six_form),
+        "seven_form_residual": g_norm(seven_form),
+    }
+
+
+def _largest_norm(rows):
+    """Largest Euclidean norm among coefficient rows, 0.0 for none."""
+    return max((float(np.linalg.norm(row)) for row in rows), default=0.0)
+
+
+def instanton_classify_per_block(F, model, tol):
+    """Oracle route for ``gauge_fields.instanton_classify``: route one
+    takes one projector product and one norm per block; route two
+    subtracts the contact part as a form built with
+    :func:`gform_from_terms`, changes basis a second time and takes one
+    norm per complex row.  Same labels, residual keys and errors."""
+    scale = g_norm(F)
+    reality = g_norm(F - conjugate_gform(F))
+    mat = F.to_matrix()
+    block_norm = {
+        label: float(np.linalg.norm(proj @ mat))
+        for label, proj in eigenspace_projectors(model).items()
+    }
+    residuals_eigen = {
+        "block_8": block_norm["8"],
+        "block_6": block_norm["6"],
+        "block_1": block_norm["1"],
+        "vertical": block_norm["vertical"],
+        "reality": reality,
+    }
+    label_eigen = _classify_from_residuals(residuals_eigen, scale, tol)
+    rows = _complex_rows(F)
+    omega_vec = omega_component(F, model)
+    omega_norm = float(np.linalg.norm(model.omega.to_vector()))
+    omega_part = gform_from_terms(F.algebra, 2, [(model.omega, omega_vec)])
+    perp_rows = _complex_rows(F - omega_part)
+    residuals_type = {
+        "block_8": _largest_norm(perp_rows[_MIXED_ROWS]),
+        "block_6": _largest_norm(rows[_PURE_ROWS]),
+        "block_1": float(np.linalg.norm(omega_vec)) * omega_norm,
+        "vertical": _largest_norm(rows[_ETA_ROWS]),
+        "reality": reality,
+    }
+    label_type = _classify_from_residuals(residuals_type, scale, tol)
+    note = ""
+    if scale == 0.0:
+        label_eigen = label_type = "NONE"
+        note = "zero form: no type is present"
+    if label_eigen != label_type:
+        raise CalibrationError(
+            f"type classifier routes disagree: {label_eigen} vs {label_type}"
+        )
+    return {
+        "label": label_eigen,
+        "residuals_eigen": residuals_eigen,
+        "residuals_type": residuals_type,
+        "norm": scale,
+        "tolerance": tol * scale,
+        "note": note,
+    }
 
 
 def bracket_vec_einsum(spec, u, v):

@@ -564,6 +564,29 @@ def test_module_entry_point_runs_without_runpy_warning():
     assert json.loads(proc.stdout)["vertical_index"] == 7
 
 
+def test_sampling_commands_do_not_import_numpy_ma():
+    # numpy.ma costs 11-13 ms on import, and the first symbols or selftest
+    # job of a process would pay it through a 1-D np.unique
+    import artifact
+
+    src = str(Path(artifact.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    script = (
+        "import contextlib, io, sys\n"
+        "from artifact.cli_interface import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['symbols', '--samples', '5']),\n"
+        "             main(['selftest', '--samples', '5'])]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0] False\n"
+
+
 # ---------------------------------------------------------------------------
 # Determinism
 # ---------------------------------------------------------------------------

@@ -29,10 +29,8 @@ from artifact.gauge_fields import (
     g_inner,
     g_norm,
     g_wedge_bracket,
-    g_wedge_scalar,
     gform_complex_components,
     gform_from_complex_components,
-    gform_from_terms,
     gform_from_w_coefficients,
     instanton_classify,
     omega_component,
@@ -47,7 +45,12 @@ from artifact.lie_algebra import (
     make_so,
     make_su,
 )
-from oracle_routes import g_wedge_bracket_entry_path, vector_at
+from oracle_routes import (
+    g_wedge_bracket_entry_path,
+    g_wedge_scalar,
+    gform_from_terms,
+    vector_at,
+)
 
 
 @pytest.fixture(scope="module")

@@ -51,13 +51,13 @@ from artifact.gauge_fields import (
     GValuedForm,
     g_inner,
     g_wedge_bracket,
-    g_wedge_scalar,
     gform_complex_components,
     gform_from_complex_components,
     omega_component,
     w_coefficients_from_gform,
 )
 from artifact.lie_algebra import bracket_vec, inner_vec, make_so, make_su
+from oracle_routes import g_wedge_scalar
 
 ORACLE_SETTINGS = settings(max_examples=60, deadline=None)
 

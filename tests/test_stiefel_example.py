@@ -16,7 +16,6 @@ from artifact.flat_model import calibrate_model, standard_two_form_families
 from artifact.gauge_fields import (
     f_components_from_gform,
     g_norm,
-    gform_from_terms,
     instanton_classify,
     omega_component,
     two_zero_from_v_coefficients,
@@ -34,7 +33,7 @@ from artifact.stiefel_example import (
     stiefel_report,
     structure_check,
 )
-from oracle_routes import vector_at
+from oracle_routes import gform_from_terms, vector_at
 
 
 @pytest.fixture(scope="module")

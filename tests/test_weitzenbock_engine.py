@@ -14,7 +14,6 @@ from artifact.flat_model import calibrate_model, standard_two_form_families
 from artifact.gauge_fields import (
     f_components_from_w,
     g_norm,
-    gform_from_terms,
     gform_from_w_coefficients,
     two_zero_from_v_coefficients,
 )
@@ -47,7 +46,7 @@ from artifact.weitzenbock_engine import (
     vanishing_report,
     weighted_spectrum,
 )
-from oracle_routes import weighted_spectrum_dense
+from oracle_routes import gform_from_terms, weighted_spectrum_dense
 
 
 @pytest.fixture(scope="module")
@@ -503,10 +502,14 @@ def test_block_spectrum_matches_dense_weight_oracle(
         <= 1e-10 * np.maximum(want["hermiticity_residual"], largest)
     )
     # verdicts agree wherever the smallest eigenvalue lies more than ten
-    # floors away from the threshold of that verdict
-    floors = np.asarray(want["min"]) / (POSITIVITY_RELATIVE_FLOOR * largest)
+    # floors away from the threshold of that verdict, and on the zero
+    # operator (a 1 x 1 draw at offset 0), whose verdicts are exact
+    zero = largest == 0.0
+    floors = np.asarray(want["min"]) / (
+        POSITIVITY_RELATIVE_FLOOR * np.where(zero, 1.0, largest)
+    )
     for key, threshold in (("positive", 1.0), ("nonnegative", -1.0)):
-        outside = np.abs(floors - threshold) > 10.0
+        outside = (np.abs(floors - threshold) > 10.0) | zero
         assert np.array_equal(
             np.asarray(got[key])[outside], np.asarray(want[key])[outside]
         )

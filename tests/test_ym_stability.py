@@ -13,7 +13,6 @@ from artifact.flat_model import calibrate_model, standard_two_form_families
 from artifact.gauge_fields import (
     GValuedForm,
     g_norm,
-    gform_from_terms,
     gform_from_w_coefficients,
 )
 from artifact.lie_algebra import (
@@ -40,7 +39,7 @@ from artifact.ym_stability import (
     stability_report,
     torsion_residuals,
 )
-from oracle_routes import vector_at
+from oracle_routes import gform_from_terms, vector_at
 
 
 @pytest.fixture(scope="module")
