@@ -88,7 +88,6 @@ from ..gauge_fields import (
 from ..weitzenbock_engine import (
     TransverseRicci,
     build_F_operator,
-    build_R_operator,
     combined_spectra,
     vanishing_report,
 )
@@ -651,7 +650,7 @@ def _cmd_spectrum(cfg: JobConfig, model, payload, F) -> tuple:
     f_endo = build_F_operator(
         F, model, allow_non_instanton=True, tol=cfg.tolerance
     )
-    spectra = combined_spectra(f_endo, build_R_operator(ricci, F.algebra))
+    spectra = combined_spectra(f_endo, ricci)
     report = {
         "spectra": spectra,
         "verdicts": {

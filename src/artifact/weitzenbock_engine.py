@@ -121,6 +121,15 @@ class TransverseRicci:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
+    @functools.cached_property
+    def pair_matrix(self) -> np.ndarray:
+        """The ``(..., 3, 3)`` matrix P of the Ricci endomorphism on the
+        components ``PAIRS``: the endomorphism is ``kron(P, I_d)`` over
+        every algebra.  Computed once per tensor and read-only."""
+        pair = np.einsum("rcma,...am->...rc", _COUPLING, self.matrix)
+        pair.setflags(write=False)
+        return pair
+
     @classmethod
     def einstein(cls, scale: float = 8.0):
         """Ricci tensor proportional to the transverse metric."""
@@ -375,6 +384,27 @@ def _identity_blocks(matrix, d: int) -> np.ndarray:
     return blocks.reshape(matrix.shape[:-2] + (n * d, n * d))
 
 
+def _add_identity_blocks(out: np.ndarray, matrix, d: int) -> np.ndarray:
+    """Add ``kron(matrix, I_d)`` onto ``out`` in place and return it.
+
+    Entry ``(r, c)`` of the ``(n, n)`` matrix, or of each matrix of a
+    stack broadcast against the leading axes of ``out``, goes onto the
+    diagonal of the d x d block ``(r, c)`` of ``out``; all n^2 block
+    diagonals are one strided view of ``out``, and no other entry is
+    touched.
+    """
+    matrix = np.asarray(matrix)
+    n = matrix.shape[-1]
+    row, col = out.strides[-2:]
+    diagonals = np.lib.stride_tricks.as_strided(
+        out,
+        shape=out.shape[:-2] + (n, n, d),
+        strides=out.strides[:-2] + (d * row, d * col, row + col),
+    )
+    diagonals += matrix[..., None]
+    return out
+
+
 @functools.lru_cache(maxsize=_GRAM_ROOT_CACHE_SIZE)
 def _gram_roots(dtype: str, d: int, raw: bytes) -> tuple:
     """Square root and inverse square root of a d x d Gram block given by
@@ -388,21 +418,76 @@ def _gram_roots(dtype: str, d: int, raw: bytes) -> tuple:
     return root, inv_root
 
 
+@functools.lru_cache(maxsize=_GRAM_ROOT_CACHE_SIZE)
+def _pair_spectrum(dtype: str, shape: tuple, raw: bytes) -> tuple:
+    """What :func:`combined_spectra` reads of a pair matrix P given by its
+    bytes, read-only: the ascending eigenvalues of its Hermitian part,
+    its Hermiticity residual, and the shift c when P equals ``c I_3``
+    entry for entry (each matrix of a stack its own c), else None.
+    Kept for the last ``_GRAM_ROOT_CACHE_SIZE`` matrices, so a tensor
+    used for many calls, or rebuilt with the same entries, is solved
+    once."""
+    pair = np.frombuffer(raw, dtype=dtype).reshape(shape)
+    hermitian = np.empty_like(pair)
+    residual = np.asarray(_hermitian_split(pair, hermitian))
+    eigenvalues = np.linalg.eigvalsh(hermitian)
+    shift = pair[..., 0, 0].real
+    for table in (eigenvalues, residual):
+        table.setflags(write=False)
+    if not np.array_equal(pair, shift[..., None, None] * np.eye(3)):
+        shift = None
+    return eigenvalues, residual, shift
+
+
 def build_R_operator(ricci: TransverseRicci, algebra: LieAlgebraSpec) -> TwoZeroEndo:
     """Ricci endomorphism on stacked sections.
 
     Implements ``(R phi)_{mu nu} = sum_alpha (R~_{alpha mu} phi_{alpha nu}
     - R~_{alpha nu} phi_{alpha mu})``; with the transverse metric
     normalised to the identity, ``R~`` is ``ricci.matrix`` itself.  The
-    resulting pair-space matrix is Hermitian whenever the tensor is; its
-    entries multiply the d x d identity block by block
-    (``kron(pair_matrix, I_d)``, formed by broadcasting), and a stack of
-    tensors gives the stack of operators.
+    resulting pair-space matrix ``ricci.pair_matrix`` is Hermitian
+    whenever the tensor is; its entries multiply the d x d identity block
+    by block (``kron(pair_matrix, I_d)``, formed by broadcasting), and a
+    stack of tensors gives the stack of operators.
     """
-    pair_matrix = np.einsum("rcma,...am->...rc", _COUPLING, ricci.matrix)
     # a stack of pair matrices gives the stack of Kronecker products
-    matrix = _identity_blocks(pair_matrix, algebra.dim)
+    matrix = _identity_blocks(ricci.pair_matrix, algebra.dim)
     return TwoZeroEndo(algebra=algebra, matrix=matrix)
+
+
+def _hermitian_split(matrix: np.ndarray, out: np.ndarray):
+    """Largest entry of ``|M - M^H|`` for each matrix M of ``matrix``,
+    with the Hermitian part ``(M + M^H) / 2`` written into ``out``.
+
+    ``out`` takes the adjoint twice: first to hold the deviation until
+    its largest entry is read, then to hold the sum.  Besides ``out``
+    only the magnitudes of a complex deviation are allocated.
+    """
+    adjoint = np.swapaxes(matrix, -1, -2)
+    np.conjugate(adjoint, out=out)
+    np.subtract(matrix, out, out=out)
+    # a real deviation takes its magnitude in place
+    magnitude = np.abs(out, out=None if np.iscomplexobj(out) else out)
+    residual = np.max(magnitude, axis=(-2, -1))
+    np.conjugate(adjoint, out=out)
+    out += matrix
+    out /= 2.0
+    return residual
+
+
+def _spectrum_report(spectrum: np.ndarray, herm_residual) -> dict:
+    """The entries of :func:`weighted_spectrum` from the ascending
+    eigenvalues ``(..., m)`` of each matrix and its Hermiticity residual."""
+    largest = np.max(np.abs(spectrum), axis=-1, initial=0.0)
+    low = spectrum.min(axis=-1)
+    return {
+        "eigenvalues": spectrum,
+        "min": _scalar(low),
+        "max": _scalar(spectrum.max(axis=-1)),
+        "hermiticity_residual": _scalar(herm_residual),
+        "positive": _scalar(low > POSITIVITY_RELATIVE_FLOOR * largest),
+        "nonnegative": _scalar(low >= -POSITIVITY_RELATIVE_FLOOR * largest),
+    }
 
 
 def weighted_spectrum(matrix, gram) -> dict:
@@ -418,6 +503,11 @@ def weighted_spectrum(matrix, gram) -> dict:
     conjugate must be Hermitian for a self-adjoint operator, and its
     deviation is reported alongside the eigenvalues.  A stack of
     ``(..., n d, n d)`` matrices gives every entry per matrix.
+
+    The call holds two arrays of the operator's size: the buffer of the
+    first product of the conjugation, once spent, takes the deviation
+    and then the Hermitian part that is solved, and no other array of
+    that size is allocated.
     """
     matrix = np.asarray(matrix)
     gram = np.ascontiguousarray(gram)
@@ -430,23 +520,13 @@ def weighted_spectrum(matrix, gram) -> dict:
     # row index and inv_root on the column index of every d x d block
     left = root @ matrix.reshape(lead + (n, d, size))
     conjugated = left.reshape(lead + (n * d * n, d)) @ inv_root
-    conjugated = conjugated.reshape(matrix.shape)
-    # the adjoint laid out contiguously once serves both passes below
-    adjoint = np.ascontiguousarray(np.swapaxes(conjugated.conj(), -1, -2))
-    herm_residual = np.max(np.abs(conjugated - adjoint), axis=(-2, -1))
-    hermitian = conjugated + adjoint
-    hermitian /= 2.0
-    spectrum = np.linalg.eigvalsh(hermitian)
-    largest = np.max(np.abs(spectrum), axis=-1, initial=0.0)
-    low = spectrum.min(axis=-1)
-    return {
-        "eigenvalues": spectrum,
-        "min": _scalar(low),
-        "max": _scalar(spectrum.max(axis=-1)),
-        "hermiticity_residual": _scalar(herm_residual),
-        "positive": _scalar(low > POSITIVITY_RELATIVE_FLOOR * largest),
-        "nonnegative": _scalar(low >= -POSITIVITY_RELATIVE_FLOOR * largest),
-    }
+    hermitian = left.reshape(matrix.shape)
+    herm_residual = _hermitian_split(
+        conjugated.reshape(matrix.shape), hermitian
+    )
+    # freed before the solve, whose work arrays can take its memory
+    del conjugated
+    return _spectrum_report(np.linalg.eigvalsh(hermitian), herm_residual)
 
 
 def operator_spectrum(endo: TwoZeroEndo) -> dict:
@@ -454,21 +534,55 @@ def operator_spectrum(endo: TwoZeroEndo) -> dict:
     return weighted_spectrum(endo.matrix, endo.algebra.gram)
 
 
-def combined_spectra(f_endo: TwoZeroEndo, r_endo: TwoZeroEndo) -> dict:
+def combined_spectra(f_endo: TwoZeroEndo, ricci: TransverseRicci) -> dict:
     """Spectra of the curvature, Ricci and combined (sum) operators.
 
-    The three share the section weight, so one :func:`weighted_spectrum`
-    call on the stack of their matrices takes its root once; each entry
-    equals :func:`operator_spectrum` of that operator.
+    The Ricci operator is ``kron(P, I_d)`` with P = ``ricci.pair_matrix``.
+    Conjugation by the block root ``kron(I_3, root)`` of the section
+    weight leaves it unchanged, so its weighted spectrum is that of P,
+    each eigenvalue repeated d times, and its 3d x 3d matrix is never
+    formed.  When P equals ``c I_3`` entry for entry (an Einstein tensor;
+    c is twice its scale), the combined operator is the curvature
+    operator plus ``c``, and its spectrum is the curvature spectrum
+    shifted by c: one eigen-solve serves all three.  Otherwise one
+    :func:`weighted_spectrum` call solves the stack of the curvature
+    operator and the combined one, which is a copy of the curvature
+    matrix with P added onto the diagonals of its d x d blocks.  P is
+    kept on the tensor, and the eigenvalues of its Hermitian part and
+    the Einstein test in a small cache keyed by P's bytes, so a tensor
+    used for many calls pays for them once.
+
+    The curvature entry equals :func:`operator_spectrum` of ``f_endo`` bit
+    for bit, and so does the combined entry off the Einstein case with
+    the sum formed through :func:`build_R_operator`.  The Ricci entry and
+    the shifted combined entry agree with those routes to rounding; the
+    shifted sum reports the curvature's Hermiticity residual, which it
+    has in exact arithmetic.
     """
-    matrices = np.stack(
-        [f_endo.matrix, r_endo.matrix, f_endo.matrix + r_endo.matrix]
+    algebra = f_endo.algebra
+    d = algebra.dim
+    pair = ricci.pair_matrix
+    eigenvalues, residual, shift = _pair_spectrum(
+        pair.dtype.str, pair.shape, pair.tobytes()
     )
-    stacked = weighted_spectrum(matrices, f_endo.algebra.gram)
-    return {
-        label: {key: _scalar(value[i]) for key, value in stacked.items()}
-        for i, label in enumerate(("curvature", "ricci", "combined"))
-    }
+    ricci_spec = _spectrum_report(
+        np.repeat(eigenvalues, d, axis=-1), residual.copy()
+    )
+    if shift is not None:
+        curvature = weighted_spectrum(f_endo.matrix, algebra.gram)
+        combined = _spectrum_report(
+            curvature["eigenvalues"] + shift[..., None],
+            curvature["hermiticity_residual"],
+        )
+    else:
+        stack = np.stack([f_endo.matrix, f_endo.matrix])
+        _add_identity_blocks(stack[1], pair, d)
+        both = weighted_spectrum(stack, algebra.gram)
+        curvature, combined = (
+            {key: _scalar(value[i]) for key, value in both.items()}
+            for i in range(2)
+        )
+    return {"curvature": curvature, "ricci": ricci_spec, "combined": combined}
 
 
 def _frobenius(matrix: np.ndarray) -> np.ndarray:
@@ -527,18 +641,19 @@ def vanishing_report(
 ) -> dict:
     """Positivity verdict for the combined curvature endomorphism.
 
-    Builds both operators, reports their spectra, and decides whether
-    the quadratic form of (Ricci + curvature) is strictly positive on
-    every section, which forces the relevant cohomology obstruction
-    space to vanish.  Two equivalent smallness thresholds are reported:
-    one against the form norm of the curvature, one against the
-    Frobenius norm of its component table; the verdict uses the
-    component version.
+    Builds the curvature operator, reports its spectrum with those of
+    the Ricci and combined operators (:func:`combined_spectra`: the
+    Ricci spectrum from the 3x3 pair matrix, and for an Einstein tensor
+    the combined one as the curvature spectrum shifted, so a single
+    eigen-solve), and decides whether the quadratic form of (Ricci +
+    curvature) is strictly positive on every section, which forces the
+    relevant cohomology obstruction space to vanish.  Two equivalent
+    smallness thresholds are reported: one against the form norm of the
+    curvature, one against the Frobenius norm of its component table;
+    the verdict uses the component version.
     """
     fc = f_components_from_gform(F, tol=tol)
-    f_endo = build_F_operator_from_components(fc)
-    r_endo = build_R_operator(ricci, F.algebra)
-    spectra = combined_spectra(f_endo, r_endo)
+    spectra = combined_spectra(build_F_operator_from_components(fc), ricci)
     f_spec = spectra["curvature"]
     r_spec = spectra["ricci"]
     combined_spec = spectra["combined"]

@@ -52,7 +52,7 @@ from .lie_algebra import (
 from .gauge_fields import GValuedForm, g_norm, instanton_classify
 from .weitzenbock_engine import (
     POSITIVITY_RELATIVE_FLOOR,
-    _identity_blocks,
+    _add_identity_blocks,
     weighted_spectrum,
 )
 
@@ -180,9 +180,14 @@ def curvature_components_grid(F: GValuedForm) -> np.ndarray:
 def curvature_grid_norms(F: GValuedForm) -> np.ndarray:
     """Symmetric 7x7 matrix of component norms ``||F_{ji}||``.
 
-    A stack of curvatures gives a ``(..., 7, 7)`` stack of matrices.
+    The norm of each of the 21 coefficient vectors is taken once and
+    placed at both orderings of its pair (a sign does not change a
+    norm), without forming the grid.  A stack of curvatures gives a
+    ``(..., 7, 7)`` stack of matrices.
     """
-    norms = norm_vec(F.algebra, curvature_components_grid(F))
+    if F.degree != 2:
+        raise ValueError("expected a curvature 2-form")
+    norms = np.abs(_two_form_matrix(norm_vec(F.algebra, F.matrix)))
     return np.moveaxis(norms, (0, 1), (-2, -1))
 
 
@@ -269,15 +274,18 @@ def algebraic_second_variation(
 
     Returns the matrix on the stacked coefficient space together with
     its spectrum in the invariant inner product, whose Gram matrix on
-    the stack is ``kron(I_7, gram)``.  The Ricci part ``kron(Ric, I_d)``
-    is formed by broadcasting, and a stack of curvatures gives the stack
-    of matrices and spectra.  The full second variation adds a
-    nonnegative rough Laplacian, so a positive minimum eigenvalue here
-    certifies stability of the connection.
+    the stack is ``kron(I_7, gram)``.  The matrix is one buffer: twice
+    the coupling, with the Ricci part ``kron(Ric, I_d)`` added onto the
+    diagonals of its d x d blocks in place, so no Ricci or identity
+    array is formed; a stack of curvatures gives the stack of matrices
+    and spectra.  The full second variation adds a nonnegative rough
+    Laplacian, so a positive minimum eigenvalue here certifies stability
+    of the connection.
     """
     algebra = F.algebra
     coupling = curvature_action_oneforms(F)
-    matrix = _identity_blocks(ricci.matrix, algebra.dim) + 2.0 * coupling
+    matrix = np.multiply(coupling, 2.0)
+    _add_identity_blocks(matrix, ricci.matrix, algebra.dim)
     spectrum = weighted_spectrum(matrix, algebra.gram)
     return {
         "matrix": matrix,
@@ -347,9 +355,19 @@ def stability_report(
     as a sharper certificate: its minimum can be positive even when the
     norm test fails.  Torsion residuals and the curvature type label
     are included as criticality diagnostics.
+
+    The curvature norm is the one the classifier takes, its first step,
+    and the component grid is formed once, inside the second variation.
     """
     c = ricci.min_eigenvalue()
-    f_norm = g_norm(F)
+    try:
+        classified = instanton_classify(F, model, tol=classification_tol)
+    except ValueError:
+        classified = {"label": "NONE", "norm": g_norm(F)}
+    label = classified["label"]
+    f_norm = classified["norm"]
+    variation = algebraic_second_variation(F, ricci)
+
     threshold = c / (2.0 * BRACKET_NORM_BOUND)
     analytic_lower_bound = c - 2.0 * BRACKET_NORM_BOUND * f_norm
 
@@ -362,12 +380,6 @@ def stability_report(
     else:
         verdict = INCONCLUSIVE
         reason = "curvature norm reaches the Ricci threshold"
-
-    variation = algebraic_second_variation(F, ricci)
-    try:
-        label = instanton_classify(F, model, tol=classification_tol)["label"]
-    except ValueError:
-        label = "NONE"
 
     return {
         "verdict": verdict,

@@ -30,7 +30,11 @@ from artifact.gauge_fields import (
     omega_component,
 )
 from artifact.lie_algebra import _scalar, coeffs_of, matrix_of
-from artifact.weitzenbock_engine import POSITIVITY_RELATIVE_FLOOR
+from artifact.weitzenbock_engine import (
+    POSITIVITY_RELATIVE_FLOOR,
+    build_R_operator,
+    weighted_spectrum,
+)
 
 
 def vector_at(F, *key):
@@ -212,6 +216,62 @@ def weighted_spectrum_dense(matrix, weight):
         "positive": _scalar(low > POSITIVITY_RELATIVE_FLOOR * largest),
         "nonnegative": _scalar(low >= -POSITIVITY_RELATIVE_FLOOR * largest),
     }
+
+
+def combined_spectra_kron(f_endo, ricci):
+    """Oracle route for ``combined_spectra``: the Ricci operator formed as
+    ``kron(P, I_d)`` by ``build_R_operator``, and one ``weighted_spectrum``
+    call on the stack of the curvature, Ricci and summed matrices, with
+    no shortcut for an Einstein tensor."""
+    r_matrix = build_R_operator(ricci, f_endo.algebra).matrix
+    matrices = np.stack([f_endo.matrix, r_matrix, f_endo.matrix + r_matrix])
+    stacked = weighted_spectrum(matrices, f_endo.algebra.gram)
+    return {
+        label: {key: _scalar(value[i]) for key, value in stacked.items()}
+        for i, label in enumerate(("curvature", "ricci", "combined"))
+    }
+
+
+# rounding budget of the combined_spectra shortcuts against the kron
+# oracle, relative to the sum of the largest curvature and Ricci
+# eigenvalue magnitudes: both routes round the same exact spectra
+SPECTRUM_ROUNDING = 1e-12
+
+
+def assert_spectra_within_rounding(got, want):
+    """``combined_spectra`` entries against ``combined_spectra_kron``'s:
+    the same keys and value types; eigenvalues, extremes and Hermiticity
+    residuals within the budget ``SPECTRUM_ROUNDING`` times the largest
+    curvature plus the largest Ricci eigenvalue magnitude; and equal
+    flags wherever the oracle's minimum lies more than twice the budget
+    away from the flag's threshold."""
+    budget = SPECTRUM_ROUNDING * sum(
+        np.max(np.abs(want[label]["eigenvalues"]), axis=-1)
+        for label in ("curvature", "ricci")
+    )
+    assert got.keys() == want.keys()
+    for label, expected in want.items():
+        entry = got[label]
+        assert entry.keys() == expected.keys(), label
+        for key, value in expected.items():
+            assert type(entry[key]) is type(value), (label, key)
+        assert entry["eigenvalues"].shape == expected["eigenvalues"].shape
+        assert np.all(
+            np.abs(entry["eigenvalues"] - expected["eigenvalues"])
+            <= budget[..., None]
+        ), label
+        for key in ("min", "max", "hermiticity_residual"):
+            assert np.all(
+                np.abs(np.subtract(entry[key], expected[key])) <= budget
+            ), (label, key)
+        largest = np.max(np.abs(expected["eigenvalues"]), axis=-1)
+        for key, sign in (("positive", 1.0), ("nonnegative", -1.0)):
+            threshold = sign * POSITIVITY_RELATIVE_FLOOR * largest
+            outside = np.abs(expected["min"] - threshold) > 2.0 * budget
+            assert np.array_equal(
+                np.asarray(entry[key])[outside],
+                np.asarray(expected[key])[outside],
+            ), (label, key)
 
 
 # The symbol complexes written out by hand, one formula per complex and

@@ -5,12 +5,21 @@ The oracles live in ``oracle_routes``: ``instanton_classify_per_block``
 (one projector product and one norm per block; the contact part removed
 as a form and the basis changed a second time, one norm per row),
 ``torsion_residuals_chain`` (the torsion forms wedged out factor by
-factor) and ``_kron_identity`` (``np.kron`` with the identity).  The
-package routes must give the same labels and errors and the same
-residuals to 1e-12 relative to the input, over algebras with integer,
-trace-normalised, skewed and zero structure constants, scales from 1e-3
-to 1e3, and the near-tolerance forms ``w1 (x) e0 + eps v1 (x) e1``.
+factor), ``_kron_identity`` (``np.kron`` with the identity) and
+``combined_spectra_kron`` (the Ricci operator formed as ``kron(P, I_d)``
+and one solve of the three stacked operators).  The package routes must
+give the same labels and errors and the same residuals to 1e-12 relative
+to the input, over algebras with integer, trace-normalised, skewed and
+zero structure constants, scales from 1e-3 to 1e3, and the
+near-tolerance forms ``w1 (x) e0 + eps v1 (x) e1``; the in-place
+assemblies are bit-equal to the sums they replace, and the spectra of
+``combined_spectra`` (the Ricci one from the pair matrix, the combined
+one shifted for an Einstein tensor) match the kron oracle within
+``oracle_routes.SPECTRUM_ROUNDING``.  The last section bounds the
+allocation peak of one so(7) report.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +34,9 @@ from artifact.flat_model import (
 from artifact.gauge_fields import (
     GValuedForm,
     _classifier_tables,
+    f_components_from_w,
     g_norm,
+    gform_from_w_coefficients,
     instanton_classify,
 )
 from artifact.lie_algebra import (
@@ -35,13 +46,20 @@ from artifact.lie_algebra import (
     make_so,
     make_su,
 )
+from artifact import weitzenbock_engine
 from artifact.weitzenbock_engine import (
     _COUPLING,
     _GRAM_ROOT_CACHE_SIZE,
     TransverseRicci,
+    TwoZeroEndo,
+    _add_identity_blocks,
     _gram_roots,
     _identity_blocks,
+    _pair_spectrum,
+    build_F_operator_from_components,
     build_R_operator,
+    combined_spectra,
+    vanishing_report,
     weighted_spectrum,
 )
 from artifact.ym_stability import (
@@ -49,10 +67,13 @@ from artifact.ym_stability import (
     _torsion_maps,
     algebraic_second_variation,
     curvature_action_oneforms,
+    stability_report,
     torsion_residuals,
 )
 from oracle_routes import (
     _kron_identity,
+    assert_spectra_within_rounding,
+    combined_spectra_kron,
     gform_from_terms,
     instanton_classify_per_block,
     torsion_residuals_chain,
@@ -328,6 +349,26 @@ def test_gram_roots_read_only_and_equal_rebuild():
                        atol=1e-12)
 
 
+def test_pair_spectrum_read_only_bounded_and_equal_rebuild():
+    pair = TransverseRicci.from_diagonal([1.0, 2.0, 4.0]).pair_matrix
+    _assert_read_only(pair)
+    key = (pair.dtype.str, pair.shape, pair.tobytes())
+    cached = _pair_spectrum(*key)
+    assert _pair_spectrum(*key) is cached
+    eigenvalues, residual, shift = cached
+    for array in (eigenvalues, residual):
+        _assert_read_only(array)
+    rebuilt = _pair_spectrum.__wrapped__(*key)
+    assert np.array_equal(eigenvalues, rebuilt[0])
+    assert residual == rebuilt[1] == 0.0 and shift is rebuilt[2] is None
+    assert np.array_equal(eigenvalues, [3.0, 5.0, 6.0])
+    assert _pair_spectrum.cache_info().maxsize == _GRAM_ROOT_CACHE_SIZE
+    for k in range(2 * _GRAM_ROOT_CACHE_SIZE + 3):
+        einstein = TransverseRicci.einstein(1.0 + k).pair_matrix
+        _pair_spectrum(einstein.dtype.str, einstein.shape, einstein.tobytes())
+        assert _pair_spectrum.cache_info().currsize <= _GRAM_ROOT_CACHE_SIZE
+
+
 def test_gram_root_cache_is_bounded():
     assert _GRAM_ROOT_CACHE_SIZE == _NAMED_CACHE_SIZE
     assert _gram_roots.cache_info().maxsize == _GRAM_ROOT_CACHE_SIZE
@@ -356,3 +397,253 @@ def test_weighted_spectrum_reads_gram_by_value():
     assert second["hermiticity_residual"] == pytest.approx(
         np.max(np.abs(conjugated - conjugated.T)), rel=1e-12
     )
+
+
+# ---------------------------------------------------------------------------
+# In-place assembly and the shortcuts of combined_spectra
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 7),
+    d=st.integers(1, 9),
+    lead=st.sampled_from([(), (1,), (3,), (2, 2)]),
+    complex_values=st.booleans(),
+    transposed=st.booleans(),
+    seed=seeds,
+)
+def test_add_identity_blocks_equals_identity_blocks_sum(
+    n, d, lead, complex_values, transposed, seed
+):
+    # also on a non-contiguous target, whose strides the view must follow
+    rng = np.random.default_rng(seed)
+    matrix = rng.standard_normal(lead + (n, n))
+    target = rng.standard_normal(lead + (n * d, n * d))
+    if complex_values:
+        matrix = matrix + 1j * rng.standard_normal(lead + (n, n))
+        target = target + 1j * rng.standard_normal(lead + (n * d, n * d))
+    want = target + _identity_blocks(matrix, d)
+    if transposed:
+        out = np.swapaxes(np.swapaxes(target, -1, -2).copy(), -1, -2)
+    else:
+        out = target.copy()
+    assert _add_identity_blocks(out, matrix, d) is out
+    assert np.array_equal(out, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=algebra_names,
+    lead=st.sampled_from([(), (1,), (3,), (2, 2)]),
+    scale=scales,
+    seed=seeds,
+)
+def test_second_variation_in_place_equals_identity_blocks_sum(
+    name, lead, scale, seed
+):
+    algebra = ALGEBRAS[name]
+    rng = np.random.default_rng(seed)
+    ricci7 = rng.standard_normal((7, 7))
+    ricci7 = RicciTensor7(scale * (ricci7 + ricci7.T))
+    rows = rng.standard_normal((21,) + lead + (algebra.dim,))
+    F = GValuedForm.from_matrix(algebra, 2, scale * rows)
+    variation = algebraic_second_variation(F, ricci7)
+    want = (
+        _identity_blocks(ricci7.matrix, algebra.dim)
+        + 2.0 * curvature_action_oneforms(F)
+    )
+    assert variation["matrix"].dtype == want.dtype
+    assert np.array_equal(variation["matrix"], want)
+    assert np.array_equal(variation["coupling"], curvature_action_oneforms(F))
+
+
+def _curvature_operator(name, scale, seed):
+    algebra = ALGEBRAS[name]
+    rng = np.random.default_rng(seed)
+    fc = f_components_from_w(
+        algebra, scale * rng.standard_normal((8, algebra.dim))
+    )
+    return build_F_operator_from_components(fc)
+
+
+def _hermitian_ricci(eigenvalues, seed, complex_values):
+    """``U diag(eigenvalues) U^H`` for a random unitary (orthogonal) U."""
+    rng = np.random.default_rng(seed)
+    basis = rng.standard_normal((3, 3))
+    if complex_values:
+        basis = basis + 1j * rng.standard_normal((3, 3))
+    unitary, _ = np.linalg.qr(basis)
+    return TransverseRicci((unitary * eigenvalues) @ unitary.conj().T)
+
+
+# eigenvalue patterns of the Ricci tensor; the pair matrix has the pair
+# sums as eigenvalues, so "pair_singular" makes it singular itself
+_RICCI_PATTERNS = {
+    "definite": lambda r: r.uniform(0.1, 1.0, 3),
+    "indefinite": lambda r: r.uniform(0.1, 1.0, 3) * [1.0, -1.0, 1.0],
+    "singular": lambda r: r.uniform(0.1, 1.0, 3) * [1.0, 1.0, 0.0],
+    "pair_singular": lambda r: np.array([1.0, -1.0, r.uniform(0.1, 1.0)]),
+}
+
+
+class _SolveSpy:
+    """Records the matrix shape of each ``weighted_spectrum`` call made
+    by ``combined_spectra``."""
+
+    def __init__(self, monkeypatch):
+        self.shapes = []
+        monkeypatch.setattr(weitzenbock_engine, "weighted_spectrum", self)
+
+    def __call__(self, matrix, gram):
+        self.shapes.append(np.shape(matrix))
+        return weighted_spectrum(matrix, gram)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=algebra_names,
+    pattern=st.sampled_from(sorted(_RICCI_PATTERNS)),
+    ricci_scale=scales,
+    curvature_scale=scales,
+    complex_values=st.booleans(),
+    seed=seeds,
+)
+def test_ricci_spectrum_from_pair_matrix_matches_kron_oracle(
+    name, pattern, ricci_scale, curvature_scale, complex_values, seed
+):
+    rng = np.random.default_rng(seed)
+    eigenvalues = ricci_scale * _RICCI_PATTERNS[pattern](rng)
+    ricci = _hermitian_ricci(eigenvalues, seed, complex_values)
+    f_endo = _curvature_operator(name, curvature_scale, seed)
+    got = combined_spectra(f_endo, ricci)
+    assert_spectra_within_rounding(got, combined_spectra_kron(f_endo, ricci))
+    # each eigenvalue of the pair matrix d times, in ascending order
+    d = ALGEBRAS[name].dim
+    blocks = got["ricci"]["eigenvalues"].reshape(3, d)
+    assert np.array_equal(blocks, np.repeat(blocks[:, :1], d, axis=1))
+    assert np.all(np.diff(blocks[:, 0]) >= 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+@pytest.mark.parametrize("scale", [8.0, 1e-3, 0.0, -2.0, 1e3])
+def test_einstein_shift_matches_full_solve(name, scale, monkeypatch):
+    f_endo = _curvature_operator(name, 1.0, len(name))
+    ricci = TransverseRicci.einstein(scale)
+    want = combined_spectra_kron(f_endo, ricci)
+    spy = _SolveSpy(monkeypatch)
+    got = combined_spectra(f_endo, ricci)
+    # one solve of the curvature matrix alone
+    assert spy.shapes == [f_endo.matrix.shape]
+    assert_spectra_within_rounding(got, want)
+    assert np.array_equal(
+        got["curvature"]["eigenvalues"], want["curvature"]["eigenvalues"]
+    )
+    assert got["combined"]["hermiticity_residual"] == (
+        got["curvature"]["hermiticity_residual"]
+    )
+
+
+def _one_ulp_off(scale, where):
+    """An Einstein tensor of ``scale`` changed so that its pair matrix is
+    ``2 scale I_3`` but for one entry one ulp away: a diagonal entry, or
+    an off-diagonal one that becomes the smallest subnormal."""
+    matrix = scale * np.eye(3, dtype=complex)
+    if where == "diagonal":
+        # Sterbenz: both differences and the sum below are exact
+        matrix[2, 2] = np.nextafter(2.0 * scale, np.inf) - scale
+    else:
+        tiny = np.nextafter(0.0, 1.0)
+        matrix[0, 1] = matrix[1, 0] = tiny
+    ricci = TransverseRicci(matrix)
+    pair = ricci.pair_matrix
+    einstein = 2.0 * scale * np.eye(3)
+    off = np.argwhere(pair != einstein)
+    assert len(off) in (1, 2)
+    for r, c in off:
+        assert pair[r, c] == np.nextafter(einstein[r, c], np.inf) or (
+            abs(pair[r, c]) == np.nextafter(0.0, 1.0)
+        )
+    return ricci
+
+
+@pytest.mark.parametrize("name", ["su2", "so5", "skewed_so4"])
+@pytest.mark.parametrize("scale", [8.0, 1e-3, 0.0, -2.0, 1e3])
+@pytest.mark.parametrize("where", ["diagonal", "off_diagonal"])
+def test_one_ulp_off_einstein_takes_general_path(
+    name, scale, where, monkeypatch
+):
+    f_endo = _curvature_operator(name, 1.0, len(name))
+    ricci = _one_ulp_off(scale, where)
+    want = combined_spectra_kron(f_endo, ricci)
+    spy = _SolveSpy(monkeypatch)
+    got = combined_spectra(f_endo, ricci)
+    # one solve of the stack [F, F + R]
+    assert spy.shapes == [(2,) + f_endo.matrix.shape]
+    assert_spectra_within_rounding(got, want)
+    # which is the kron route's sum, bit for bit
+    for label in ("curvature", "combined"):
+        assert np.array_equal(
+            got[label]["eigenvalues"], want[label]["eigenvalues"]
+        )
+
+
+def test_combined_spectra_on_stacks_match_single_calls():
+    # a stack of Einstein tensors, and one of general tensors
+    algebra = ALGEBRAS["so3"]
+    rng = np.random.default_rng(7)
+    fc = f_components_from_w(algebra, rng.standard_normal((4, 8, algebra.dim)))
+    f_stack = build_F_operator_from_components(fc)
+    scales_4 = rng.uniform(-3.0, 3.0, 4)
+    herm = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    for matrices in (
+        scales_4[:, None, None] * np.eye(3),
+        herm + np.swapaxes(herm.conj(), -1, -2),
+    ):
+        got = combined_spectra(f_stack, TransverseRicci(matrices))
+        for k in range(4):
+            single = combined_spectra(
+                TwoZeroEndo(algebra, f_stack.matrix[k]),
+                TransverseRicci(matrices[k]),
+            )
+            for label, entry in single.items():
+                for key, value in entry.items():
+                    assert np.array_equal(got[label][key][k], value), (
+                        label, key,
+                    )
+
+
+# ---------------------------------------------------------------------------
+# Per-call memory of the so(7) reports
+# ---------------------------------------------------------------------------
+
+# tracemalloc peaks of one call at so(7), warm caches, in KiB.  At the
+# three-matrix stacked solve and the summed second variation the calls
+# peaked at 1153 and 1183 KiB; one solve and in-place buffers stay near
+# 290 and 740 KiB.
+ALLOCATION_BOUNDS_KIB = {"vanishing_report": 600, "stability_report": 960}
+
+
+def _so7_report_calls():
+    algebra = ALGEBRAS["so7"]
+    rng = np.random.default_rng(11)
+    F = gform_from_w_coefficients(algebra, rng.standard_normal((8, 21)))
+    ricci3 = TransverseRicci.einstein(8.0)
+    ricci7 = RicciTensor7.einstein(6.0)
+    return {
+        "vanishing_report": lambda: vanishing_report(F, ricci3, MODEL),
+        "stability_report": lambda: stability_report(F, ricci7, MODEL),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(ALLOCATION_BOUNDS_KIB))
+def test_so7_report_peak_allocation_per_call(name):
+    call = _so7_report_calls()[name]
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 1024 < ALLOCATION_BOUNDS_KIB[name]

@@ -46,7 +46,12 @@ from artifact.weitzenbock_engine import (
     vanishing_report,
     weighted_spectrum,
 )
-from oracle_routes import gform_from_terms, weighted_spectrum_dense
+from oracle_routes import (
+    assert_spectra_within_rounding,
+    combined_spectra_kron,
+    gform_from_terms,
+    weighted_spectrum_dense,
+)
 
 
 @pytest.fixture(scope="module")
@@ -523,34 +528,35 @@ SPECTRA_ALGEBRAS = {"su2": make_su(2), "so3": make_so(3), "so5": make_so(5)}
     name=st.sampled_from(sorted(SPECTRA_ALGEBRAS)),
     seed=st.integers(0, 2**32 - 1),
     scale=st.floats(1e-3, 1e3),
+    einstein=st.booleans(),
 )
-def test_combined_spectra_equal_single_calls(name, seed, scale):
-    # the stacked call must give, bit for bit and type for type, what one
-    # operator_spectrum call per operator gives
+def test_combined_spectra_equal_single_calls(name, seed, scale, einstein):
+    # the curvature entry is, bit for bit and type for type, what one
+    # operator_spectrum call gives; the Ricci entry (from the pair
+    # matrix) and the combined one (the curvature spectrum shifted, for
+    # an Einstein tensor) match the kron oracle within its rounding budget
     algebra = SPECTRA_ALGEBRAS[name]
     rng = np.random.default_rng(seed)
     fc = f_components_from_w(
         algebra, scale * rng.standard_normal((8, algebra.dim))
     )
-    herm = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     f_endo = build_F_operator_from_components(fc)
-    r_endo = build_R_operator(
-        TransverseRicci(matrix=herm + herm.conj().T), algebra
+    if einstein:
+        ricci = TransverseRicci.einstein(rng.uniform(-10.0, 10.0))
+    else:
+        herm = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        ricci = TransverseRicci(matrix=herm + herm.conj().T)
+    got = combined_spectra(f_endo, ricci)
+    want = operator_spectrum(f_endo)
+    assert got["curvature"].keys() == want.keys()
+    np.testing.assert_array_equal(
+        got["curvature"]["eigenvalues"], want["eigenvalues"]
     )
-    combined = TwoZeroEndo(algebra, f_endo.matrix + r_endo.matrix)
-    got = combined_spectra(f_endo, r_endo)
-    for label, endo in (
-        ("curvature", f_endo), ("ricci", r_endo), ("combined", combined)
-    ):
-        want = operator_spectrum(endo)
-        assert got[label].keys() == want.keys()
-        np.testing.assert_array_equal(
-            got[label]["eigenvalues"], want["eigenvalues"]
-        )
-        for key, value in want.items():
-            if key != "eigenvalues":
-                assert got[label][key] == value, (label, key)
-                assert type(got[label][key]) is type(value), (label, key)
+    for key, value in want.items():
+        if key != "eigenvalues":
+            assert got["curvature"][key] == value, key
+            assert type(got["curvature"][key]) is type(value), key
+    assert_spectra_within_rounding(got, combined_spectra_kron(f_endo, ricci))
 
 
 # ---------------------------------------------------------------------------
