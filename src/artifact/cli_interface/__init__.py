@@ -366,11 +366,12 @@ def parse_algebra(value) -> LieAlgebraSpec:
 
 def _parse_real_key(key: str) -> tuple:
     digits = [c for c in key if not c.isspace() and c != ","]
+    # ASCII digits only: str.isdigit also admits '²', which int()
+    # rejects, and int() reads any Unicode decimal digit
     if (
         len(digits) != 2
-        or not all(c.isdigit() for c in digits)
-        or not all(1 <= int(c) <= 7 for c in digits)
-        or int(digits[0]) >= int(digits[1])
+        or not all(c in "1234567" for c in digits)
+        or digits[0] >= digits[1]
     ):
         raise InputError(
             f"field 'components': key {key!r} must name two ascending "

@@ -310,9 +310,6 @@ class KForm:
         pairs = zip(_BASIS_KEYS[self.degree], self.vector.tolist())
         return [(key, value) for key, value in pairs if value]
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.vector) <= tol))
-
     def is_horizontal(self) -> bool:
         return not np.any(self.vector[_VERTICAL[self.degree]])
 
@@ -690,7 +687,24 @@ def calibrate_model() -> ContactModel:
 
 
 def calibration_constants(model: ContactModel) -> dict:
-    """Realized numerical constants of a calibrated model."""
+    """Realized numerical constants of a calibrated model.
+
+    The constants are computed once per model; each call returns a fresh
+    dict, its nested ``transverse_double_star_signs`` included, so a
+    caller may change its copy freely.
+    """
+    constants = dict(_calibration_constants(model))
+    constants["transverse_double_star_signs"] = dict(
+        constants["transverse_double_star_signs"]
+    )
+    return constants
+
+
+@functools.cache
+def _calibration_constants(model: ContactModel) -> MappingProxyType:
+    """The constants behind :func:`calibration_constants`, built once per
+    model and shared read-only; ``_calibration_constants.__wrapped__``
+    computes them anew."""
     gram = model.transverse_gram()
     ratio = float(gram[0, 0])
 
@@ -721,12 +735,12 @@ def calibration_constants(model: ContactModel) -> dict:
             round(form_inner(twice, probe).real / form_inner(probe, probe).real)
         )
 
-    return {
+    return MappingProxyType({
         "orientation_sign": int(model.orientation_sign),
         "deta_coefficient": model.deta_coefficient,
         "phi_sign": model.phi_sign,
         "transverse_metric_ratio": ratio,
         "volume_ratio": volume_ratio,
         "transverse_star_omega_scale": float(scale),
-        "transverse_double_star_signs": double_star_signs,
-    }
+        "transverse_double_star_signs": MappingProxyType(double_star_signs),
+    })

@@ -17,13 +17,16 @@ used throughout the package, is a pair of matrices per degree built once
 at import: the complex->real matrix, whose column for a symbol monomial
 holds its real expansion (a wedge of ``dz^j``, ``conj dz^j`` and
 ``eta``), and its inverse, which the orthogonality of the complex coframe
-makes a scaled conjugate transpose.
+makes a scaled conjugate transpose.  Each is applied as one matrix
+product; :func:`bidegree_split` reads the complex->real columns of each
+complex type from per-degree tables built on first use.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -54,7 +57,6 @@ __all__ = [
     "project_vectors",
     "bidegree_split",
     "complex_components",
-    "from_complex_components",
     "EIGENVALUE_BY_BLOCK",
 ]
 
@@ -224,15 +226,18 @@ _TO_REAL, _TO_COMPLEX = _change_of_basis()
 def _change_basis(matrix: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     """``matrix @ coefficients`` over the leading axis of the coefficients.
 
-    ``einsum`` adds each entry's terms one after another in column order,
-    so the last digits of the results do not depend on how a BLAS kernel
-    would block the sum.  The structure-constant kernels
-    ``lie_algebra.ad_matrix`` and ``bracket_vec`` do run on BLAS, for
-    speed: the reports they feed may change in the last digits with the
-    BLAS build, well within the relative tolerance 1e-9 at which
-    ``benchmarks/verify.py`` compares reports.
+    One BLAS matrix product against the coefficients flattened to
+    ``(n, prod(rest))``, reshaped back; ``math.prod`` of the trailing
+    axes keeps empty stacks, where a ``-1`` in the reshape would be
+    ambiguous.  Like the structure-constant kernels
+    ``lie_algebra.ad_matrix`` and ``bracket_vec``, its last digits follow
+    the BLAS build: the reports it feeds may change there, well within
+    the relative tolerance 1e-9 at which ``benchmarks/verify.py``
+    compares reports.
     """
-    return np.einsum("ij,j...->i...", matrix, coefficients)
+    rest = coefficients.shape[1:]
+    flat = coefficients.reshape(len(coefficients), math.prod(rest))
+    return (matrix @ flat).reshape((len(matrix),) + rest)
 
 
 def _locate_symbols(degree: int, symbols: tuple) -> tuple:
@@ -248,8 +253,8 @@ def _real_from_symbols(components: dict, degree: int,
                        shape: tuple = ()) -> np.ndarray:
     """Real coefficients of a symbol table whose keys may come in any
     order (a repeated symbol contributes nothing) and whose values have
-    the given shape: the complex->real columns of the keys times the
-    values, added in the order of the table."""
+    the given shape: the complex->real columns of the keys, signed, times
+    the values."""
     located = np.array(
         [_locate_symbols(degree, symbols) for symbols in components],
         dtype=int,
@@ -273,11 +278,6 @@ def complex_components(a: KForm) -> dict:
     }
 
 
-def from_complex_components(components: dict, degree: int) -> KForm:
-    """Inverse of :func:`complex_components`."""
-    return KForm.from_vector(degree, _real_from_symbols(components, degree))
-
-
 @dataclass
 class BidegreeSplit:
     """Bidegree split of a form with its ``eta``-wedge remainder.
@@ -292,31 +292,59 @@ class BidegreeSplit:
     eta_parts: dict
 
 
-def bidegree_split(a: KForm, model: ContactModel) -> BidegreeSplit:
-    """Split a form by complex type plus an ``eta``-wedge remainder."""
-    components = complex_components(a)
-    horizontal_groups: dict = {}
-    eta_groups: dict = {}
-    for symbols, coeff in components.items():
-        p = sum(1 for s in symbols if s > 0)
-        q = sum(1 for s in symbols if s < 0)
-        if 0 in symbols:
-            # eta is canonically last: strip it and flip the order sign
-            stripped = tuple(s for s in symbols if s != 0)
-            sign = (-1) ** len(stripped)
-            eta_groups.setdefault((p, q), {})[stripped] = sign * coeff
+@functools.cache
+def _bidegree_groups(degree: int) -> tuple:
+    """Per degree, the tables of :func:`bidegree_split`: one entry per
+    ``(eta?, (p, q))`` group of the canonical symbol tuples, in the order
+    of each group's first tuple, and the group index of every tuple.
+
+    An entry holds the eta flag, the type, the degree of its part, the
+    rows of its tuples among the complex coefficients and the
+    complex->real columns of its part.  A horizontal tuple keeps its own
+    column; a tuple ending in ``eta`` stands for ``eta ^ b`` and takes
+    the column of ``b``, signed by moving ``eta`` from last place to the
+    front.  Built on first use per degree and shared read-only.
+    """
+    keys = _SYMBOL_KEYS[degree]
+    rows_of: dict = {}
+    for row, symbols in enumerate(keys):
+        key = (0 in symbols, (sum(s > 0 for s in symbols),
+                              sum(s < 0 for s in symbols)))
+        rows_of.setdefault(key, []).append(row)
+    group_of = np.empty(len(keys), dtype=int)
+    groups = []
+    for index, ((eta, pq), rows) in enumerate(rows_of.items()):
+        group_of[rows] = index
+        if eta:
+            target = degree - 1
+            positions = _SYMBOL_POSITION[target]
+            matrix = (-1) ** target * _TO_REAL[target][
+                :, [positions[keys[r][:-1]] for r in rows]
+            ]
         else:
-            horizontal_groups.setdefault((p, q), {})[symbols] = coeff
-    parts = {
-        pq: from_complex_components(group, a.degree)
-        for pq, group in horizontal_groups.items()
-    }
-    eta_parts = {
-        pq: from_complex_components(group, a.degree - 1)
-        for pq, group in eta_groups.items()
-    }
-    parts = {pq: form for pq, form in parts.items() if not form.is_zero(0.0)}
-    eta_parts = {
-        pq: form for pq, form in eta_parts.items() if not form.is_zero(0.0)
-    }
+            target = degree
+            matrix = _TO_REAL[degree][:, rows]
+        rows = np.array(rows)
+        for table in (rows, matrix):
+            table.setflags(write=False)
+        groups.append((eta, pq, target, rows, matrix))
+    group_of.setflags(write=False)
+    return tuple(groups), group_of
+
+
+def bidegree_split(a: KForm, model: ContactModel) -> BidegreeSplit:
+    """Split a form by complex type plus an ``eta``-wedge remainder.
+
+    One change to complex coefficients, then one product per group with
+    a nonzero coefficient, from the per-degree group tables; the parts
+    come in the order of each group's first nonzero coefficient.
+    """
+    coefficients = _change_basis(_TO_COMPLEX[a.degree], a.vector)
+    groups, group_of = _bidegree_groups(a.degree)
+    parts: dict = {}
+    eta_parts: dict = {}
+    for index in dict.fromkeys(group_of[coefficients != 0].tolist()):
+        eta, pq, target, rows, matrix = groups[index]
+        vector = matrix @ coefficients[rows]
+        (eta_parts if eta else parts)[pq] = KForm._wrap(target, vector)
     return BidegreeSplit(degree=a.degree, parts=parts, eta_parts=eta_parts)

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -485,9 +486,8 @@ def omega_component(F: GValuedForm, model: ContactModel) -> np.ndarray:
     """Coefficient vector u with ``<F, omega> = u ||omega||^2``."""
     if F.degree != 2:
         raise ValueError("expected a 2-form")
-    omega = model.omega.vector
-    omega_sq = float(np.vdot(omega, omega).real)
-    return np.einsum("k,kd->d", omega.conj(), F.matrix) / omega_sq
+    tables = _classifier_tables(model)
+    return np.einsum("k,kd->d", tables.omega, F.matrix) / tables.omega_sq
 
 
 # ---------------------------------------------------------------------------
@@ -513,30 +513,46 @@ def _classify_from_residuals(residuals: dict, scale: float, tol: float):
     return candidates[0]
 
 
-@functools.cache
-def _classifier_tables(model: ContactModel) -> tuple:
-    """Per-model tables of :func:`instanton_classify`.
+class _ClassifierTables(NamedTuple):
+    """Per-model tables of :func:`instanton_classify`: the four block
+    projectors stacked in the order of ``EIGENVALUE_BY_BLOCK``, the
+    complex (1,1) rows of ``omega`` in the order of ``_MIXED_ROWS``, the
+    conjugate coefficients of ``omega`` and its norm and squared norm,
+    which :func:`omega_component` pairs with and divides by."""
 
-    The four block projectors stacked in the order of
-    ``EIGENVALUE_BY_BLOCK`` as one ``(4, 21, 21)`` array, the complex
-    (1,1) rows of ``omega`` in the order of ``_MIXED_ROWS``, and the norm
-    of ``omega``.  Built once per model and shared read-only;
-    ``_classifier_tables.__wrapped__`` builds them anew.
+    projectors: np.ndarray
+    omega_rows: np.ndarray
+    omega: np.ndarray
+    omega_norm: float
+    omega_sq: float
+
+
+@functools.cache
+def _classifier_tables(model: ContactModel) -> _ClassifierTables:
+    """The :class:`_ClassifierTables` of a model, built once per model and
+    shared read-only; ``_classifier_tables.__wrapped__`` builds them anew.
     """
     projectors = np.stack(list(eigenspace_projectors(model).values()))
     omega = model.omega.vector
     omega_rows = _change_basis(_TO_COMPLEX[2], omega)[_MIXED_ROWS]
-    for table in (projectors, omega_rows):
+    omega_conj = omega.conj()
+    for table in (projectors, omega_rows, omega_conj):
         table.setflags(write=False)
-    return projectors, omega_rows, float(np.linalg.norm(omega))
+    return _ClassifierTables(
+        projectors, omega_rows, omega_conj,
+        float(np.linalg.norm(omega)), float(np.vdot(omega, omega).real),
+    )
 
 
 # the rows of route two grouped by block: the (1,1) rows, whose contact
 # line is removed before they count for block_8, then the (2,0) and (0,2)
 # rows (block_6), then the eta rows (vertical); _GROUP_STARTS holds the
-# first position of each group
+# first position of each group.  _GROUPED_TO_COMPLEX is the real->complex
+# matrix with its rows in that order, so one product gives them grouped.
 _GROUPED_ROWS = _MIXED_ROWS + _PURE_ROWS + _ETA_ROWS
 _GROUP_STARTS = np.cumsum([0, len(_MIXED_ROWS), len(_PURE_ROWS)])
+_GROUPED_TO_COMPLEX = _TO_COMPLEX[2][_GROUPED_ROWS]
+_GROUPED_TO_COMPLEX.setflags(write=False)
 
 
 def instanton_classify(
@@ -553,16 +569,25 @@ def instanton_classify(
     * route one multiplies the coefficient matrix by the four block
       projectors, stacked once per model, and takes the four Frobenius
       norms in one call;
-    * route two changes to complex coefficients once, removes the
-      contact line from the (1,1) rows as ``omega_rows (x) u`` with
-      ``u`` from :func:`omega_component`, takes every row norm in one
-      reduction and keeps the largest of each complex type.
+    * route two changes to complex coefficients once, through the
+      real->complex matrix with its rows grouped by complex type,
+      removes the contact line from the (1,1) rows as ``omega_rows (x)
+      u`` with ``u`` from :func:`omega_component`, takes every row norm
+      in one reduction and keeps the largest of each complex type.
+
+    Both routes share the ``reality`` residual, the norm of ``F - conj
+    F``, which is exactly zero without a norm when ``F`` has no
+    imaginary part.
     """
     if F.degree != 2:
         raise ValueError("expected a 2-form")
     scale = g_norm(F)
-    reality = g_norm(F - conjugate_gform(F))
-    projectors, omega_rows, omega_norm = _classifier_tables(model)
+    if F.matrix.imag.any():
+        reality = g_norm(F - conjugate_gform(F))
+    else:
+        # a real form: its difference with its conjugate is exactly zero
+        reality = _scalar(np.zeros(F.matrix.shape[1:-1]))
+    tables = _classifier_tables(model)
 
     # route one: spectral projectors acting on the coefficient matrix,
     # whose real and imaginary parts stand side by side so that one real
@@ -570,7 +595,7 @@ def instanton_classify(
     # residuals: the algebra Gram matrix is positive definite, so a block
     # vanishes in one norm exactly when it vanishes in the other.
     parts = np.concatenate([F.matrix.real, F.matrix.imag], axis=-1)
-    blocks = (projectors @ parts).reshape(len(projectors), -1)
+    blocks = (tables.projectors @ parts).reshape(len(tables.projectors), -1)
     block_8, block_6, block_1, vertical = (
         np.sqrt(np.vecdot(blocks, blocks)).tolist()
     )
@@ -586,14 +611,14 @@ def instanton_classify(
     # route two: complex types together with the contact component; the
     # (1,1) part splits into the contact line and its complement
     omega_vec = omega_component(F, model)
-    grouped = _complex_rows(F)[_GROUPED_ROWS]
-    grouped[: len(_MIXED_ROWS)] -= omega_rows[:, None] * omega_vec
+    grouped = _change_basis(_GROUPED_TO_COMPLEX, F.matrix)
+    grouped[: len(_MIXED_ROWS)] -= tables.omega_rows[:, None] * omega_vec
     norms = np.sqrt(np.vecdot(grouped, grouped).real)
     largest = np.maximum.reduceat(norms, _GROUP_STARTS).tolist()
     residuals_type = {
         "block_8": largest[0],
         "block_6": largest[1],
-        "block_1": float(np.linalg.norm(omega_vec)) * omega_norm,
+        "block_1": float(np.linalg.norm(omega_vec)) * tables.omega_norm,
         "vertical": largest[2],
         "reality": reality,
     }

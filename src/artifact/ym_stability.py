@@ -39,7 +39,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flat_model import ContactModel, _two_form_matrix, left_wedge_matrix
+from .flat_model import (
+    _PAIR_COLS,
+    _PAIR_ROWS,
+    ContactModel,
+    _two_form_matrix,
+    left_wedge_matrix,
+)
 from .lie_algebra import (
     BRACKET_NORM_BOUND,
     LieAlgebraSpec,
@@ -202,14 +208,20 @@ def curvature_action_oneforms(F: GValuedForm) -> np.ndarray:
     """
     # a real curvature gives a real action: check the coefficients, not
     # the (7 d)^2 entries of the action, and assemble from their real parts
-    _require_real(F.matrix, "curvature action matrix")
-    grid = np.ascontiguousarray(curvature_components_grid(F).real)
-    # ads[j, i] = ad(F_{ji}) is block (i, j); the zero diagonal of the
-    # grid gives zero diagonal blocks
-    ads = ad_matrix(F.algebra, grid)
-    out = np.moveaxis(ads, (1, 0), (-4, -2))
-    size = FORM_INDEX_COUNT * F.algebra.dim
-    return out.reshape(out.shape[:-4] + (size, size))
+    coefficients = _require_real(F.matrix, "curvature action matrix")
+    d = F.algebra.dim
+    stack = coefficients.shape[1:-1]
+    # ad(F_{ji}) is block (i, j): for the pair j < i of each coefficient
+    # row the action of the row itself, for i < j its negative; the
+    # diagonal blocks stay zero.  The blocks go straight into the buffer
+    # of the final matrix.  The negative is 0 - ads, not -ads, so that a
+    # zero entry stays +0.0, as in the product for the negated row.
+    ads = ad_matrix(F.algebra, coefficients)
+    out = np.zeros(stack + (FORM_INDEX_COUNT, d, FORM_INDEX_COUNT, d))
+    out[..., _PAIR_COLS, :, _PAIR_ROWS, :] = ads
+    out[..., _PAIR_ROWS, :, _PAIR_COLS, :] = np.subtract(0.0, ads)
+    size = FORM_INDEX_COUNT * d
+    return out.reshape(stack + (size, size))
 
 
 def apply_curvature_action(

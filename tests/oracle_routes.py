@@ -17,7 +17,12 @@ from artifact.flat_model import (
     left_wedge_matrix,
     wedge,
 )
-from artifact.form_decomposition import eigenspace_projectors
+from artifact.form_decomposition import (
+    BidegreeSplit,
+    _real_from_symbols,
+    complex_components,
+    eigenspace_projectors,
+)
 from artifact.gauge_fields import (
     _ETA_ROWS,
     _MIXED_ROWS,
@@ -29,12 +34,13 @@ from artifact.gauge_fields import (
     g_norm,
     omega_component,
 )
-from artifact.lie_algebra import _scalar, coeffs_of, matrix_of
+from artifact.lie_algebra import _scalar, ad_matrix, coeffs_of, matrix_of
 from artifact.weitzenbock_engine import (
     POSITIVITY_RELATIVE_FLOOR,
     build_R_operator,
     weighted_spectrum,
 )
+from artifact.ym_stability import curvature_components_grid
 
 
 def vector_at(F, *key):
@@ -45,6 +51,62 @@ def vector_at(F, *key):
         KForm.from_vector(F.degree, column).coefficient(*key)
         for column in F.matrix.T
     ])
+
+
+def change_basis_einsum(matrix, coefficients):
+    """Oracle route for ``form_decomposition._change_basis``: ``einsum``
+    over the leading axis of the coefficients, each entry's terms added
+    one after another in column order, with no BLAS product."""
+    return np.einsum("ij,j...->i...", matrix, coefficients)
+
+
+def curvature_action_grid(F):
+    """Oracle route for ``ym_stability.curvature_action_oneforms``: the
+    ``(7, 7)`` grid of component vectors, zero diagonal and both signs
+    included, one ad matrix per grid entry, then the blocks moved into
+    place by ``moveaxis`` and ``reshape``: block ``(i, j)`` is
+    ``ad(F_{ji})``."""
+    grid = np.ascontiguousarray(curvature_components_grid(F).real)
+    ads = ad_matrix(F.algebra, grid)
+    out = np.moveaxis(ads, (1, 0), (-4, -2))
+    size = 7 * F.algebra.dim
+    return out.reshape(out.shape[:-4] + (size, size))
+
+
+def from_complex_components(components, degree):
+    """Inverse of ``complex_components`` for a table whose keys may come
+    in any order: the complex->real columns of the keys times the values,
+    added in the order of the table."""
+    return KForm.from_vector(degree, _real_from_symbols(components, degree))
+
+
+def bidegree_split_per_symbol(a):
+    """Oracle route for ``bidegree_split``: the complex components as a
+    dict, sorted symbol by symbol into one dict per ``(p, q)`` group, the
+    ``eta`` stripped from the remainder's tuples with its order sign, and
+    each group turned back into a form through its own table."""
+    horizontal_groups, eta_groups = {}, {}
+    for symbols, coeff in complex_components(a).items():
+        p = sum(1 for s in symbols if s > 0)
+        q = sum(1 for s in symbols if s < 0)
+        if 0 in symbols:
+            # eta is canonically last: strip it and flip the order sign
+            stripped = tuple(s for s in symbols if s != 0)
+            sign = (-1) ** len(stripped)
+            eta_groups.setdefault((p, q), {})[stripped] = sign * coeff
+        else:
+            horizontal_groups.setdefault((p, q), {})[symbols] = coeff
+
+    def forms(groups, degree):
+        built = {pq: from_complex_components(group, degree)
+                 for pq, group in groups.items()}
+        return {pq: form for pq, form in built.items() if form.vector.any()}
+
+    return BidegreeSplit(
+        degree=a.degree,
+        parts=forms(horizontal_groups, a.degree),
+        eta_parts=forms(eta_groups, a.degree - 1),
+    )
 
 
 def g_wedge_bracket_entry_path(phi, psi):

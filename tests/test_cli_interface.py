@@ -476,6 +476,25 @@ class TestExitCodes:
         assert main(["calibrate"]) == 2
         assert "format" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["1\u00b2", "\u00b93", "\u0661\u0662",
+                                     "\uff11\uff12", "18", "0 5"])
+    def test_non_ascii_or_out_of_range_real_key_exits_two(
+        self, tmp_path, capsys, key
+    ):
+        # superscript digits pass str.isdigit but not int(), Arabic-Indic
+        # and full-width ones pass both; each key gets the documented
+        # key message
+        payload = {"algebra": "su2", "basis": "real",
+                   "components": {key: [1.0, 0.0, 0.0]}}
+        path = write_json(tmp_path, "key.json", payload)
+        assert main(["classify", "--input", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"input error: field 'components': key {key!r} must name two "
+            f"ascending coframe indices between 1 and 7, like '12' or '37'"
+        ]
+
     def test_parse_error_in_payload_exits_two(self, tmp_path, capsys):
         path = write_json(
             tmp_path,

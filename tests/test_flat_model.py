@@ -15,6 +15,7 @@ from artifact.flat_model import (
     contract_reeb,
     form_inner,
     _CONVENTIONS,
+    _calibration_constants,
     _candidate_model,
     _check_candidates,
     _locate,
@@ -88,7 +89,7 @@ def test_sort_key_sign_matches_inversion_count():
 def test_repeated_index_kills_term():
     assert _permutation_sign((3, 3)) == 0
     assert _locate(3, (2, 5, 2)) == (0, 0)
-    assert wedge(KForm.basis(3), KForm.basis(3)).is_zero()
+    assert not wedge(KForm.basis(3), KForm.basis(3)).vector.any()
 
 
 def test_norm_is_coefficientwise():
@@ -224,7 +225,7 @@ def test_inner_product_is_hermitian_dot():
 
 
 def test_contract_reeb_kills_horizontal(model):
-    assert contract_reeb(KForm.basis(1, 2)).is_zero()
+    assert not contract_reeb(KForm.basis(1, 2)).vector.any()
     # e1 ^ e7 contracts to -e1: the vertical leg is pulled across one slot
     assert (
         contract_reeb(KForm.basis(1, REEB_INDEX)) + KForm.basis(1)
@@ -249,7 +250,7 @@ def test_contract_reeb_antiderivation(model):
 def test_contract_reeb_squares_to_zero():
     rng = np.random.default_rng(10)
     form = _random_form(rng, 3)
-    assert contract_reeb(contract_reeb(form)).is_zero()
+    assert not contract_reeb(contract_reeb(form)).vector.any()
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +383,29 @@ def test_frozen_constants(model):
     signs = constants["transverse_double_star_signs"]
     for degree in range(7):
         assert signs[degree] == (-1) ** (degree * (6 - degree))
+
+
+def test_constants_computed_once_and_handed_out_fresh(model):
+    first = calibration_constants(model)
+    second = calibration_constants(model)
+    assert _calibration_constants(model) is _calibration_constants(model)
+    # plain dicts, nested one included, never the cached mapping
+    for constants in (first, second):
+        assert type(constants) is dict
+        assert type(constants["transverse_double_star_signs"]) is dict
+    assert first is not second
+    assert first["transverse_double_star_signs"] is not (
+        second["transverse_double_star_signs"]
+    )
+    fresh = _calibration_constants.__wrapped__(model)
+    assert first == dict(fresh)
+    assert first["transverse_double_star_signs"] == dict(
+        fresh["transverse_double_star_signs"]
+    )
+    # a caller's change stays in its copy
+    first["volume_ratio"] = 0.0
+    first["transverse_double_star_signs"][0] = 0
+    assert calibration_constants(model) == second
 
 
 def test_transverse_metric_is_half_identity(model):

@@ -20,12 +20,12 @@ from artifact.form_decomposition import (
     bidegree_split,
     complex_components,
     eigenspace_projectors,
-    from_complex_components,
     project,
     project_vectors,
     t_eta_apply,
     t_eta_matrix,
 )
+from oracle_routes import from_complex_components
 
 
 @pytest.fixture(scope="module")

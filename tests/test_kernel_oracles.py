@@ -45,7 +45,6 @@ from artifact.form_decomposition import (
     _TO_REAL,
     complex_components,
     eigenspace_projectors,
-    from_complex_components,
 )
 from artifact.gauge_fields import (
     GValuedForm,
@@ -57,7 +56,7 @@ from artifact.gauge_fields import (
     w_coefficients_from_gform,
 )
 from artifact.lie_algebra import bracket_vec, inner_vec, make_so, make_su
-from oracle_routes import g_wedge_scalar
+from oracle_routes import from_complex_components, g_wedge_scalar
 
 ORACLE_SETTINGS = settings(max_examples=60, deadline=None)
 

@@ -33,12 +33,7 @@ SOURCES = (
 
 # Shared-name methods whose every read has a receiver that no annotation
 # or binding resolves: (file, enclosing function, reason)
-UNRESOLVED_READERS = {
-    "KForm.is_zero": (
-        "src/artifact/form_decomposition.py", "bidegree_split",
-        "drops empty parts; the forms are the values of a dict",
-    ),
-}
+UNRESOLVED_READERS: dict = {}
 
 # Parameters that no code reads, each kept for its callers
 KEPT_PARAMETERS = {

@@ -15,10 +15,14 @@ near-tolerance forms ``w1 (x) e0 + eps v1 (x) e1``; the in-place
 assemblies are bit-equal to the sums they replace, and the spectra of
 ``combined_spectra`` (the Ricci one from the pair matrix, the combined
 one shifted for an Einstein tensor) match the kron oracle within
-``oracle_routes.SPECTRUM_ROUNDING``.  The last section bounds the
-allocation peak of one so(7) report.
+``oracle_routes.SPECTRUM_ROUNDING``.  The complex-type kernels meet
+``change_basis_einsum`` (within the summation bound of each entry),
+``bidegree_split_per_symbol`` (same parts in the same order, vectors
+within rounding) and ``curvature_action_grid`` (bit-equal).  The last
+section bounds the allocation peak of one so(7) report.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -28,8 +32,17 @@ from hypothesis import given, settings, strategies as st
 from artifact.flat_model import (
     CalibrationError,
     KForm,
+    basis_keys,
     calibrate_model,
     standard_two_form_families,
+)
+from artifact.form_decomposition import (
+    _SYMBOL_KEYS,
+    _TO_COMPLEX,
+    _TO_REAL,
+    _bidegree_groups,
+    _change_basis,
+    bidegree_split,
 )
 from artifact.gauge_fields import (
     GValuedForm,
@@ -73,7 +86,10 @@ from artifact.ym_stability import (
 from oracle_routes import (
     _kron_identity,
     assert_spectra_within_rounding,
+    bidegree_split_per_symbol,
+    change_basis_einsum,
     combined_spectra_kron,
+    curvature_action_grid,
     gform_from_terms,
     instanton_classify_per_block,
     torsion_residuals_chain,
@@ -279,6 +295,136 @@ def test_assembly_equals_kron_oracle_for_forms_and_stacks(name):
 
 
 # ---------------------------------------------------------------------------
+# The complex-type kernels against their einsum and per-symbol oracles
+# ---------------------------------------------------------------------------
+
+_EPS = np.finfo(float).eps
+
+
+def _spread(rng, shape, complex_values):
+    """Coefficients whose magnitudes spread over six decades."""
+    def draw():
+        return rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+    return draw() + 1j * draw() if complex_values else draw()
+
+
+def _summation_budget(matrix, coefficients):
+    """Per output entry and real component, how far two orders of the
+    same sum may lie apart: ``n eps sum |t|`` over its ``n`` nonzero
+    terms ``t``.  Every entry of the change-of-basis matrices is a power
+    of two times a power of ``i``, so each product is exact and the
+    routes differ only in the order of the additions; recursive summation
+    of ``n`` terms is off by at most ``(n - 1) u sum |t|`` in each order.
+    """
+    flat = coefficients.reshape(
+        len(coefficients), math.prod(coefficients.shape[1:])
+    )
+    products = matrix[:, :, None] * flat[None, :, :]
+    shape = (len(matrix),) + coefficients.shape[1:]
+    return tuple(
+        (np.count_nonzero(part, axis=1) * _EPS
+         * np.abs(part).sum(axis=1)).reshape(shape)
+        for part in (products.real, products.imag)
+    )
+
+
+@pytest.mark.parametrize("direction", ["to_complex", "to_real"])
+@pytest.mark.parametrize("degree", range(8))
+def test_change_basis_matches_einsum_oracle(degree, direction):
+    matrix = {"to_complex": _TO_COMPLEX, "to_real": _TO_REAL}[direction][
+        degree
+    ]
+    rng = np.random.default_rng(degree)
+    # every row holds at most 8 terms: a wedge of three dz^j expands
+    # into 8 real monomials, and a real monomial of three planes into 8
+    # symbol monomials
+    assert np.count_nonzero(matrix, axis=1).max() <= 8
+    for stack in [(), (0,), (3,), (2, 2)]:
+        for d in (1, 3, 21):
+            for complex_values in (False, True):
+                shape = (matrix.shape[1],) + stack + (d,)
+                coefficients = _spread(rng, shape, complex_values)
+                got = _change_basis(matrix, coefficients)
+                want = change_basis_einsum(matrix, coefficients)
+                assert got.shape == want.shape == (len(matrix),) + shape[1:]
+                assert got.dtype == want.dtype == complex
+                real_budget, imag_budget = _summation_budget(
+                    matrix, coefficients
+                )
+                assert np.all(np.abs(got.real - want.real) <= real_budget)
+                assert np.all(np.abs(got.imag - want.imag) <= imag_budget)
+
+
+def _bidegree_inputs(degree, rng):
+    """Forms of one degree: zero, dense real, dense complex, sparse in
+    the real basis, and two sparse in the complex one: a few random
+    symbol monomials, so that some types are absent, and the last
+    monomial of every type, so that the types come in another order
+    than that of their first monomials."""
+    size = len(basis_keys(degree))
+    sparse_real = np.zeros(size, dtype=complex)
+    picks = rng.choice(size, min(size, 3), replace=False)
+    sparse_real[picks] = rng.standard_normal(len(picks))
+    symbols = np.zeros(size, dtype=complex)
+    picks = rng.choice(size, min(size, 2), replace=False)
+    symbols[picks] = _spread(rng, len(picks), True)
+    last_of_type = {
+        (0 in key, sum(s > 0 for s in key), sum(s < 0 for s in key)): row
+        for row, key in enumerate(_SYMBOL_KEYS[degree])
+    }
+    late = np.zeros(size, dtype=complex)
+    late[list(last_of_type.values())] = _spread(rng, len(last_of_type), True)
+    vectors = [
+        np.zeros(size),
+        _spread(rng, size, False),
+        _spread(rng, size, True),
+        sparse_real,
+        _TO_REAL[degree] @ symbols,
+        _TO_REAL[degree] @ late,
+    ]
+    return [KForm.from_vector(degree, vector) for vector in vectors]
+
+
+@pytest.mark.parametrize("degree", range(8))
+def test_bidegree_split_matches_per_symbol_oracle(degree):
+    rng = np.random.default_rng(100 + degree)
+    for a in _bidegree_inputs(degree, rng):
+        got = bidegree_split(a, MODEL)
+        want = bidegree_split_per_symbol(a)
+        assert got.degree == want.degree == degree
+        # rounding of the per-part sums: entries of the complex->real
+        # matrices up to 8, at most 8 terms per entry
+        scale = np.abs(_TO_COMPLEX[degree] @ a.vector).sum()
+        budget = 16 * _EPS * np.abs(_TO_REAL[degree]).max() * scale
+        for field in ("parts", "eta_parts"):
+            parts, expected = getattr(got, field), getattr(want, field)
+            assert list(parts) == list(expected), field
+            for pq, form in expected.items():
+                assert parts[pq].degree == form.degree
+                assert np.all(
+                    np.abs(parts[pq].vector - form.vector) <= budget
+                ), (field, pq)
+        if not a.vector.any():
+            assert got.parts == got.eta_parts == {}
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_curvature_action_bit_equal_to_grid_oracle(name):
+    algebra = ALGEBRAS[name]
+    singles = [_form(name, ["8", "6", "1", "vertical"], 1.0, k)
+               for k in range(3)]
+    stacked = GValuedForm.from_matrix(
+        algebra, 2, np.stack([f.matrix.real for f in singles], axis=1)
+    )
+    for F in singles + [stacked]:
+        got = curvature_action_oneforms(F)
+        want = curvature_action_grid(F)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# ---------------------------------------------------------------------------
 # The per-model and per-process tables
 # ---------------------------------------------------------------------------
 
@@ -293,12 +439,38 @@ def test_classifier_tables_read_only_and_equal_rebuild():
     tables = _classifier_tables(MODEL)
     assert _classifier_tables(MODEL) is tables
     fresh = _classifier_tables.__wrapped__(MODEL)
-    projectors, omega_rows, omega_norm = tables
-    for array, rebuilt in zip((projectors, omega_rows), fresh):
+    projectors, omega_rows, omega_conj, omega_norm, omega_sq = tables
+    for array, rebuilt in zip((projectors, omega_rows, omega_conj), fresh):
         _assert_read_only(array)
         assert np.array_equal(array, rebuilt)
-    assert omega_norm == fresh[2] == np.linalg.norm(MODEL.omega.vector)
+    omega = MODEL.omega.vector
+    assert np.array_equal(omega_conj, omega.conj())
+    assert omega_norm == fresh.omega_norm == np.linalg.norm(omega)
+    assert omega_sq == fresh.omega_sq == np.vdot(omega, omega).real
     assert projectors.shape == (4, 21, 21)
+
+
+@pytest.mark.parametrize("degree", range(8))
+def test_bidegree_groups_read_only_and_equal_rebuild(degree):
+    groups, group_of = _bidegree_groups(degree)
+    assert _bidegree_groups(degree)[0] is groups
+    fresh_groups, fresh_group_of = _bidegree_groups.__wrapped__(degree)
+    _assert_read_only(group_of)
+    assert np.array_equal(group_of, fresh_group_of)
+    # every symbol tuple in exactly one group, groups in first-row order
+    rows = [entry[3] for entry in groups]
+    assert sorted(np.concatenate(rows).tolist()) == list(range(len(group_of)))
+    assert [r[0] for r in rows] == sorted(r[0] for r in rows)
+    assert len(groups) == len(fresh_groups)
+    for index, (entry, fresh) in enumerate(zip(groups, fresh_groups)):
+        eta, pq, target, rows, matrix = entry
+        assert (eta, pq, target) == fresh[:3]
+        assert target == degree - eta
+        assert np.all(group_of[rows] == index)
+        for array, rebuilt in zip((rows, matrix), fresh[3:]):
+            _assert_read_only(array)
+            assert np.array_equal(array, rebuilt)
+        assert matrix.shape == (len(basis_keys(target)), len(rows))
 
 
 def test_torsion_maps_read_only_exact_and_equal_rebuild():

@@ -24,10 +24,7 @@ import artifact.selftest as selftest
 import artifact.weitzenbock_engine as weitzenbock_engine
 import artifact.ym_stability as ym_stability
 from artifact.flat_model import KForm, calibrate_model
-from artifact.form_decomposition import (
-    complex_components,
-    from_complex_components,
-)
+from artifact.form_decomposition import complex_components
 from artifact.gauge_fields import (
     GValuedForm,
     f_components_from_gform,
@@ -67,7 +64,10 @@ from artifact.ym_stability import (
     curvature_grid_norms,
     curvature_quad_paths,
 )
-from oracle_routes import g_wedge_bracket_entry_path
+from oracle_routes import (
+    from_complex_components,
+    g_wedge_bracket_entry_path,
+)
 
 MODEL = calibrate_model()
 
