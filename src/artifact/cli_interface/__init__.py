@@ -49,7 +49,10 @@ such as ``"12"`` or ``"37"``; ``"complex"`` uses comma-separated symbol
 pairs such as ``"1,-2"`` (positive j for the j-th holomorphic
 direction, negative for its conjugate, 0 for the vertical direction).
 Each value is a coefficient vector of the algebra dimension; a bare
-number is accepted for 1-dimensional algebras.  Optional fields:
+number is accepted for 1-dimensional algebras.  The vectors of a custom
+algebra stay in the payload's own basis, the order of ``"matrices"``;
+when that basis is re-based at parse time they are mapped into the new
+one.  Optional fields:
 ``"ricci"`` (3x3 nested arrays, Hermitian) feeds the transverse Ricci
 endomorphism, ``"ricci7"`` (7x7 nested arrays, symmetric) feeds the
 second-variation operator.
@@ -75,6 +78,7 @@ from ..form_decomposition import _SYMBOL_RANK, project_vectors
 from ..lie_algebra import (
     LieAlgebraSpec,
     algebra_from_basis,
+    coeffs_of,
     make_abelian,
     make_so,
     make_su,
@@ -239,6 +243,8 @@ def load_payload(path: str | None) -> dict:
             f"invalid JSON in {path} at line {exc.lineno} "
             f"column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise InputError(f"invalid JSON in {path}: nested too deeply") from exc
     if not isinstance(payload, dict):
         raise InputError("top-level input must be a JSON object")
     return payload
@@ -308,6 +314,9 @@ def _matrix_from_nested(value, field: str) -> np.ndarray:
 
 
 def parse_algebra(value) -> LieAlgebraSpec:
+    """The algebra an ``algebra`` field names or describes."""
+    if isinstance(value, dict):
+        return _custom_algebra(value)[0]
     if isinstance(value, str):
         name = value.strip().lower()
         if name == "so3":
@@ -333,35 +342,43 @@ def parse_algebra(value) -> LieAlgebraSpec:
             f"field 'algebra': unknown name {value!r}; use so3, so5, su2, "
             f"su2_trace, abelian<d>, or a custom object"
         )
-    if isinstance(value, dict):
-        if "matrices" not in value:
-            raise InputError("field 'algebra': custom object needs 'matrices'")
-        mats = value["matrices"]
-        if not isinstance(mats, list) or not mats:
-            raise InputError(
-                "field 'algebra.matrices': expected a non-empty array"
-            )
-        stacked = [
-            _matrix_from_nested(m, f"algebra.matrices[{i}]")
-            for i, m in enumerate(mats)
-        ]
-        shapes = {m.shape for m in stacked}
-        if len(shapes) != 1 or stacked[0].shape[0] != stacked[0].shape[1]:
-            raise InputError(
-                "field 'algebra.matrices': all matrices must be square "
-                "and of one size"
-            )
-        name = value.get("name", "custom")
-        inner = value.get("inner", "killing")
-        if not isinstance(name, str) or not isinstance(inner, str):
-            raise InputError(
-                "field 'algebra': 'name' and 'inner' must be strings"
-            )
-        try:
-            return algebra_from_basis(name, np.array(stacked), inner=inner)
-        except ValueError as exc:
-            raise InputError(f"field 'algebra': {exc}") from exc
     raise InputError("field 'algebra': expected a name or a custom object")
+
+
+def _custom_algebra(value: dict) -> tuple:
+    """The algebra of a custom object, and None when it kept the payload
+    basis, else the real matrix whose row i holds the coefficients of
+    the payload's i-th matrix in the re-based ``spec.basis``."""
+    if "matrices" not in value:
+        raise InputError("field 'algebra': custom object needs 'matrices'")
+    mats = value["matrices"]
+    if not isinstance(mats, list) or not mats:
+        raise InputError(
+            "field 'algebra.matrices': expected a non-empty array"
+        )
+    stacked = [
+        _matrix_from_nested(m, f"algebra.matrices[{i}]")
+        for i, m in enumerate(mats)
+    ]
+    shapes = {m.shape for m in stacked}
+    if len(shapes) != 1 or stacked[0].shape[0] != stacked[0].shape[1]:
+        raise InputError(
+            "field 'algebra.matrices': all matrices must be square "
+            "and of one size"
+        )
+    stacked = np.array(stacked)
+    name = value.get("name", "custom")
+    inner = value.get("inner", "killing")
+    if not isinstance(name, str) or not isinstance(inner, str):
+        raise InputError(
+            "field 'algebra': 'name' and 'inner' must be strings"
+        )
+    try:
+        spec = algebra_from_basis(name, stacked, inner=inner)
+    except ValueError as exc:
+        raise InputError(f"field 'algebra': {exc}") from exc
+    kept = np.array_equal(spec.basis, stacked)
+    return spec, None if kept else coeffs_of(spec, stacked).real
 
 
 def _parse_real_key(key: str) -> tuple:
@@ -407,7 +424,11 @@ def parse_gform(payload: dict) -> GValuedForm:
     for field in ("algebra", "basis", "components"):
         if field not in payload:
             raise InputError(f"missing field {field!r}")
-    algebra = parse_algebra(payload["algebra"])
+    named = payload["algebra"]
+    if isinstance(named, dict):
+        algebra, change = _custom_algebra(named)
+    else:
+        algebra, change = parse_algebra(named), None
     basis = payload["basis"]
     components = payload["components"]
     if not isinstance(components, dict) or not components:
@@ -434,19 +455,16 @@ def parse_gform(payload: dict) -> GValuedForm:
                     f"must be real"
                 )
             rows[int(key[1]) - 1] = vec.real
-        return gform_from_w_coefficients(algebra, rows)
-
-    if basis == "real":
-        out = GValuedForm(algebra, 2)
+        F = gform_from_w_coefficients(algebra, rows)
+    elif basis == "real":
+        F = GValuedForm(algebra, 2)
         for key, value in components.items():
             indices = _parse_real_key(str(key))
             vec = _coefficient_vector(
                 value, algebra.dim, f"components.{key}"
             )
-            out.accumulate(indices, vec)
-        return out
-
-    if basis == "complex":
+            F.accumulate(indices, vec)
+    elif basis == "complex":
         table = {}
         for key, value in components.items():
             symbols = _parse_complex_key(str(key))
@@ -456,11 +474,15 @@ def parse_gform(payload: dict) -> GValuedForm:
             # keys in any symbol order: the expansion applies the sign
             current = table.get(symbols)
             table[symbols] = vec if current is None else current + vec
-        return gform_from_complex_components(algebra, table, 2)
-
-    raise InputError(
-        f"field 'basis': expected 'w', 'real', or 'complex', not {basis!r}"
-    )
+        F = gform_from_complex_components(algebra, table, 2)
+    else:
+        raise InputError(
+            f"field 'basis': expected 'w', 'real', or 'complex', "
+            f"not {basis!r}"
+        )
+    if change is None:
+        return F
+    return GValuedForm._wrap(algebra, 2, F.matrix @ change)
 
 
 def parse_transverse_ricci(payload: dict) -> TransverseRicci:
@@ -608,12 +630,10 @@ def _reads_form(body):
 def _cmd_decompose(cfg: JobConfig, model, payload, F) -> tuple:
     arr = F.to_matrix()
     parts = project_vectors(arr, model)
-    gram = F.algebra.gram
+    inner_scale = F.algebra.inner_scale
 
     def block_norm_sq(block: np.ndarray) -> float:
-        return float(
-            np.real(np.einsum("kd,de,ke->", block, gram, block.conj()))
-        )
+        return inner_scale * float(np.vdot(block, block).real)
 
     total_sq = block_norm_sq(arr)
     part_report = {}

@@ -101,6 +101,29 @@ SAMPLE_BLOCK = 4096
 _HORIZONTAL_COUNT = 6
 
 
+def _horizontal_probe(probe: dict) -> dict:
+    """The full complex's probe: horizontal covectors, rank lost last."""
+    return {
+        "horizontal_probe": {
+            "count": probe["count"],
+            "rank_patterns": sorted(
+                "x".join(str(r) for r in key) for key in probe["patterns"]
+            ),
+            "exact_everywhere": bool(probe["count"] and probe["exact"]),
+        }
+    }
+
+
+def _vertical_probe(probe: dict) -> dict:
+    """The basic complex's probe: vertical covectors, both maps zero."""
+    return {
+        "vertical_degenerate": bool(
+            probe["count"] and all(0 in key for key in probe["patterns"])
+        ),
+        "vertical_count": probe["count"],
+    }
+
+
 def _columns_from_forms(forms) -> np.ndarray:
     """The real coefficient vectors of ``forms``, as matrix columns."""
     columns = np.stack([form.vector for form in forms], axis=1)
@@ -134,7 +157,11 @@ class QuotientSpaces:
     complex has ``(1, I_7, l2_basis, l3_basis)``, the basic one ``(1,
     I_7[:, :6], basic2_basis)``.  ``symbol_tensors[which]`` holds the same
     maps as tensors ``T`` of shape ``(7, target, source)``: the map at
-    ``xi`` is ``sum_a xi[a] T[a]``.
+    ``xi`` is ``sum_a xi[a] T[a]``.  ``probe_policies[which]`` is the
+    triple ``(checked, zero_axes, entries)`` of a sweep: a covector
+    passes when its first ``checked`` stages are exact (all for None),
+    and those whose coordinates ``zero_axes`` vanish are reported apart
+    by ``entries`` and never counted as failures.
 
     All stage bases carry orthonormal columns in the 21- and
     35-dimensional coordinate spaces of 2- and 3-forms; the ideal bases
@@ -151,6 +178,7 @@ class QuotientSpaces:
     ideal3_basis: np.ndarray = field(repr=False)
     stage_bases: dict = field(repr=False)
     symbol_tensors: dict = field(repr=False)
+    probe_policies: dict = field(repr=False)
 
     def bases(self, which: str) -> tuple:
         """The stage bases of the complex tagged ``which``."""
@@ -224,6 +252,10 @@ def build_quotient_spaces(model: ContactModel) -> QuotientSpaces:
                 for k in range(len(bases) - 1)
             )
             for which, bases in stage_bases.items()
+        },
+        probe_policies={
+            FULL_C: (None, [_HORIZONTAL_COUNT], _horizontal_probe),
+            BASIC_B: (2, list(range(_HORIZONTAL_COUNT)), _vertical_probe),
         },
     )
     for which, bases in stage_bases.items():
@@ -427,8 +459,7 @@ def batch_exactness(
     """
     stage_dims = q.dims(which)
     tensors = q.symbol_tensors[which]
-    # a swept covector passes when these leading stages are exact
-    checked = None if which == FULL_C else 2
+    checked, zero_axes, entries = q.probe_policies[which]
     if any(d < 1 for d in dims):
         raise ValueError("coefficient dimension must be at least 1")
     per_covector = len(dims)
@@ -446,9 +477,8 @@ def batch_exactness(
     failures = 0
     failure_reports = []
     rank_patterns = {}
-    probe_count = 0
-    probe_patterns = set()
-    probe_exact = True
+    # the probe set: covector count, rank patterns met, all exact
+    probe = {"count": 0, "patterns": set(), "exact": True}
     for block in _covector_blocks(seed, samples):
         total += len(block)
         if not per_covector or not len(block):
@@ -471,19 +501,16 @@ def batch_exactness(
             rank_patterns[pattern] = (
                 rank_patterns.get(pattern, 0) + per_covector * int(count)
             )
-        if which == FULL_C:
-            probed = block[:, _HORIZONTAL_COUNT] == 0.0
-        else:
-            probed = ~np.any(block[:, :_HORIZONTAL_COUNT], axis=1)
+        probed = ~np.any(block[:, zero_axes], axis=1)
         passed = np.array([verdict(p)[1] for p in patterns])[inverse]
-        probe_count += per_covector * int(np.sum(probed))
+        probe["count"] += per_covector * int(np.sum(probed))
         # the patterns met by a probed covector, in pattern order
         for index in np.flatnonzero(
             np.bincount(inverse[probed], minlength=len(patterns))
         ):
             pattern = patterns[index]
-            probe_patterns.add(pattern)
-            probe_exact = probe_exact and verdict(pattern)[0]
+            probe["patterns"].add(pattern)
+            probe["exact"] = probe["exact"] and verdict(pattern)[0]
         failed = np.flatnonzero(~passed & ~probed)
         failures += per_covector * len(failed)
         for row in failed[: 3 - len(failure_reports)]:
@@ -504,17 +531,5 @@ def batch_exactness(
         },
         "all_exact": not failures,
     }
-    if which == FULL_C:
-        out["horizontal_probe"] = {
-            "count": probe_count,
-            "rank_patterns": sorted(
-                "x".join(str(r) for r in key) for key in probe_patterns
-            ),
-            "exact_everywhere": bool(probe_count and probe_exact),
-        }
-    else:
-        out["vertical_degenerate"] = bool(
-            probe_count and all(0 in key for key in probe_patterns)
-        )
-        out["vertical_count"] = probe_count
+    out.update(entries(probe))
     return out

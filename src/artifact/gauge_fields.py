@@ -6,7 +6,8 @@ vector, in the basis of a fixed :class:`~artifact.lie_algebra.LieAlgebraSpec`,
 of the real monomial ``basis_keys(k)[r]``.  Every operation is an array
 operation on it: the bracket runs from the wedge index tables of
 :mod:`~artifact.flat_model` and the structure constants, the inner product
-pairs the rows through the algebra Gram matrix, and complex components
+is the algebra's ``inner_scale`` times the plain pairing of the rows, and
+complex components
 come from the change-of-basis matrices of
 :mod:`~artifact.form_decomposition`.  The module provides the
 graded bracket of such forms, the inner product
@@ -193,16 +194,16 @@ def conjugate_gform(a: GValuedForm) -> GValuedForm:
 def g_inner(a: GValuedForm, b: GValuedForm) -> complex | np.ndarray:
     """Inner product, orthonormal in keys and invariant in the algebra.
 
-    Each row pairs with its partner through the Gram matrix (a stacked
-    vector-matrix and vector-vector product) and the row values are added
-    one after another in basis order, so the sum does not depend on how a
-    BLAS kernel would group a flat contraction.  A complex number for two
-    forms, an array over the samples for two stacks.
+    Each row pairs with its partner by one plain dot product, the row
+    values are added one after another in basis order, so the sum does
+    not depend on how a BLAS kernel would group a flat contraction, and
+    the sum is scaled by the algebra's ``inner_scale``.  A complex number
+    for two forms, an array over the samples for two stacks.
     """
     a._check(b)
-    left = a.matrix[..., None, :] @ a.algebra.gram
-    rows = left @ b.matrix.conj()[..., None]
-    return _scalar(np.add.accumulate(rows[..., 0, 0], axis=0)[-1])
+    # vecdot conjugates its first argument
+    total = np.add.accumulate(np.vecdot(b.matrix, a.matrix), axis=0)[-1]
+    return _scalar(a.algebra.inner_scale * total)
 
 
 def g_norm(a: GValuedForm) -> float | np.ndarray:
@@ -592,8 +593,9 @@ def instanton_classify(
     # route one: spectral projectors acting on the coefficient matrix,
     # whose real and imaginary parts stand side by side so that one real
     # product serves both.  Plain Frobenius norms suffice for the
-    # residuals: the algebra Gram matrix is positive definite, so a block
-    # vanishes in one norm exactly when it vanishes in the other.
+    # residuals: the algebra norm is sqrt(inner_scale) times the plain
+    # one, so a block vanishes in one norm exactly when it vanishes in
+    # the other.
     parts = np.concatenate([F.matrix.real, F.matrix.imag], axis=-1)
     blocks = (tables.projectors @ parts).reshape(len(tables.projectors), -1)
     block_8, block_6, block_1, vertical = (

@@ -1,17 +1,19 @@
 """Compact matrix Lie algebras with invariant inner products.
 
 An algebra is held as a :class:`LieAlgebraSpec`: a basis of anti-Hermitian
-matrices, real structure constants, and a positive definite ad-invariant
-Gram matrix.  Coefficient vectors may be complex (sections of the
-complexified algebra appear throughout the curvature computations); the
-inner product extends sesquilinearly through coefficient conjugation,
-never through entrywise matrix conjugation.
+matrices, real structure constants, and one scalar c > 0, in which the
+ad-invariant inner product is c times the plain dot product of
+coefficient vectors.  Coefficient vectors may be complex; the inner
+product extends sesquilinearly through coefficient conjugation, never
+through entrywise matrix conjugation.
 
 The named algebras of :func:`make_so`, :func:`make_su` and
 :func:`make_abelian` are built and checked once per process and then
 shared (the eight most recently used of each constructor); their
 arrays are read-only.  An algebra from an explicit basis
-(:func:`algebra_from_basis`) is built anew on every call.
+(:func:`algebra_from_basis`) is built anew on every call; a basis whose
+Gram matrix is not c times the identity is re-based once, at
+construction.  Coefficients always refer to ``spec.basis``.
 
 Two bracket routes are kept deliberately separate: the structure-constant
 contraction and the matrix commutator pulled back through the basis.
@@ -74,14 +76,15 @@ class LieAlgebraSpec:
     """A compact matrix Lie algebra with a fixed basis.
 
     ``basis`` has shape (d, n, n); ``structure[i, j, k]`` is the
-    coefficient of the k-th basis element in [b_i, b_j]; ``gram`` is the
-    Gram matrix of the invariant inner product in this basis.
+    coefficient of the k-th basis element in [b_i, b_j]; the Gram matrix
+    of the invariant inner product in this basis is ``inner_scale``
+    times the identity.
     """
 
     name: str
     basis: np.ndarray
     structure: np.ndarray
-    gram: np.ndarray
+    inner_scale: float
     inner_mode: str
     coeff_pinv: np.ndarray = field(repr=False)
 
@@ -103,20 +106,8 @@ def _trace_gram(basis: np.ndarray) -> np.ndarray:
     return gram.real
 
 
-def algebra_from_basis(
-    name: str, basis, inner: str = "killing"
-) -> LieAlgebraSpec:
-    """Build a :class:`LieAlgebraSpec` from a basis of matrices.
-
-    The basis must be linearly independent and closed under commutators.
-    ``inner`` selects the invariant inner product: ``"killing"`` uses the
-    negative Killing form and falls back to the negative trace form when
-    the Killing form is degenerate (abelian algebras), ``"trace"`` forces
-    the negative trace form.
-    """
-    mats = np.asarray(basis, dtype=complex)
-    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-        raise ValueError("basis must be a (d, n, n) array of matrices")
+def _structure_constants(mats: np.ndarray) -> tuple:
+    """Structure constants and coefficient pseudo-inverse of a basis."""
     d = mats.shape[0]
     flat = mats.reshape(d, -1)
     overlap = flat @ flat.conj().T
@@ -157,7 +148,30 @@ def algebra_from_basis(
             )
         structure[i, j] = coeff.real
         structure[j, i] = -coeff.real
+    return structure, pinv
 
+
+def algebra_from_basis(
+    name: str, basis, inner: str = "killing"
+) -> LieAlgebraSpec:
+    """Build a :class:`LieAlgebraSpec` from a basis of matrices.
+
+    The basis must be linearly independent and closed under commutators.
+    ``inner`` selects the invariant inner product: ``"killing"`` uses the
+    negative Killing form and falls back to the negative trace form when
+    the Killing form is degenerate (abelian algebras), ``"trace"`` forces
+    the negative trace form.
+
+    A basis whose Gram matrix is exactly c times the identity is kept.
+    Any other basis is replaced by ``sqrt(c) L^-1`` applied to it, with
+    ``L L^T`` the Cholesky factorisation of its Gram matrix and c =
+    det(Gram)^(1/d), so that the change of basis has determinant one.
+    """
+    mats = np.asarray(basis, dtype=complex)
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise ValueError("basis must be a (d, n, n) array of matrices")
+    d = mats.shape[0]
+    structure, pinv = _structure_constants(mats)
     mode = inner
     if inner == "killing":
         gram = -killing_matrix(structure)
@@ -170,19 +184,34 @@ def algebra_from_basis(
     else:
         raise ValueError(f"unknown inner mode {inner!r}")
 
-    return _checked_spec(name, mats, structure, gram, mode, pinv)
+    inner_scale = float(gram[0, 0])
+    if not np.array_equal(gram, inner_scale * np.eye(d)):
+        try:
+            lower = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            raise ValueError(
+                "inner product Gram matrix is not positive definite"
+            ) from None
+        inner_scale = float(np.exp(2.0 * np.mean(np.log(np.diag(lower)))))
+        change = np.sqrt(inner_scale) * np.linalg.inv(lower)
+        mats = np.einsum("ki,iab->kab", change, mats)
+        structure, pinv = _structure_constants(mats)
+        # in c I coordinates every ad matrix is antisymmetric: its diagonal
+        # is rounding only, and zero makes tr ad_X = 0 exact
+        structure[:, np.arange(d), np.arange(d)] = 0.0
+    return _checked_spec(name, mats, structure, inner_scale, mode, pinv)
 
 
-def _checked_spec(name, basis, structure, gram, inner_mode,
+def _checked_spec(name, basis, structure, inner_scale, inner_mode,
                   coeff_pinv) -> LieAlgebraSpec:
-    """A frozen :class:`LieAlgebraSpec` once its Gram matrix is checked
-    to be positive definite and ad-invariant."""
-    eigs = np.linalg.eigvalsh(gram)
-    if eigs.min() <= 0:
+    """A frozen :class:`LieAlgebraSpec` once its inner product is checked
+    to be positive and ad-invariant."""
+    if not inner_scale > 0.0:
         raise ValueError("inner product Gram matrix is not positive definite")
 
-    # ad-invariance of the inner product: <[a,b],c> + <b,[a,c]> = 0
-    invariance = np.einsum("ijl,lk->ijk", structure, gram)
+    # ad-invariance of c times the dot product, <[a,b],c> + <b,[a,c]> = 0:
+    # the structure constants are antisymmetric in their last two indices
+    invariance = inner_scale * structure
     residual = float(np.max(np.abs(invariance + invariance.transpose(0, 2, 1))))
     if residual > _INVARIANCE_TOLERANCE:
         raise ValueError(
@@ -193,13 +222,22 @@ def _checked_spec(name, basis, structure, gram, inner_mode,
         name=name,
         basis=basis,
         structure=structure,
-        gram=gram,
+        inner_scale=inner_scale,
         inner_mode=inner_mode,
         coeff_pinv=coeff_pinv,
     )
-    for arr in (spec.basis, spec.structure, spec.gram, spec.coeff_pinv):
+    for arr in (spec.basis, spec.structure, spec.coeff_pinv):
         arr.setflags(write=False)
     return spec
+
+
+def _pair_generators(n: int, upper, lower, dtype) -> np.ndarray:
+    """``upper E_ij + lower E_ji`` for every pair i < j, in row order."""
+    rows, cols = np.triu_indices(n, 1)
+    k = np.arange(len(rows))
+    mats = np.zeros((len(rows), n, n), dtype=dtype)
+    mats[k, rows, cols], mats[k, cols, rows] = upper, lower
+    return mats
 
 
 @functools.lru_cache(maxsize=_NAMED_CACHE_SIZE)
@@ -212,16 +250,10 @@ def make_so(n: int, inner: str = "killing") -> LieAlgebraSpec:
     """
     if n < 2:
         raise ValueError("so(n) needs n >= 2")
-    mats = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n))
-            m[i, j] = 1.0
-            m[j, i] = -1.0
-            mats.append(m)
+    mats = _pair_generators(n, 1.0, -1.0, float)
     if n == 5:
         mats[-1] = -mats[-1]
-    return algebra_from_basis(f"so({n})", np.array(mats), inner=inner)
+    return algebra_from_basis(f"so({n})", mats, inner=inner)
 
 
 @functools.lru_cache(maxsize=_NAMED_CACHE_SIZE)
@@ -230,29 +262,20 @@ def make_su(n: int, inner: str = "killing") -> LieAlgebraSpec:
 
     Basis: real antisymmetric pairs E_ij - E_ji (i < j), imaginary
     symmetric pairs i (E_ij + E_ji) (i < j), then the imaginary diagonal
-    differences i (E_ll - E_{l+1, l+1}).
+    differences i (E_ll - E_{l+1, l+1}); for n >= 3 these differences
+    are not orthogonal, so :func:`algebra_from_basis` re-bases the whole.
     """
     if n < 2:
         raise ValueError("su(n) needs n >= 2")
-    mats = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[i, j] = 1.0
-            m[j, i] = -1.0
-            mats.append(m)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[i, j] = 1j
-            m[j, i] = 1j
-            mats.append(m)
-    for l in range(n - 1):
-        m = np.zeros((n, n), dtype=complex)
-        m[l, l] = 1j
-        m[l + 1, l + 1] = -1j
-        mats.append(m)
-    return algebra_from_basis(f"su({n})", np.array(mats), inner=inner)
+    diagonal = np.zeros((n - 1, n, n), dtype=complex)
+    l = np.arange(n - 1)
+    diagonal[l, l, l], diagonal[l, l + 1, l + 1] = 1j, -1j
+    mats = np.concatenate([
+        _pair_generators(n, 1.0, -1.0, complex),
+        _pair_generators(n, 1j, 1j, complex),
+        diagonal,
+    ])
+    return algebra_from_basis(f"su({n})", mats, inner=inner)
 
 
 @functools.lru_cache(maxsize=_NAMED_CACHE_SIZE)
@@ -261,9 +284,9 @@ def make_abelian(d: int) -> LieAlgebraSpec:
 
     The generators ``i E_kk`` commute, so every structure constant is
     zero and the Killing form vanishes; the inner product is the negative
-    trace form, the identity; the basis is orthonormal, so coefficients
-    come from the conjugated flattened basis.  This is the spec that
-    :func:`algebra_from_basis` derives from all the commutators.
+    trace form, ``inner_scale`` 1; the basis is orthonormal, so
+    coefficients come from the conjugated flattened basis.  This is the
+    spec that :func:`algebra_from_basis` derives from all the commutators.
     """
     if d < 1:
         raise ValueError("need at least one generator")
@@ -274,7 +297,7 @@ def make_abelian(d: int) -> LieAlgebraSpec:
         f"abelian({d})",
         mats,
         np.zeros((d, d, d)),
-        np.eye(d),
+        1.0,
         "trace",
         mats.reshape(d, -1).conj(),
     )
@@ -287,9 +310,9 @@ def subalgebra_spec(
 
     ``indices`` lists the 1-based positions of the retained basis
     elements, which must close under brackets inside the parent.  The
-    restricted Gram matrix is the parent's invariant inner product on
-    the selected span, which generally differs from the intrinsic one
-    of the abstract subalgebra.
+    slice keeps the parent's invariant inner product on the selected
+    span, so its ``inner_scale`` is the parent's; it generally differs
+    from the intrinsic inner product of the abstract subalgebra.
     """
     picks = [int(i) - 1 for i in indices]
     if len(set(picks)) != len(picks):
@@ -309,7 +332,7 @@ def subalgebra_spec(
         name or f"{parent.name}|{tuple(int(i) for i in indices)}",
         basis,
         np.asarray(parent.structure[np.ix_(picks, picks, picks)]),
-        np.asarray(parent.gram[np.ix_(picks, picks)]),
+        parent.inner_scale,
         parent.inner_mode,
         np.linalg.pinv(basis.reshape(len(picks), -1).T),
     )
@@ -369,9 +392,11 @@ def inner_vec(spec: LieAlgebraSpec, u, v) -> complex | np.ndarray:
     A complex number for two vectors, an array over the leading axes for
     stacks.
     """
-    # vecdot conjugates its first argument
-    left = np.asarray(u, dtype=complex) @ spec.gram
-    return _scalar(np.vecdot(np.asarray(v, dtype=complex), left))
+    # vecdot conjugates its first argument; one dot product per sample
+    plain = np.vecdot(
+        np.asarray(v, dtype=complex), np.asarray(u, dtype=complex)
+    )
+    return _scalar(spec.inner_scale * plain)
 
 
 def norm_vec(spec: LieAlgebraSpec, u) -> float | np.ndarray:

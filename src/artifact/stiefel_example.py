@@ -9,7 +9,7 @@ splits into a line and two 3-dimensional blocks, and the metric scales
 
 The gauge bundle is the isotropy itself: the last three basis elements
 span a copy of the rotation algebra in three dimensions, inheriting the
-ambient invariant inner product (Gram matrix 6 times the identity).
+ambient invariant inner product (6 times the plain dot product).
 The invariant connection's curvature is
 
     F = (1/y2) (w1 (x) f1 + w3 (x) f2 + w5 (x) f3)
@@ -30,6 +30,7 @@ import numpy as np
 from .flat_model import ContactModel
 from .lie_algebra import (
     LieAlgebraSpec,
+    killing_matrix,
     make_so,
     norm_vec,
     subalgebra_spec,
@@ -196,21 +197,19 @@ def structure_check(spec: StiefelSpec) -> dict:
     """Exact structural facts: split size, fiber brackets, fiber Gram.
 
     The fiber triple must close cyclically with unit coefficients
-    ``[f1, f2] = f3, [f2, f3] = f1, [f3, f1] = f2`` exactly, and its
-    restricted Gram matrix must equal 6 times the identity exactly.
+    ``[f1, f2] = f3, [f2, f3] = f1, [f3, f1] = f2`` exactly, and the
+    ambient Killing form restricted to it, from the structure constants
+    of the whole algebra, must equal 6 times the identity exactly.
     """
     algebra = spec.algebra
-    i1, i2, i3 = (k - 1 for k in spec.fiber)
-    cyclic = ((i1, i2, i3), (i2, i3, i1), (i3, i1, i2))
-    bracket_exact = True
-    for a, b, c in cyclic:
-        row = algebra.structure[a, b]
-        expected = np.zeros(algebra.dim)
-        expected[c] = 1.0
-        if not np.array_equal(row, expected):
-            bracket_exact = False
-    gauge = gauge_algebra(spec)
-    gram_exact = bool(np.array_equal(gauge.gram, 6.0 * np.eye(3)))
+    fiber = [k - 1 for k in spec.fiber]
+    # rows [f1, f2], [f2, f3], [f3, f1] against unit vectors f3, f1, f2
+    cyclic = np.roll(fiber, -1)
+    expected = np.zeros((3, algebra.dim))
+    expected[[0, 1, 2], np.roll(fiber, -2)] = 1.0
+    bracket_exact = np.array_equal(algebra.structure[fiber, cyclic], expected)
+    ambient = -killing_matrix(algebra.structure)[np.ix_(fiber, fiber)]
+    gram_exact = bool(np.array_equal(ambient, 6.0 * np.eye(3)))
     split_sizes = (
         len(spec.m1),
         len(spec.m2),

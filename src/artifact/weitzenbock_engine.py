@@ -85,11 +85,6 @@ POSITIVITY_RELATIVE_FLOOR = 1e-10
 # times the operator quadratic form in the pair-sum convention
 V_QUAD_TO_OPERATOR_FACTOR = 4.0
 
-# Gram blocks whose roots weighted_spectrum keeps, as many as named
-# algebras per constructor: a process that meets many algebras keeps only
-# the most recent ones
-_GRAM_ROOT_CACHE_SIZE = _NAMED_CACHE_SIZE
-
 # constant of the estimate chain -lambda_min(F) <= sqrt(2) ||B||_F, B the
 # matrix of curvature component norms
 _ESTIMATE_CHAIN_CONSTANT = np.sqrt(2.0)
@@ -184,12 +179,9 @@ class TwoZeroEndo:
     def _pair(
         self, first: np.ndarray, second: np.ndarray
     ) -> complex | np.ndarray:
-        """``first W second`` per sample, W = kron(I_3, gram) the section
-        Gram matrix, applied to each component of ``first``."""
-        d = self.algebra.dim
-        rows = first.reshape(first.shape[:-1] + (3, d)) @ self.algebra.gram
-        left = rows.reshape(first.shape)[..., None, :]
-        return _scalar((left @ second[..., :, None])[..., 0, 0])
+        """``c first . second`` per sample, c the ``inner_scale``."""
+        plain = (first[..., None, :] @ second[..., :, None])[..., 0, 0]
+        return _scalar(self.algebra.inner_scale * plain)
 
     def apply(self, section: TwoZeroSection) -> TwoZeroSection:
         if section.algebra is not self.algebra:
@@ -405,32 +397,19 @@ def _add_identity_blocks(out: np.ndarray, matrix, d: int) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=_GRAM_ROOT_CACHE_SIZE)
-def _gram_roots(dtype: str, d: int, raw: bytes) -> tuple:
-    """Square root and inverse square root of a d x d Gram block given by
-    its bytes, from one eigendecomposition; both read-only."""
-    gram = np.frombuffer(raw, dtype=dtype).reshape(d, d)
-    evals, evecs = np.linalg.eigh(gram)
-    root = (evecs * np.sqrt(evals)) @ evecs.T
-    inv_root = (evecs / np.sqrt(evals)) @ evecs.T
-    for table in (root, inv_root):
-        table.setflags(write=False)
-    return root, inv_root
-
-
-@functools.lru_cache(maxsize=_GRAM_ROOT_CACHE_SIZE)
+@functools.lru_cache(maxsize=_NAMED_CACHE_SIZE)
 def _pair_spectrum(dtype: str, shape: tuple, raw: bytes) -> tuple:
     """What :func:`combined_spectra` reads of a pair matrix P given by its
     bytes, read-only: the ascending eigenvalues of its Hermitian part,
     its Hermiticity residual, and the shift c when P equals ``c I_3``
     entry for entry (each matrix of a stack its own c), else None.
-    Kept for the last ``_GRAM_ROOT_CACHE_SIZE`` matrices, so a tensor
+    Kept for the last ``_NAMED_CACHE_SIZE`` matrices, so a tensor
     used for many calls, or rebuilt with the same entries, is solved
     once."""
     pair = np.frombuffer(raw, dtype=dtype).reshape(shape)
-    hermitian = np.empty_like(pair)
-    residual = np.asarray(_hermitian_split(pair, hermitian))
-    eigenvalues = np.linalg.eigvalsh(hermitian)
+    adjoint = np.swapaxes(pair.conj(), -1, -2)
+    residual = np.asarray(np.max(np.abs(pair - adjoint), axis=(-2, -1)))
+    eigenvalues = np.linalg.eigvalsh((pair + adjoint) / 2.0)
     shift = pair[..., 0, 0].real
     for table in (eigenvalues, residual):
         table.setflags(write=False)
@@ -455,26 +434,6 @@ def build_R_operator(ricci: TransverseRicci, algebra: LieAlgebraSpec) -> TwoZero
     return TwoZeroEndo(algebra=algebra, matrix=matrix)
 
 
-def _hermitian_split(matrix: np.ndarray, out: np.ndarray):
-    """Largest entry of ``|M - M^H|`` for each matrix M of ``matrix``,
-    with the Hermitian part ``(M + M^H) / 2`` written into ``out``.
-
-    ``out`` takes the adjoint twice: first to hold the deviation until
-    its largest entry is read, then to hold the sum.  Besides ``out``
-    only the magnitudes of a complex deviation are allocated.
-    """
-    adjoint = np.swapaxes(matrix, -1, -2)
-    np.conjugate(adjoint, out=out)
-    np.subtract(matrix, out, out=out)
-    # a real deviation takes its magnitude in place
-    magnitude = np.abs(out, out=None if np.iscomplexobj(out) else out)
-    residual = np.max(magnitude, axis=(-2, -1))
-    np.conjugate(adjoint, out=out)
-    out += matrix
-    out /= 2.0
-    return residual
-
-
 def _spectrum_report(spectrum: np.ndarray, herm_residual) -> dict:
     """The entries of :func:`weighted_spectrum` from the ascending
     eigenvalues ``(..., m)`` of each matrix and its Hermiticity residual."""
@@ -490,67 +449,46 @@ def _spectrum_report(spectrum: np.ndarray, herm_residual) -> dict:
     }
 
 
-def weighted_spectrum(matrix, gram) -> dict:
-    """Spectrum of an operator in a block-diagonal weighted inner product.
-
-    ``gram`` is the d x d Gram block of the inner product; the operator
-    acts on n stacked coefficient vectors of length d (n = 3 for (2,0)
-    sections, 7 for 1-forms), so the weight is ``kron(I_n, gram)``.  The
-    operator is conjugated by the square root of that weight, applied
-    block by block; the root and its inverse come from one
-    eigendecomposition of the Gram block, kept in a small cache keyed by
-    the block's bytes (the last ``_GRAM_ROOT_CACHE_SIZE`` blocks).  The
-    conjugate must be Hermitian for a self-adjoint operator, and its
-    deviation is reported alongside the eigenvalues.  A stack of
-    ``(..., n d, n d)`` matrices gives every entry per matrix.
-
-    The call holds two arrays of the operator's size: the buffer of the
-    first product of the conjugation, once spent, takes the deviation
-    and then the Hermitian part that is solved, and no other array of
-    that size is allocated.
-    """
+def weighted_spectrum(matrix) -> dict:
+    """Spectrum of an operator in the invariant inner product, c times
+    the plain one, where self-adjoint means Hermitian: the largest entry
+    of ``|M - M^H|`` and the eigenvalues of ``(M + M^H) / 2``, per matrix
+    of a stack.  One array of the operator's size is allocated; it takes
+    the adjoint twice, for the deviation and then the Hermitian part."""
     matrix = np.asarray(matrix)
-    gram = np.ascontiguousarray(gram)
-    d = len(gram)
-    root, inv_root = _gram_roots(gram.dtype.str, d, gram.tobytes())
-    size = matrix.shape[-1]
-    n = size // d
-    lead = matrix.shape[:-2]
-    # kron(I_n, root) @ matrix @ kron(I_n, inv_root): root acts on the
-    # row index and inv_root on the column index of every d x d block
-    left = root @ matrix.reshape(lead + (n, d, size))
-    conjugated = left.reshape(lead + (n * d * n, d)) @ inv_root
-    hermitian = left.reshape(matrix.shape)
-    herm_residual = _hermitian_split(
-        conjugated.reshape(matrix.shape), hermitian
-    )
-    # freed before the solve, whose work arrays can take its memory
-    del conjugated
-    return _spectrum_report(np.linalg.eigvalsh(hermitian), herm_residual)
+    out = np.empty(matrix.shape, np.result_type(matrix.dtype, np.float64))
+    adjoint = np.swapaxes(matrix, -1, -2)
+    np.conjugate(adjoint, out=out)
+    np.subtract(matrix, out, out=out)
+    # a real deviation takes its magnitude in place
+    magnitude = np.abs(out, out=None if np.iscomplexobj(out) else out)
+    residual = np.max(magnitude, axis=(-2, -1))
+    np.conjugate(adjoint, out=out)
+    out += matrix
+    out /= 2.0
+    return _spectrum_report(np.linalg.eigvalsh(out), residual)
 
 
 def operator_spectrum(endo: TwoZeroEndo) -> dict:
-    """Spectrum of an endomorphism in the weighted inner product."""
-    return weighted_spectrum(endo.matrix, endo.algebra.gram)
+    """Spectrum of an endomorphism in the invariant inner product."""
+    return weighted_spectrum(endo.matrix)
 
 
 def combined_spectra(f_endo: TwoZeroEndo, ricci: TransverseRicci) -> dict:
     """Spectra of the curvature, Ricci and combined (sum) operators.
 
-    The Ricci operator is ``kron(P, I_d)`` with P = ``ricci.pair_matrix``.
-    Conjugation by the block root ``kron(I_3, root)`` of the section
-    weight leaves it unchanged, so its weighted spectrum is that of P,
-    each eigenvalue repeated d times, and its 3d x 3d matrix is never
-    formed.  When P equals ``c I_3`` entry for entry (an Einstein tensor;
-    c is twice its scale), the combined operator is the curvature
-    operator plus ``c``, and its spectrum is the curvature spectrum
-    shifted by c: one eigen-solve serves all three.  Otherwise one
-    :func:`weighted_spectrum` call solves the stack of the curvature
-    operator and the combined one, which is a copy of the curvature
+    The Ricci operator is ``kron(P, I_d)`` with P = ``ricci.pair_matrix``,
+    so its spectrum is that of P, each eigenvalue repeated d times, and
+    its 3d x 3d matrix is never formed.  When P equals ``c I_3`` entry for
+    entry (an Einstein tensor; c is twice its scale), the combined
+    operator is the curvature operator plus ``c``, and its spectrum is the
+    curvature spectrum shifted by c: one eigen-solve serves all three.
+    Otherwise one :func:`weighted_spectrum` call solves the stack of the
+    curvature operator and the combined one, a copy of the curvature
     matrix with P added onto the diagonals of its d x d blocks.  P is
-    kept on the tensor, and the eigenvalues of its Hermitian part and
-    the Einstein test in a small cache keyed by P's bytes, so a tensor
-    used for many calls pays for them once.
+    kept on the tensor, and the eigenvalues of its Hermitian part and the
+    Einstein test in a small cache keyed by P's bytes, so a tensor used
+    for many calls pays for them once.
 
     The curvature entry equals :func:`operator_spectrum` of ``f_endo`` bit
     for bit, and so does the combined entry off the Einstein case with
@@ -559,8 +497,7 @@ def combined_spectra(f_endo: TwoZeroEndo, ricci: TransverseRicci) -> dict:
     shifted sum reports the curvature's Hermiticity residual, which it
     has in exact arithmetic.
     """
-    algebra = f_endo.algebra
-    d = algebra.dim
+    d = f_endo.algebra.dim
     pair = ricci.pair_matrix
     eigenvalues, residual, shift = _pair_spectrum(
         pair.dtype.str, pair.shape, pair.tobytes()
@@ -569,7 +506,7 @@ def combined_spectra(f_endo: TwoZeroEndo, ricci: TransverseRicci) -> dict:
         np.repeat(eigenvalues, d, axis=-1), residual.copy()
     )
     if shift is not None:
-        curvature = weighted_spectrum(f_endo.matrix, algebra.gram)
+        curvature = weighted_spectrum(f_endo.matrix)
         combined = _spectrum_report(
             curvature["eigenvalues"] + shift[..., None],
             curvature["hermiticity_residual"],
@@ -577,7 +514,7 @@ def combined_spectra(f_endo: TwoZeroEndo, ricci: TransverseRicci) -> dict:
     else:
         stack = np.stack([f_endo.matrix, f_endo.matrix])
         _add_identity_blocks(stack[1], pair, d)
-        both = weighted_spectrum(stack, algebra.gram)
+        both = weighted_spectrum(stack)
         curvature, combined = (
             {key: _scalar(value[i]) for key, value in both.items()}
             for i in range(2)

@@ -254,11 +254,10 @@ def curvature_quad_paths(F: GValuedForm, section: OneFormSection) -> dict:
     """
     algebra = F.algebra
     image = apply_curvature_action(F, section)
-    direct = 0.0
-    for i in range(FORM_INDEX_COUNT):
-        direct += inner_vec(
-            algebra, image.vectors[i], section.vectors[i]
-        ).real
+    # the seven values added in row order, as one at a time
+    direct = np.add.reduce(
+        np.real(inner_vec(algebra, image.vectors, section.vectors)), axis=0
+    )
     grid = curvature_components_grid(F)
     flipped = 0.0
     for j in range(FORM_INDEX_COUNT):
@@ -285,8 +284,9 @@ def algebraic_second_variation(
     """Zero-order second variation ``B -> B o Ric + 2 R_F(B)``.
 
     Returns the matrix on the stacked coefficient space together with
-    its spectrum in the invariant inner product, whose Gram matrix on
-    the stack is ``kron(I_7, gram)``.  The matrix is one buffer: twice
+    its spectrum in the invariant inner product, which is the algebra's
+    ``inner_scale`` times the plain one on the stack, so the spectrum is
+    that of the matrix's Hermitian part.  The matrix is one buffer: twice
     the coupling, with the Ricci part ``kron(Ric, I_d)`` added onto the
     diagonals of its d x d blocks in place, so no Ricci or identity
     array is formed; a stack of curvatures gives the stack of matrices
@@ -294,11 +294,10 @@ def algebraic_second_variation(
     Laplacian, so a positive minimum eigenvalue here certifies stability
     of the connection.
     """
-    algebra = F.algebra
     coupling = curvature_action_oneforms(F)
     matrix = np.multiply(coupling, 2.0)
-    _add_identity_blocks(matrix, ricci.matrix, algebra.dim)
-    spectrum = weighted_spectrum(matrix, algebra.gram)
+    _add_identity_blocks(matrix, ricci.matrix, F.algebra.dim)
+    spectrum = weighted_spectrum(matrix)
     return {
         "matrix": matrix,
         "coupling": coupling,

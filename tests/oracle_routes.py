@@ -256,15 +256,11 @@ def ad_matrix_einsum(spec, u):
     )
 
 
-def weighted_spectrum_dense(matrix, weight):
-    """Oracle route for ``weighted_spectrum`` on the full weight, say
-    ``kron(I_n, gram)``: one ``eigh`` of the whole ``(n d, n d)`` weight,
-    its root and inverse root formed densely, and two dense products with
-    the operator, followed by the same residual, spectrum and floor rules."""
-    evals, evecs = np.linalg.eigh(np.asarray(weight))
-    root = evecs @ np.diag(np.sqrt(evals)) @ evecs.T
-    inv_root = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.T
-    conjugated = root @ np.asarray(matrix) @ inv_root
+def _spectrum_entries(conjugated):
+    """The entries of ``weighted_spectrum`` from an operator in
+    coordinates where the inner product is the plain one: the
+    Hermiticity residual, the spectrum of the Hermitian part and the
+    floor rules."""
     adjoint = np.swapaxes(conjugated.conj(), -1, -2)
     herm_residual = np.max(np.abs(conjugated - adjoint), axis=(-2, -1))
     spectrum = np.linalg.eigvalsh((conjugated + adjoint) / 2.0)
@@ -280,6 +276,84 @@ def weighted_spectrum_dense(matrix, weight):
     }
 
 
+def weighted_spectrum_dense(matrix, weight):
+    """Oracle route for ``weighted_spectrum`` on a full weight, say
+    ``kron(I_n, gram)``: one ``eigh`` of the whole ``(n d, n d)`` weight,
+    its root and inverse root formed densely, and two dense products with
+    the operator, followed by the same residual, spectrum and floor rules."""
+    evals, evecs = np.linalg.eigh(np.asarray(weight))
+    root = evecs @ np.diag(np.sqrt(evals)) @ evecs.T
+    inv_root = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.T
+    return _spectrum_entries(root @ np.asarray(matrix) @ inv_root)
+
+
+def weighted_spectrum_gram_root(matrix, gram):
+    """Oracle route for ``weighted_spectrum``, run in a basis whose Gram
+    block ``gram`` is a general d x d matrix: the operator on n stacked
+    vectors is conjugated by ``kron(I_n, root)`` and its inverse, block
+    by block, the root and inverse root from one eigendecomposition of
+    the Gram block, then the same residual, spectrum and floor rules."""
+    matrix = np.asarray(matrix)
+    gram = np.asarray(gram)
+    d = len(gram)
+    evals, evecs = np.linalg.eigh(gram)
+    root = (evecs * np.sqrt(evals)) @ evecs.T
+    inv_root = (evecs / np.sqrt(evals)) @ evecs.T
+    size = matrix.shape[-1]
+    n = size // d
+    lead = matrix.shape[:-2]
+    left = root @ matrix.reshape(lead + (n, d, size))
+    conjugated = left.reshape(lead + (n * d * n, d)) @ inv_root
+    return _spectrum_entries(conjugated.reshape(matrix.shape))
+
+
+def g_inner_gram(a_matrix, b_matrix, gram):
+    """Oracle route for ``gauge_fields.g_inner``, run on coefficient
+    matrices in a basis with a general Gram matrix: each row paired with
+    its partner through the Gram matrix, the row values added one after
+    another in basis order."""
+    left = np.asarray(a_matrix)[..., None, :] @ np.asarray(gram)
+    rows = left @ np.conj(b_matrix)[..., None]
+    return _scalar(np.add.accumulate(rows[..., 0, 0], axis=0)[-1])
+
+
+def structure_lstsq(mats):
+    """Structure constants of a basis of matrices by least squares on
+    the flattened matrices, one commutator at a time."""
+    mats = np.asarray(mats, dtype=complex)
+    d = len(mats)
+    flat = mats.reshape(d, -1)
+    out = np.zeros((d, d, d))
+    for i in range(d):
+        for j in range(d):
+            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
+            coeff = np.linalg.lstsq(flat.T, comm.reshape(-1), rcond=None)[0]
+            out[i, j] = coeff.real
+    return out
+
+
+def user_gram(mats, inner="killing"):
+    """Gram matrix of the invariant inner product in a basis of matrices
+    as given: the negative Killing form from :func:`structure_lstsq`, or
+    the negative trace form."""
+    mats = np.asarray(mats, dtype=complex)
+    if inner == "trace":
+        return -np.einsum("iab,jba->ij", mats, mats).real
+    structure = structure_lstsq(mats)
+    return -np.einsum("ilk,jkl->ij", structure, structure)
+
+
+def user_to_spec(spec, mats):
+    """The real d x d matrix whose row i holds the coefficients, in
+    ``spec.basis``, of the i-th matrix of a basis as given, by least
+    squares: coefficient rows in the given basis times it are
+    coefficient rows in ``spec.basis``."""
+    d = spec.dim
+    flat = np.asarray(spec.basis).reshape(d, -1)
+    given = np.asarray(mats, dtype=complex).reshape(d, -1)
+    return np.linalg.lstsq(flat.T, given.T, rcond=None)[0].T.real
+
+
 def combined_spectra_kron(f_endo, ricci):
     """Oracle route for ``combined_spectra``: the Ricci operator formed as
     ``kron(P, I_d)`` by ``build_R_operator``, and one ``weighted_spectrum``
@@ -287,7 +361,7 @@ def combined_spectra_kron(f_endo, ricci):
     no shortcut for an Einstein tensor."""
     r_matrix = build_R_operator(ricci, f_endo.algebra).matrix
     matrices = np.stack([f_endo.matrix, r_matrix, f_endo.matrix + r_matrix])
-    stacked = weighted_spectrum(matrices, f_endo.algebra.gram)
+    stacked = weighted_spectrum(matrices)
     return {
         label: {key: _scalar(value[i]) for key, value in stacked.items()}
         for i, label in enumerate(("curvature", "ricci", "combined"))

@@ -29,6 +29,7 @@ from artifact.cli_interface import (
 )
 from artifact.flat_model import calibrate_model
 from artifact.gauge_fields import g_norm
+from artifact.lie_algebra import make_su, matrix_of
 
 
 @pytest.fixture(autouse=True)
@@ -399,6 +400,115 @@ class TestEndToEnd:
 # ---------------------------------------------------------------------------
 
 
+def _skewed_su2_payload(form_payload):
+    """The same form over su(2) sent as a custom algebra: the matrices of
+    ``make_su(2)`` mixed by a unit lower-triangular map A, a Gram matrix
+    that is not diagonal, and every component vector u of the named
+    basis sent as the vector v with ``v A = u``."""
+    mix = np.array([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [-0.3, 0.2, 1.0]])
+    matrices = np.einsum("ij,jab->iab", mix, make_su(2).basis)
+    inverse = np.linalg.inv(mix)
+
+    def in_skewed_basis(value):
+        # entries are numbers or [re, im] pairs; out as [re, im] pairs
+        u = np.array([complex(*z) if isinstance(z, list) else z
+                      for z in value])
+        return [[z.real, z.imag] for z in u @ inverse]
+
+    return dict(
+        form_payload,
+        algebra={
+            "name": "skewed su(2)",
+            "matrices": [[[[z.real, z.imag] for z in row] for row in m]
+                         for m in matrices],
+        },
+        components={key: in_skewed_basis(value)
+                    for key, value in form_payload["components"].items()},
+    )
+
+
+def _leaves(value, prefix=""):
+    """Dotted paths to the leaves of a decoded JSON report."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{prefix}.{key}")
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _leaves(item, f"{prefix}.{index}")
+    else:
+        yield prefix, value
+
+
+_SU2_FORMS = {
+    "sd": SD_PAYLOAD,
+    "generic_w": {
+        "algebra": "su2",
+        "basis": "w",
+        "components": {
+            f"w{k}": [0.3 * k - 1.0, 0.7 - 0.2 * k, 0.1 * k * k - 0.5]
+            for k in range(1, 9)
+        },
+    },
+    "generic_real": {
+        "algebra": "su2",
+        "basis": "real",
+        "components": {
+            "12": [1.0, -0.5, 0.25], "34": [0.5, 2.0, -1.0],
+            "56": [-1.5, 0.75, 0.5], "13": [0.2, 0.1, -0.4],
+            "27": [0.3, -0.6, 0.9],
+        },
+    },
+}
+
+
+class TestSkewedCustomAlgebra:
+    """su(2) sent as a custom basis whose Gram matrix is not diagonal is
+    re-based at parse time, its component vectors mapped into the new
+    basis; every number of the reports equals that of ``"su2"``."""
+
+    @pytest.mark.parametrize("form, command", [
+        (form, command) for form in sorted(_SU2_FORMS)
+        for command in ("classify", "spectrum", "vanishing", "stability")
+        # vanishing takes (1,1) forms only
+        if command != "vanishing" or _SU2_FORMS[form]["basis"] == "w"
+    ])
+    def test_reports_equal_named_su2(self, tmp_path, capsys, form, command):
+        named = _SU2_FORMS[form]
+        reports = []
+        for label, payload in (("named", named),
+                               ("skewed", _skewed_su2_payload(named))):
+            path = write_json(tmp_path, f"{label}.json", payload)
+            code = main([command, "--input", path])
+            reports.append((code, json.loads(capsys.readouterr().out)))
+        (code_named, want), (code_skewed, got) = reports
+        assert code_named == code_skewed == 0
+        want, got = dict(_leaves(want)), dict(_leaves(got))
+        assert want.keys() == got.keys()
+        scale = max(abs(v) for v in want.values() if isinstance(v, float))
+        for key, value in want.items():
+            if isinstance(value, float):
+                assert abs(got[key] - value) <= 1e-12 * max(
+                    abs(value), abs(got[key]), scale
+                ), key
+            else:
+                assert got[key] == value, key
+
+    def test_components_map_to_the_same_matrices(self):
+        payload = _skewed_su2_payload(_SU2_FORMS["generic_real"])
+        given = np.array([[[complex(*z) for z in row] for row in m]
+                          for m in payload["algebra"]["matrices"]])
+        algebra = parse_algebra(payload["algebra"])
+        assert not np.allclose(algebra.basis, given)
+        assert algebra.inner_scale == pytest.approx(8.0, rel=1e-14)
+        skewed = parse_gform(payload)
+        named = parse_gform(_SU2_FORMS["generic_real"])
+        assert np.allclose(
+            matrix_of(algebra, skewed.matrix),
+            matrix_of(make_su(2), named.matrix),
+            rtol=0, atol=1e-14,
+        )
+
+
 class TestExitCodes:
     def test_unknown_command_exits_two(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -520,6 +630,24 @@ class TestExitCodes:
         assert captured.out == ""
         assert "Traceback" not in captured.err
         assert captured.err.strip().splitlines()[-1].startswith("input error")
+
+    def test_deeply_nested_json_exits_two(self, tmp_path, capsys):
+        # json.loads raises RecursionError on deep nesting, whether the
+        # whole file or one component's value is nested
+        deep = "[" * 100000 + "]" * 100000
+        texts = {
+            "whole.json": deep,
+            "component.json": (
+                '{"algebra": "su2", "basis": "w", "components": {"w1": '
+                + deep + "}}"
+            ),
+        }
+        for name, text in texts.items():
+            path = tmp_path / name
+            path.write_text(text)
+            for command in ("classify", "decompose"):
+                assert main([command, "--input", str(path)]) == 2
+                self._assert_one_line_input_error(capsys)
 
     def test_nan_coefficient_exits_two(self, tmp_path, capsys):
         payload = dict(SD_PAYLOAD, components={"w1": [float("nan"), 0.0, 0.0]})

@@ -367,13 +367,11 @@ class TestSections:
 
     def test_section_norm_against_coefficients(self, su2):
         # components (b_{2k} - i b_{2k+1}) / 2 give
-        # norm^2 = sum_pairs b G b^T / 4 with the algebra Gram
+        # norm^2 = c sum b^2 / 4 with c the algebra's inner_scale
         rng = np.random.default_rng(42)
         b = rng.standard_normal((6, 3))
         section = two_zero_from_v_coefficients(su2, b)
-        expected_sq = float(
-            np.einsum("kj,jl,kl->", b, su2.gram.real, b) / 4.0
-        )
+        expected_sq = float(su2.inner_scale * np.sum(b * b) / 4.0)
         assert section.norm_20() == pytest.approx(np.sqrt(expected_sq))
 
     def test_realization_round_trip(self, su2):

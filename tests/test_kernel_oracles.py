@@ -671,8 +671,8 @@ def test_inner_and_complex_components_match_dict_route(name, degree, seed,
     b = _random_gform(name, degree, seed + 1, sparse)
     algebra = ALGEBRAS[name]
     expected = dict_g_inner(algebra, as_dict(a), as_dict(b))
-    assert abs(g_inner(a, b) - expected) <= 1e-12 * _scale(a, b) * np.max(
-        np.abs(algebra.gram)
+    assert abs(g_inner(a, b) - expected) <= (
+        1e-12 * _scale(a, b) * algebra.inner_scale
     )
     table = dict_gform_complex_components(as_dict(a))
     got = gform_complex_components(a)

@@ -22,7 +22,12 @@ from artifact.lie_algebra import (
     norm_vec,
     subalgebra_spec,
 )
-from oracle_routes import ad_matrix_einsum, bracket_vec_einsum
+from oracle_routes import (
+    ad_matrix_einsum,
+    bracket_vec_einsum,
+    user_gram,
+    user_to_spec,
+)
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +75,7 @@ def test_so3_frozen():
     spec = make_so(3)
     assert spec.dim == 3
     assert spec.inner_mode == "killing"
-    assert np.array_equal(spec.gram, 2.0 * np.eye(3))
+    assert spec.inner_scale == 2.0
     # integer structure constants
     assert np.array_equal(spec.structure, np.round(spec.structure))
     assert np.max(np.abs(spec.structure)) == 1.0
@@ -78,7 +83,7 @@ def test_so3_frozen():
 
 def test_so5_frozen(so5):
     assert so5.dim == 10
-    assert np.array_equal(so5.gram, 6.0 * np.eye(10))
+    assert so5.inner_scale == 6.0
     assert np.array_equal(so5.structure, np.round(so5.structure))
 
 
@@ -93,16 +98,16 @@ def test_so5_fiber_brackets_exact(so5):
 
 def test_su2_frozen(su2, su2_trace):
     assert su2.dim == 3
-    assert np.array_equal(su2.gram, 8.0 * np.eye(3))
+    assert su2.inner_scale == 8.0
     assert su2_trace.inner_mode == "trace"
-    assert np.array_equal(su2_trace.gram, 2.0 * np.eye(3))
+    assert su2_trace.inner_scale == 2.0
     assert np.array_equal(su2.structure, su2_trace.structure)
 
 
 def test_abelian_falls_back_to_trace():
     spec = make_abelian(4)
     assert spec.inner_mode == "trace"
-    assert np.array_equal(spec.gram, np.eye(4))
+    assert spec.inner_scale == 1.0
     assert np.max(np.abs(spec.structure)) == 0.0
 
 
@@ -113,8 +118,10 @@ def test_abelian_closed_form_matches_basis_oracle(d):
     basis = 1j * np.array([np.diag(row) for row in np.eye(d)])
     oracle = algebra_from_basis(f"abelian({d})", basis)
     spec = make_abelian(d)
-    assert (spec.name, spec.inner_mode) == (oracle.name, oracle.inner_mode)
-    for name in ("basis", "structure", "gram", "coeff_pinv"):
+    assert (spec.name, spec.inner_mode, spec.inner_scale) == (
+        oracle.name, oracle.inner_mode, oracle.inner_scale
+    )
+    for name in ("basis", "structure", "coeff_pinv"):
         assert np.array_equal(getattr(spec, name), getattr(oracle, name))
 
 
@@ -126,9 +133,8 @@ def test_killing_proportional_to_trace():
     ):
         killing = factory(n)
         trace = factory(n, inner="trace")
-        assert np.allclose(
-            killing.gram, expected * trace.gram, atol=1e-12
-        )
+        assert killing.inner_scale == expected * trace.inner_scale
+        assert np.array_equal(killing.basis, trace.basis)
 
 
 def test_structure_constants_match_oracle(so3, so5, su2):
@@ -192,13 +198,19 @@ def test_ad_matrix_implements_bracket(so3, su2):
         ) <= 1e-12
 
 
+_MIXED_SO4_BASIS = np.einsum(
+    "ij,jab->iab",
+    np.eye(6) + 0.25 * np.arange(36).reshape(6, 6) % 1.5,
+    make_so(4).basis,
+)
+
+
 def _mixed_so4():
-    """so(4) in a fixed non-orthogonal basis: the pseudo-inverse route of
-    ``algebra_from_basis`` and structure constants that are not integers."""
-    mix = np.eye(6) + 0.25 * np.arange(36).reshape(6, 6) % 1.5
-    return algebra_from_basis(
-        "mixed so(4)", np.einsum("ij,jab->iab", mix, make_so(4).basis)
-    )
+    """so(4) from a fixed non-orthogonal basis, whose Gram matrix is not
+    a multiple of the identity: re-based at construction, with the
+    pseudo-inverse route of ``algebra_from_basis`` and structure
+    constants that are not integers."""
+    return algebra_from_basis("mixed so(4)", _MIXED_SO4_BASIS)
 
 
 KERNEL_ALGEBRAS = {
@@ -291,6 +303,105 @@ def test_gram_weighted_inner(so5):
 
 
 # ---------------------------------------------------------------------------
+# One scalar inner product: kept bases and the re-basing of skewed ones
+# ---------------------------------------------------------------------------
+
+
+def test_scalar_gram_bases_are_kept_entry_for_entry():
+    # the named constructors' matrices, and any basis whose Gram matrix
+    # is exactly c times the identity, come back as they went in
+    so3 = np.zeros((3, 3, 3))
+    for k, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
+        so3[k, i, j], so3[k, j, i] = 1.0, -1.0
+    assert np.array_equal(make_so(3).basis, so3)
+    pauli = 0.5j * np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
+                             [[1, 0], [0, -1]]])
+    for basis in (make_su(2).basis, make_so(5).basis, pauli):
+        spec = algebra_from_basis("kept", basis)
+        assert np.array_equal(spec.basis, basis)
+    assert algebra_from_basis("pauli", pauli).inner_scale == 2.0
+
+
+@pytest.mark.parametrize("inner", ["killing", "trace"])
+def test_skewed_basis_is_rebased_once(inner):
+    spec = algebra_from_basis("mixed so(4)", _MIXED_SO4_BASIS, inner=inner)
+    given = user_gram(_MIXED_SO4_BASIS, inner)
+    assert np.count_nonzero(given - np.diag(np.diag(given)))
+    # c is the d-th root of the given Gram determinant, so the change of
+    # basis has determinant one; the new Gram matrix is c times I
+    c = spec.inner_scale
+    assert c == pytest.approx(np.linalg.det(given) ** (1.0 / 6.0), rel=1e-12)
+    assert np.max(np.abs(user_gram(spec.basis, inner) - c * np.eye(6))) <= (
+        1e-12 * c
+    )
+    change = user_to_spec(spec, _MIXED_SO4_BASIS)
+    assert abs(np.linalg.det(change)) == pytest.approx(1.0, rel=1e-12)
+    # the new basis spans the same matrices, and the structure constants
+    # are those of the new basis
+    assert np.allclose(
+        np.einsum("ij,jab->iab", change, spec.basis), _MIXED_SO4_BASIS,
+        rtol=0, atol=1e-12,
+    )
+    assert np.max(np.abs(spec.structure - _structure_oracle(spec.basis))) <= (
+        1e-10
+    )
+
+
+def test_rebasing_rejects_indefinite_gram():
+    # sl(2, R): real traceless matrices, whose Killing form is indefinite
+    # and whose trace form is not positive
+    mats = np.array([[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [0.0, 0.0]],
+                     [[0.0, 0.0], [1.0, 0.0]]])
+    with pytest.raises(ValueError, match="not positive definite"):
+        algebra_from_basis("sl2", mats)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lead=st.sampled_from([(), (1,), (4,), (2, 3)]),
+    complex_values=st.booleans(),
+    exponent=st.integers(-3, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rebased_inner_matches_gram_oracle_in_given_basis(
+    lead, complex_values, exponent, seed
+):
+    # vectors in the given skewed basis, paired through its Gram matrix,
+    # against the same vectors mapped into the re-based basis
+    spec = _mixed_so4()
+    given = user_gram(_MIXED_SO4_BASIS)
+    change = user_to_spec(spec, _MIXED_SO4_BASIS)
+    _, (u, v) = _kernel_inputs(
+        "custom", lead, complex_values, exponent, seed, 2
+    )
+    want = np.einsum("...i,ij,...j->...", u, given, v.conj())
+    got = inner_vec(spec, u @ change, v @ change)
+    budget = 1e-12 * np.einsum(
+        "...i,ij,...j->...", np.abs(u), np.abs(given), np.abs(v)
+    )
+    assert np.all(np.abs(got - want) <= budget)
+    assert np.allclose(
+        norm_vec(spec, u @ change) ** 2,
+        np.einsum("...i,ij,...j->...", u, given, u.conj()).real,
+        rtol=1e-12, atol=0,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_KERNEL_CASES)
+def test_inner_and_norm_stacks_bit_equal_to_single_vectors(
+    name, lead, complex_values, exponent, seed
+):
+    spec, (u, v) = _kernel_inputs(
+        name, lead, complex_values, exponent, seed, 2
+    )
+    inner, norm = inner_vec(spec, u, v), norm_vec(spec, u)
+    for index in np.ndindex(lead):
+        assert inner_vec(spec, u[index], v[index]) == np.asarray(inner)[index]
+        assert norm_vec(spec, u[index]) == np.asarray(norm)[index]
+
+
+# ---------------------------------------------------------------------------
 # The commutator norm bound
 # ---------------------------------------------------------------------------
 
@@ -335,7 +446,7 @@ def test_killing_mode_caps_at_inverse_root_two(so3, su2):
 def test_subalgebra_keeps_ambient_gram(so5):
     fiber = subalgebra_spec(so5, (8, 9, 10))
     assert fiber.dim == 3
-    assert np.array_equal(fiber.gram, 6.0 * np.eye(3))
+    assert fiber.inner_scale == 6.0
     assert fiber.inner_mode == so5.inner_mode
     # cyclic brackets survive the slice exactly
     for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
@@ -349,7 +460,7 @@ def test_subalgebra_differs_from_intrinsic_normalization(so5):
     """The ambient inner product is three times the intrinsic one."""
     fiber = subalgebra_spec(so5, (8, 9, 10))
     intrinsic = make_so(3)
-    assert np.array_equal(fiber.gram, 3.0 * intrinsic.gram)
+    assert fiber.inner_scale == 3.0 * intrinsic.inner_scale
 
 
 def test_subalgebra_rejects_non_closed(so5):
@@ -394,7 +505,7 @@ def test_subalgebra_bracket_matches_parent(so5):
 def test_named_algebras_are_built_once_and_read_only(build):
     spec = build()
     assert build() is spec
-    for array in (spec.basis, spec.structure, spec.gram, spec.coeff_pinv):
+    for array in (spec.basis, spec.structure, spec.coeff_pinv):
         with pytest.raises(ValueError):
             array[0] = 0.0
 
@@ -468,7 +579,7 @@ def test_pair_blocks_do_not_change_the_result(monkeypatch, so5):
     monkeypatch.setattr(lie_algebra, "_PAIR_BLOCK_ENTRIES", 1)
     rebuilt = algebra_from_basis("so(5)", so5.basis)
     assert np.array_equal(rebuilt.structure, so5.structure)
-    assert np.array_equal(rebuilt.gram, so5.gram)
+    assert rebuilt.inner_scale == so5.inner_scale
     with pytest.raises(ValueError, match=r"\(pair 0,2, residual"):
         algebra_from_basis("open", _open_at_pair_0_2())
 

@@ -18,8 +18,11 @@ one shifted for an Einstein tensor) match the kron oracle within
 ``oracle_routes.SPECTRUM_ROUNDING``.  The complex-type kernels meet
 ``change_basis_einsum`` (within the summation bound of each entry),
 ``bidegree_split_per_symbol`` (same parts in the same order, vectors
-within rounding) and ``curvature_action_grid`` (bit-equal).  The last
-section bounds the allocation peak of one so(7) report.
+within rounding) and ``curvature_action_grid`` (bit-equal).  A later
+section bounds the allocation peak of one so(7) report, and the last one
+runs the routes of a re-based skewed algebra against the Gram-matrix
+oracles ``g_inner_gram`` and ``weighted_spectrum_gram_root`` in the
+basis as given.
 """
 
 import math
@@ -47,7 +50,9 @@ from artifact.form_decomposition import (
 from artifact.gauge_fields import (
     GValuedForm,
     _classifier_tables,
+    f_components_from_gform,
     f_components_from_w,
+    g_inner,
     g_norm,
     gform_from_w_coefficients,
     instanton_classify,
@@ -62,16 +67,15 @@ from artifact.lie_algebra import (
 from artifact import weitzenbock_engine
 from artifact.weitzenbock_engine import (
     _COUPLING,
-    _GRAM_ROOT_CACHE_SIZE,
     TransverseRicci,
     TwoZeroEndo,
     _add_identity_blocks,
-    _gram_roots,
     _identity_blocks,
     _pair_spectrum,
     build_F_operator_from_components,
     build_R_operator,
     combined_spectra,
+    operator_spectrum,
     vanishing_report,
     weighted_spectrum,
 )
@@ -80,6 +84,7 @@ from artifact.ym_stability import (
     _torsion_maps,
     algebraic_second_variation,
     curvature_action_oneforms,
+    curvature_components_grid,
     stability_report,
     torsion_residuals,
 )
@@ -93,19 +98,33 @@ from oracle_routes import (
     gform_from_terms,
     instanton_classify_per_block,
     torsion_residuals_chain,
+    g_inner_gram,
+    structure_lstsq,
+    user_gram,
+    user_to_spec,
+    weighted_spectrum_gram_root,
 )
 
 MODEL = calibrate_model()
 RELATIVE = 1e-12
 
 
+# bases as given whose Gram matrices are not diagonal: so(4) in a fixed
+# non-orthogonal basis, and su(2) with each generator plus the previous
+SKEWED_BASES = {
+    "skewed_so4": np.einsum(
+        "ij,jab->iab",
+        np.eye(6) + 0.25 * np.arange(36).reshape(6, 6) % 1.5,
+        make_so(4).basis,
+    ),
+    "skewed_su2": make_su(2).basis + np.roll(make_su(2).basis, 1, axis=0),
+}
+
+
 def _skewed_so4():
-    """so(4) in a fixed non-orthogonal basis, so that the structure
-    constants are not integers and the Gram matrix is not diagonal."""
-    mix = np.eye(6) + 0.25 * np.arange(36).reshape(6, 6) % 1.5
-    return algebra_from_basis(
-        "skewed so(4)", np.einsum("ij,jab->iab", mix, make_so(4).basis)
-    )
+    """so(4) from a fixed non-orthogonal basis, re-based at construction,
+    so that the structure constants are not integers."""
+    return algebra_from_basis("skewed so(4)", SKEWED_BASES["skewed_so4"])
 
 
 ALGEBRAS = {
@@ -507,20 +526,6 @@ def test_two_form_families_read_only_and_equal_rebuild():
             assert np.array_equal(form.vector, rebuilt.vector)
 
 
-def test_gram_roots_read_only_and_equal_rebuild():
-    gram = ALGEBRAS["skewed_so4"].gram
-    key = (gram.dtype.str, len(gram), gram.tobytes())
-    roots = _gram_roots(*key)
-    assert _gram_roots(*key) is roots
-    root, inv_root = roots
-    for array, rebuilt in zip(roots, _gram_roots.__wrapped__(*key)):
-        _assert_read_only(array)
-        assert np.array_equal(array, rebuilt)
-    assert np.allclose(root @ root, gram, rtol=0, atol=1e-12)
-    assert np.allclose(root @ inv_root, np.eye(len(gram)), rtol=0,
-                       atol=1e-12)
-
-
 def test_pair_spectrum_read_only_bounded_and_equal_rebuild():
     pair = TransverseRicci.from_diagonal([1.0, 2.0, 4.0]).pair_matrix
     _assert_read_only(pair)
@@ -534,41 +539,11 @@ def test_pair_spectrum_read_only_bounded_and_equal_rebuild():
     assert np.array_equal(eigenvalues, rebuilt[0])
     assert residual == rebuilt[1] == 0.0 and shift is rebuilt[2] is None
     assert np.array_equal(eigenvalues, [3.0, 5.0, 6.0])
-    assert _pair_spectrum.cache_info().maxsize == _GRAM_ROOT_CACHE_SIZE
-    for k in range(2 * _GRAM_ROOT_CACHE_SIZE + 3):
+    assert _pair_spectrum.cache_info().maxsize == _NAMED_CACHE_SIZE
+    for k in range(2 * _NAMED_CACHE_SIZE + 3):
         einstein = TransverseRicci.einstein(1.0 + k).pair_matrix
         _pair_spectrum(einstein.dtype.str, einstein.shape, einstein.tobytes())
-        assert _pair_spectrum.cache_info().currsize <= _GRAM_ROOT_CACHE_SIZE
-
-
-def test_gram_root_cache_is_bounded():
-    assert _GRAM_ROOT_CACHE_SIZE == _NAMED_CACHE_SIZE
-    assert _gram_roots.cache_info().maxsize == _GRAM_ROOT_CACHE_SIZE
-    for k in range(2 * _GRAM_ROOT_CACHE_SIZE + 3):
-        gram = np.diag([1.0 + k, 2.0 + k])
-        out = weighted_spectrum(np.eye(4), gram)
-        assert out["min"] == pytest.approx(1.0)
-        assert _gram_roots.cache_info().currsize <= _GRAM_ROOT_CACHE_SIZE
-    # a Gram block of the largest abelian algebra stays within the bound
-    big = make_abelian(64).gram
-    weighted_spectrum(np.eye(64), big)
-    assert _gram_roots.cache_info().currsize <= _GRAM_ROOT_CACHE_SIZE
-
-
-def test_weighted_spectrum_reads_gram_by_value():
-    # a Gram block that changes in place between calls is a new key
-    gram = np.diag([1.0, 4.0])
-    first = weighted_spectrum(np.diag([1.0, 1.0]), gram)["hermiticity_residual"]
-    gram[0, 1] = gram[1, 0] = 1.0
-    matrix = np.array([[0.0, 1.0], [0.0, 0.0]])
-    second = weighted_spectrum(matrix, gram)
-    evals, evecs = np.linalg.eigh(gram)
-    root = (evecs * np.sqrt(evals)) @ evecs.T
-    conjugated = root @ matrix @ np.linalg.inv(root)
-    assert first == 0.0
-    assert second["hermiticity_residual"] == pytest.approx(
-        np.max(np.abs(conjugated - conjugated.T)), rel=1e-12
-    )
+        assert _pair_spectrum.cache_info().currsize <= _NAMED_CACHE_SIZE
 
 
 # ---------------------------------------------------------------------------
@@ -667,9 +642,9 @@ class _SolveSpy:
         self.shapes = []
         monkeypatch.setattr(weitzenbock_engine, "weighted_spectrum", self)
 
-    def __call__(self, matrix, gram):
+    def __call__(self, matrix):
         self.shapes.append(np.shape(matrix))
-        return weighted_spectrum(matrix, gram)
+        return weighted_spectrum(matrix)
 
 
 @settings(max_examples=60, deadline=None)
@@ -819,3 +794,87 @@ def test_so7_report_peak_allocation_per_call(name):
     finally:
         tracemalloc.stop()
     assert peak / 1024 < ALLOCATION_BOUNDS_KIB[name]
+
+
+# ---------------------------------------------------------------------------
+# Routes in re-based coordinates against the Gram-matrix oracles in the
+# coordinates of the basis as given
+# ---------------------------------------------------------------------------
+
+
+def _given_operators(structure, rows, ricci7):
+    """The curvature operator on (2,0) sections and the second variation
+    on 1-forms in the given basis, assembled from its own structure
+    constants: block (r, c) of the first is ``-sum _COUPLING[r, c, m, a]
+    ad(F_{m abar})``, block (i, j) of the coupling ``ad(F_{ji})``."""
+    def ad(x):
+        return np.einsum("...i,ijk->...kj", x, structure)
+
+    d = structure.shape[0]
+    F = GValuedForm.from_matrix(make_abelian(d), 2, rows)
+    table = f_components_from_gform(F, strict=False).table
+    blocks = np.einsum("rcma,mapq->rpcq", _COUPLING, -ad(table))
+    curvature = blocks.reshape(3 * d, 3 * d)
+    grid = curvature_components_grid(F).real
+    coupling = np.moveaxis(ad(grid), (1, 0), (0, 2)).reshape(7 * d, 7 * d)
+    variation = np.kron(ricci7, np.eye(d)) + 2.0 * coupling
+    return curvature, variation
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(SKEWED_BASES)),
+    lead=st.sampled_from([(), (3,)]),
+    scale=scales,
+    imaginary=st.booleans(),
+    seed=seeds,
+)
+def test_rebased_routes_match_gram_oracles_in_given_basis(
+    name, lead, scale, imaginary, seed
+):
+    given = SKEWED_BASES[name]
+    spec = algebra_from_basis(name, given)
+    gram = user_gram(given)
+    assert np.count_nonzero(gram - np.diag(np.diag(gram)))
+    change = user_to_spec(spec, given)
+    d = spec.dim
+    rng = np.random.default_rng(seed)
+    first, second = scale * rng.standard_normal((2, 21) + lead + (d,))
+    if imaginary:
+        second = second + 1j * scale * rng.standard_normal(second.shape)
+    a = GValuedForm.from_matrix(spec, 2, first @ change)
+    b = GValuedForm.from_matrix(spec, 2, second @ change)
+    want = g_inner_gram(first, second, gram)
+    budget = 1e-12 * np.sqrt(
+        np.real(g_inner_gram(first, first, gram))
+        * np.real(g_inner_gram(second, second, gram))
+    )
+    assert np.all(np.abs(g_inner(a, b) - want) <= budget)
+    assert np.allclose(
+        g_norm(a) ** 2, g_inner_gram(first, first, gram).real,
+        rtol=1e-12, atol=0,
+    )
+    # the curvature spectrum and the second variation of a real
+    # curvature, one sample at a time
+    ricci7 = np.diag(rng.uniform(0.5, 10.0, 7))
+    structure = structure_lstsq(given)
+    singles = first.reshape((21, -1, d))
+    for k in range(singles.shape[1]):
+        rows = singles[:, k]
+        curvature, variation = _given_operators(structure, rows, ricci7)
+        F = GValuedForm.from_matrix(spec, 2, rows @ change)
+        fc = f_components_from_gform(F, strict=False)
+        pairs = (
+            (operator_spectrum(build_F_operator_from_components(fc)),
+             weighted_spectrum_gram_root(curvature, gram)),
+            (algebraic_second_variation(F, RicciTensor7(ricci7))["spectrum"],
+             weighted_spectrum_gram_root(variation, gram)),
+        )
+        for got, oracle in pairs:
+            largest = np.max(np.abs(oracle["eigenvalues"]))
+            assert np.all(
+                np.abs(got["eigenvalues"] - oracle["eigenvalues"])
+                <= 1e-11 * largest
+            )
+            assert got["hermiticity_residual"] <= 1e-11 * largest
+            assert oracle["hermiticity_residual"] <= 1e-11 * largest

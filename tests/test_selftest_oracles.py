@@ -42,6 +42,7 @@ from artifact.lie_algebra import (
     bracket_vec,
     bracket_via_matrices,
     inner_vec,
+    killing_matrix,
     make_so,
     make_su,
     norm_vec,
@@ -144,7 +145,11 @@ def oracle_lie_dual_path(model, seed, samples, tol) -> dict:
             rhs = -inner_vec(spec, v, bracket_vec(spec, u, w))
             worst_invariance = max(worst_invariance, abs(lhs - rhs))
     fiber = subalgebra_spec(make_so(5), (8, 9, 10))
-    gram_exact = bool(np.array_equal(fiber.gram, 6.0 * np.eye(3)))
+    ambient = -killing_matrix(make_so(5).structure)[7:, 7:]
+    gram_exact = bool(
+        np.array_equal(ambient, 6.0 * np.eye(3))
+        and fiber.inner_scale == 6.0
+    )
     passed = (
         worst_bracket <= 1e-10
         and worst_invariance <= 1e-8

@@ -20,6 +20,7 @@ from artifact.gauge_fields import (
     omega_component,
     two_zero_from_v_coefficients,
 )
+from artifact.lie_algebra import killing_matrix
 from artifact.weitzenbock_engine import quad_form_F
 from artifact.stiefel_example import (
     SAMPLE_BLOCK,
@@ -87,7 +88,11 @@ class TestStructure:
     def test_gauge_algebra_gram_exact(self, spec):
         gauge = gauge_algebra(spec)
         assert gauge.dim == 3
-        assert np.array_equal(gauge.gram, 6.0 * np.eye(3))
+        assert gauge.inner_scale == 6.0
+        # the ambient Killing form on the fiber span, from the structure
+        # constants of so(5)
+        ambient = -killing_matrix(spec.algebra.structure)[7:, 7:]
+        assert np.array_equal(ambient, 6.0 * np.eye(3))
 
     def test_fiber_brackets_cyclic_exact(self, spec):
         gauge = gauge_algebra(spec)

@@ -50,7 +50,10 @@ from oracle_routes import (
     assert_spectra_within_rounding,
     combined_spectra_kron,
     gform_from_terms,
+    user_gram,
+    user_to_spec,
     weighted_spectrum_dense,
+    weighted_spectrum_gram_root,
 )
 
 
@@ -158,18 +161,24 @@ class TestStacking:
             TwoZeroEndo(algebra=su2, matrix=np.eye(5))
 
     def test_weight_is_block_gram(self, su2):
-        # both section pairings use the Gram matrix kron(I_3, gram); the
-        # skewed basis of su(2) has a Gram matrix that is not diagonal
-        skew = algebra_from_basis(
-            "skew", su2.basis + np.roll(su2.basis, 1, axis=0)
-        )
+        # a skewed basis of su(2), whose Gram matrix is not diagonal, is
+        # re-based at construction; both section pairings in the new
+        # basis equal the pairings through kron(I_3, gram) of the same
+        # operator and section written in the skewed basis
+        given = su2.basis + np.roll(su2.basis, 1, axis=0)
+        gram = user_gram(given)
+        assert np.count_nonzero(gram - np.diag(np.diag(gram)))
+        skew = algebra_from_basis("skew", given)
+        assert not np.allclose(skew.basis, given)
+        to_spec = np.kron(np.eye(3), user_to_spec(skew, given).T)
         rng = np.random.default_rng(4)
         mat = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-        endo = TwoZeroEndo(algebra=skew, matrix=mat)
-        section = random_section(skew, rng)
-        vec = stack_section(section)
-        weight = np.kron(np.eye(3), skew.gram)
-        assert np.count_nonzero(skew.gram - np.diag(np.diag(skew.gram)))
+        vec = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        endo = TwoZeroEndo(
+            algebra=skew, matrix=to_spec @ mat @ np.linalg.inv(to_spec)
+        )
+        section = section_from_stack(skew, to_spec @ vec)
+        weight = np.kron(np.eye(3), gram)
         assert endo.quad(section) == pytest.approx(
             (mat @ vec) @ weight @ np.conj(vec), rel=1e-12
         )
@@ -393,33 +402,39 @@ class TestWeightedSpectrum:
         rng = np.random.default_rng(30)
         sym = rng.standard_normal((5, 5))
         sym = (sym + sym.T) / 2.0
-        out = weighted_spectrum(sym, np.eye(5))
+        out = weighted_spectrum(sym)
         assert np.allclose(out["eigenvalues"], np.linalg.eigvalsh(sym))
         assert out["hermiticity_residual"] <= 1e-12
 
     def test_weight_changes_hermiticity(self):
-        # an operator self-adjoint for a non-trivial weight only
+        # an operator self-adjoint for a non-trivial weight only: weight
+        # @ mat is symmetric, so mat is self-adjoint in the weighted
+        # product even though mat itself is not symmetric
         weight = np.diag([1.0, 4.0])
         mat = np.array([[0.0, 4.0], [1.0, 0.0]])
-        # weight @ mat is symmetric, so mat is self-adjoint in the
-        # weighted product even though mat itself is not symmetric
-        out = weighted_spectrum(mat, weight)
+        oracle = weighted_spectrum_gram_root(mat, weight)
+        assert oracle["hermiticity_residual"] <= 1e-12
+        assert np.allclose(oracle["eigenvalues"], [-2.0, 2.0])
+        # in coordinates where the weight is c I (here c = 2, the change
+        # diag(1, 2) / sqrt(c)) the operator is Hermitian
+        change = np.diag([1.0, 2.0]) / np.sqrt(2.0)
+        out = weighted_spectrum(change @ mat @ np.linalg.inv(change))
         assert out["hermiticity_residual"] <= 1e-12
-        assert np.allclose(out["eigenvalues"], [-2.0, 2.0])
-        plain = weighted_spectrum(mat, np.eye(2))
+        assert np.allclose(out["eigenvalues"], oracle["eigenvalues"])
+        plain = weighted_spectrum(mat)
         assert plain["hermiticity_residual"] > 1.0
 
     def test_positivity_floor(self):
         floor = POSITIVITY_RELATIVE_FLOOR
-        out = weighted_spectrum(np.diag([1.0, floor / 10.0]), np.eye(2))
+        out = weighted_spectrum(np.diag([1.0, floor / 10.0]))
         assert not out["positive"]
         assert out["nonnegative"]
-        out = weighted_spectrum(np.diag([1.0, -floor / 10.0]), np.eye(2))
+        out = weighted_spectrum(np.diag([1.0, -floor / 10.0]))
         assert not out["positive"]
         assert out["nonnegative"]
-        out = weighted_spectrum(np.diag([1.0, 1.0]), np.eye(2))
+        out = weighted_spectrum(np.diag([1.0, 1.0]))
         assert out["positive"]
-        out = weighted_spectrum(np.diag([1.0, -1.0]), np.eye(2))
+        out = weighted_spectrum(np.diag([1.0, -1.0]))
         assert not out["nonnegative"]
 
     def test_ricci_spectrum_is_flat_sixteen(self, su2):
@@ -446,6 +461,18 @@ _FLOOR_OFFSETS = [-1000.0, -100.0, -20.0, -11.0, -1.0, 0.0, 1.0, 11.0,
 def _gram_root(gram, power):
     evals, evecs = np.linalg.eigh(gram)
     return (evecs * evals ** power) @ evecs.T
+
+
+def _max_entry_within_norm_bounds(residual, oracle, size):
+    """The largest entry of ``M - M^H`` in coordinates orthonormal for
+    the weight against the oracle's in other orthonormal ones: both lie
+    between the spectral norm of the deviation over ``size`` and that
+    norm, which a change of orthonormal coordinates keeps."""
+    residual, oracle = np.asarray(residual), np.asarray(oracle)
+    slack = 1.0 + 1e-10
+    return np.all(residual <= size * oracle * slack) and np.all(
+        oracle <= size * residual * slack
+    )
 
 
 def _weighted_operator(rng, gram, n, offset, complex_values, perturbed):
@@ -486,7 +513,11 @@ def _weighted_operator(rng, gram, n, offset, complex_values, perturbed):
 def test_block_spectrum_matches_dense_weight_oracle(
     d, n, lead, offset, complex_values, perturbed, seed
 ):
-    # the d x d Gram block against one eigh of the whole kron(I_n, gram)
+    # operators self-adjoint in kron(I_n, gram) for a general Gram
+    # block, moved into coordinates where the block is c I as an algebra
+    # is re-based (by the Cholesky factor of the block): the package
+    # route there against the dense oracle and the Gram-root oracle in
+    # the given coordinates
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((d, d))
     gram = a @ a.T + d * np.eye(d)
@@ -494,18 +525,33 @@ def test_block_spectrum_matches_dense_weight_oracle(
         _weighted_operator(rng, gram, n, offset, complex_values, perturbed)
         for _ in range(int(np.prod(lead)))
     ]).reshape(lead + (n * d, n * d))
-    got = weighted_spectrum(matrices, gram)
+    to_spec = np.kron(np.eye(n), np.linalg.cholesky(gram).T)
+    got = weighted_spectrum(to_spec @ matrices @ np.linalg.inv(to_spec))
     want = weighted_spectrum_dense(matrices, np.kron(np.eye(n), gram))
-    assert got.keys() == want.keys()
+    block = weighted_spectrum_gram_root(matrices, gram)
+    assert got.keys() == want.keys() == block.keys()
     eigs, oracle = got["eigenvalues"], want["eigenvalues"]
     largest = np.max(np.abs(oracle), axis=-1)
     assert eigs.shape == oracle.shape == lead + (n * d,)
     assert np.all(np.abs(eigs - oracle) <= 1e-10 * largest[..., None])
     assert np.all(
-        np.abs(np.subtract(got["hermiticity_residual"],
+        np.abs(block["eigenvalues"] - oracle) <= 1e-10 * largest[..., None]
+    )
+    # the Gram root is the same conjugation as the dense root
+    assert np.all(
+        np.abs(np.subtract(block["hermiticity_residual"],
                            want["hermiticity_residual"]))
         <= 1e-10 * np.maximum(want["hermiticity_residual"], largest)
     )
+    # the Cholesky frame differs from the root frame by an orthogonal map
+    if perturbed:
+        assert _max_entry_within_norm_bounds(
+            got["hermiticity_residual"], want["hermiticity_residual"], n * d
+        )
+    else:
+        assert np.all(
+            np.asarray(got["hermiticity_residual"]) <= 1e-10 * largest
+        )
     # verdicts agree wherever the smallest eigenvalue lies more than ten
     # floors away from the threshold of that verdict, and on the zero
     # operator (a 1 x 1 draw at offset 0), whose verdicts are exact
