@@ -76,7 +76,6 @@ import numpy as np
 from ..flat_model import REEB_INDEX, calibrate_model, calibration_constants
 from ..form_decomposition import _SYMBOL_RANK, project_vectors
 from ..lie_algebra import (
-    LieAlgebraSpec,
     algebra_from_basis,
     coeffs_of,
     make_abelian,
@@ -313,20 +312,21 @@ def _matrix_from_nested(value, field: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def parse_algebra(value) -> LieAlgebraSpec:
-    """The algebra an ``algebra`` field names or describes."""
-    if isinstance(value, dict):
-        return _custom_algebra(value)[0]
+def parse_algebra(value) -> tuple:
+    """The algebra an ``algebra`` field names or describes, and None for
+    a named algebra or a kept custom basis, else the real matrix whose
+    row i holds the coefficients of the payload's i-th matrix in the
+    re-based ``spec.basis``."""
     if isinstance(value, str):
         name = value.strip().lower()
         if name == "so3":
-            return make_so(3)
+            return make_so(3), None
         if name == "so5":
-            return make_so(5)
+            return make_so(5), None
         if name == "su2":
-            return make_su(2)
+            return make_su(2), None
         if name == "su2_trace":
-            return make_su(2, inner="trace")
+            return make_su(2, inner="trace"), None
         if name.startswith("abelian"):
             tail = name[len("abelian") :]
             if tail.isdecimal():
@@ -337,48 +337,43 @@ def parse_algebra(value) -> LieAlgebraSpec:
                         f"field 'algebra': abelian<d> needs 1 <= d <= "
                         f"{_MAX_ABELIAN_DIM}, got {value!r}"
                     )
-                return make_abelian(int(tail))
+                return make_abelian(int(tail)), None
         raise InputError(
             f"field 'algebra': unknown name {value!r}; use so3, so5, su2, "
             f"su2_trace, abelian<d>, or a custom object"
         )
+    if isinstance(value, dict):
+        if "matrices" not in value:
+            raise InputError("field 'algebra': custom object needs 'matrices'")
+        mats = value["matrices"]
+        if not isinstance(mats, list) or not mats:
+            raise InputError(
+                "field 'algebra.matrices': expected a non-empty array"
+            )
+        stacked = [
+            _matrix_from_nested(m, f"algebra.matrices[{i}]")
+            for i, m in enumerate(mats)
+        ]
+        shapes = {m.shape for m in stacked}
+        if len(shapes) != 1 or stacked[0].shape[0] != stacked[0].shape[1]:
+            raise InputError(
+                "field 'algebra.matrices': all matrices must be square "
+                "and of one size"
+            )
+        stacked = np.array(stacked)
+        name = value.get("name", "custom")
+        inner = value.get("inner", "killing")
+        if not isinstance(name, str) or not isinstance(inner, str):
+            raise InputError(
+                "field 'algebra': 'name' and 'inner' must be strings"
+            )
+        try:
+            spec = algebra_from_basis(name, stacked, inner=inner)
+        except ValueError as exc:
+            raise InputError(f"field 'algebra': {exc}") from exc
+        kept = np.array_equal(spec.basis, stacked)
+        return spec, None if kept else coeffs_of(spec, stacked).real
     raise InputError("field 'algebra': expected a name or a custom object")
-
-
-def _custom_algebra(value: dict) -> tuple:
-    """The algebra of a custom object, and None when it kept the payload
-    basis, else the real matrix whose row i holds the coefficients of
-    the payload's i-th matrix in the re-based ``spec.basis``."""
-    if "matrices" not in value:
-        raise InputError("field 'algebra': custom object needs 'matrices'")
-    mats = value["matrices"]
-    if not isinstance(mats, list) or not mats:
-        raise InputError(
-            "field 'algebra.matrices': expected a non-empty array"
-        )
-    stacked = [
-        _matrix_from_nested(m, f"algebra.matrices[{i}]")
-        for i, m in enumerate(mats)
-    ]
-    shapes = {m.shape for m in stacked}
-    if len(shapes) != 1 or stacked[0].shape[0] != stacked[0].shape[1]:
-        raise InputError(
-            "field 'algebra.matrices': all matrices must be square "
-            "and of one size"
-        )
-    stacked = np.array(stacked)
-    name = value.get("name", "custom")
-    inner = value.get("inner", "killing")
-    if not isinstance(name, str) or not isinstance(inner, str):
-        raise InputError(
-            "field 'algebra': 'name' and 'inner' must be strings"
-        )
-    try:
-        spec = algebra_from_basis(name, stacked, inner=inner)
-    except ValueError as exc:
-        raise InputError(f"field 'algebra': {exc}") from exc
-    kept = np.array_equal(spec.basis, stacked)
-    return spec, None if kept else coeffs_of(spec, stacked).real
 
 
 def _parse_real_key(key: str) -> tuple:
@@ -424,15 +419,16 @@ def parse_gform(payload: dict) -> GValuedForm:
     for field in ("algebra", "basis", "components"):
         if field not in payload:
             raise InputError(f"missing field {field!r}")
-    named = payload["algebra"]
-    if isinstance(named, dict):
-        algebra, change = _custom_algebra(named)
-    else:
-        algebra, change = parse_algebra(named), None
+    algebra, change = parse_algebra(payload["algebra"])
     basis = payload["basis"]
     components = payload["components"]
     if not isinstance(components, dict) or not components:
         raise InputError("field 'components': expected a non-empty object")
+
+    def vector(key, value) -> np.ndarray:
+        # the payload's coefficients, mapped into a re-based algebra basis
+        vec = _coefficient_vector(value, algebra.dim, f"components.{key}")
+        return vec if change is None else vec @ change
 
     if basis == "w":
         rows = np.zeros((8, algebra.dim))
@@ -446,43 +442,35 @@ def parse_gform(payload: dict) -> GValuedForm:
                 raise InputError(
                     f"field 'components': key {key!r} must be 'w1'..'w8'"
                 )
-            vec = _coefficient_vector(
-                value, algebra.dim, f"components.{key}"
-            )
+            vec = vector(key, value)
             if np.max(np.abs(vec.imag)) > 0.0:
                 raise InputError(
                     f"field 'components.{key}': coefficients on this basis "
                     f"must be real"
                 )
             rows[int(key[1]) - 1] = vec.real
-        F = gform_from_w_coefficients(algebra, rows)
-    elif basis == "real":
-        F = GValuedForm(algebra, 2)
+        return gform_from_w_coefficients(algebra, rows)
+
+    if basis == "real":
+        out = GValuedForm(algebra, 2)
         for key, value in components.items():
             indices = _parse_real_key(str(key))
-            vec = _coefficient_vector(
-                value, algebra.dim, f"components.{key}"
-            )
-            F.accumulate(indices, vec)
-    elif basis == "complex":
+            out.accumulate(indices, vector(key, value))
+        return out
+
+    if basis == "complex":
         table = {}
         for key, value in components.items():
             symbols = _parse_complex_key(str(key))
-            vec = _coefficient_vector(
-                value, algebra.dim, f"components.{key}"
-            )
+            vec = vector(key, value)
             # keys in any symbol order: the expansion applies the sign
             current = table.get(symbols)
             table[symbols] = vec if current is None else current + vec
-        F = gform_from_complex_components(algebra, table, 2)
-    else:
-        raise InputError(
-            f"field 'basis': expected 'w', 'real', or 'complex', "
-            f"not {basis!r}"
-        )
-    if change is None:
-        return F
-    return GValuedForm._wrap(algebra, 2, F.matrix @ change)
+        return gform_from_complex_components(algebra, table, 2)
+
+    raise InputError(
+        f"field 'basis': expected 'w', 'real', or 'complex', not {basis!r}"
+    )
 
 
 def parse_transverse_ricci(payload: dict) -> TransverseRicci:

@@ -7,8 +7,7 @@ of the real monomial ``basis_keys(k)[r]``.  Every operation is an array
 operation on it: the bracket runs from the wedge index tables of
 :mod:`~artifact.flat_model` and the structure constants, the inner product
 is the algebra's ``inner_scale`` times the plain pairing of the rows, and
-complex components
-come from the change-of-basis matrices of
+complex components come from the change-of-basis matrices of
 :mod:`~artifact.form_decomposition`.  The module provides the
 graded bracket of such forms, the inner product
 induced by the coframe and the invariant algebra metric, conversions

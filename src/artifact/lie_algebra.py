@@ -219,25 +219,11 @@ def _checked_spec(name, basis, structure, inner_scale, inner_mode,
         )
 
     spec = LieAlgebraSpec(
-        name=name,
-        basis=basis,
-        structure=structure,
-        inner_scale=inner_scale,
-        inner_mode=inner_mode,
-        coeff_pinv=coeff_pinv,
+        name, basis, structure, inner_scale, inner_mode, coeff_pinv
     )
     for arr in (spec.basis, spec.structure, spec.coeff_pinv):
         arr.setflags(write=False)
     return spec
-
-
-def _pair_generators(n: int, upper, lower, dtype) -> np.ndarray:
-    """``upper E_ij + lower E_ji`` for every pair i < j, in row order."""
-    rows, cols = np.triu_indices(n, 1)
-    k = np.arange(len(rows))
-    mats = np.zeros((len(rows), n, n), dtype=dtype)
-    mats[k, rows, cols], mats[k, cols, rows] = upper, lower
-    return mats
 
 
 @functools.lru_cache(maxsize=_NAMED_CACHE_SIZE)
@@ -250,10 +236,16 @@ def make_so(n: int, inner: str = "killing") -> LieAlgebraSpec:
     """
     if n < 2:
         raise ValueError("so(n) needs n >= 2")
-    mats = _pair_generators(n, 1.0, -1.0, float)
+    mats = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = np.zeros((n, n))
+            m[i, j] = 1.0
+            m[j, i] = -1.0
+            mats.append(m)
     if n == 5:
         mats[-1] = -mats[-1]
-    return algebra_from_basis(f"so({n})", mats, inner=inner)
+    return algebra_from_basis(f"so({n})", np.array(mats), inner=inner)
 
 
 @functools.lru_cache(maxsize=_NAMED_CACHE_SIZE)
@@ -267,15 +259,25 @@ def make_su(n: int, inner: str = "killing") -> LieAlgebraSpec:
     """
     if n < 2:
         raise ValueError("su(n) needs n >= 2")
-    diagonal = np.zeros((n - 1, n, n), dtype=complex)
-    l = np.arange(n - 1)
-    diagonal[l, l, l], diagonal[l, l + 1, l + 1] = 1j, -1j
-    mats = np.concatenate([
-        _pair_generators(n, 1.0, -1.0, complex),
-        _pair_generators(n, 1j, 1j, complex),
-        diagonal,
-    ])
-    return algebra_from_basis(f"su({n})", mats, inner=inner)
+    mats = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = np.zeros((n, n), dtype=complex)
+            m[i, j] = 1.0
+            m[j, i] = -1.0
+            mats.append(m)
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = np.zeros((n, n), dtype=complex)
+            m[i, j] = 1j
+            m[j, i] = 1j
+            mats.append(m)
+    for l in range(n - 1):
+        m = np.zeros((n, n), dtype=complex)
+        m[l, l] = 1j
+        m[l + 1, l + 1] = -1j
+        mats.append(m)
+    return algebra_from_basis(f"su({n})", np.array(mats), inner=inner)
 
 
 @functools.lru_cache(maxsize=_NAMED_CACHE_SIZE)

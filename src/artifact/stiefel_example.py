@@ -202,12 +202,16 @@ def structure_check(spec: StiefelSpec) -> dict:
     of the whole algebra, must equal 6 times the identity exactly.
     """
     algebra = spec.algebra
-    fiber = [k - 1 for k in spec.fiber]
-    # rows [f1, f2], [f2, f3], [f3, f1] against unit vectors f3, f1, f2
-    cyclic = np.roll(fiber, -1)
-    expected = np.zeros((3, algebra.dim))
-    expected[[0, 1, 2], np.roll(fiber, -2)] = 1.0
-    bracket_exact = np.array_equal(algebra.structure[fiber, cyclic], expected)
+    i1, i2, i3 = (k - 1 for k in spec.fiber)
+    cyclic = ((i1, i2, i3), (i2, i3, i1), (i3, i1, i2))
+    bracket_exact = True
+    for a, b, c in cyclic:
+        row = algebra.structure[a, b]
+        expected = np.zeros(algebra.dim)
+        expected[c] = 1.0
+        if not np.array_equal(row, expected):
+            bracket_exact = False
+    fiber = [i1, i2, i3]
     ambient = -killing_matrix(algebra.structure)[np.ix_(fiber, fiber)]
     gram_exact = bool(np.array_equal(ambient, 6.0 * np.eye(3)))
     split_sizes = (

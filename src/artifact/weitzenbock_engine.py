@@ -407,9 +407,8 @@ def _pair_spectrum(dtype: str, shape: tuple, raw: bytes) -> tuple:
     used for many calls, or rebuilt with the same entries, is solved
     once."""
     pair = np.frombuffer(raw, dtype=dtype).reshape(shape)
-    adjoint = np.swapaxes(pair.conj(), -1, -2)
-    residual = np.asarray(np.max(np.abs(pair - adjoint), axis=(-2, -1)))
-    eigenvalues = np.linalg.eigvalsh((pair + adjoint) / 2.0)
+    eigenvalues, residual = _hermitian_spectrum(pair)
+    residual = np.asarray(residual)
     shift = pair[..., 0, 0].real
     for table in (eigenvalues, residual):
         table.setflags(write=False)
@@ -449,12 +448,11 @@ def _spectrum_report(spectrum: np.ndarray, herm_residual) -> dict:
     }
 
 
-def weighted_spectrum(matrix) -> dict:
-    """Spectrum of an operator in the invariant inner product, c times
-    the plain one, where self-adjoint means Hermitian: the largest entry
-    of ``|M - M^H|`` and the eigenvalues of ``(M + M^H) / 2``, per matrix
-    of a stack.  One array of the operator's size is allocated; it takes
-    the adjoint twice, for the deviation and then the Hermitian part."""
+def _hermitian_spectrum(matrix) -> tuple:
+    """The ascending eigenvalues of ``(M + M^H) / 2`` and the largest
+    entry of ``|M - M^H|``, per matrix M of a stack.  One array of the
+    operator's size is allocated; it takes the adjoint twice, for the
+    deviation and then the Hermitian part."""
     matrix = np.asarray(matrix)
     out = np.empty(matrix.shape, np.result_type(matrix.dtype, np.float64))
     adjoint = np.swapaxes(matrix, -1, -2)
@@ -466,7 +464,13 @@ def weighted_spectrum(matrix) -> dict:
     np.conjugate(adjoint, out=out)
     out += matrix
     out /= 2.0
-    return _spectrum_report(np.linalg.eigvalsh(out), residual)
+    return np.linalg.eigvalsh(out), residual
+
+
+def weighted_spectrum(matrix) -> dict:
+    """Spectrum of an operator in the invariant inner product, c times
+    the plain one, where self-adjoint means Hermitian."""
+    return _spectrum_report(*_hermitian_spectrum(matrix))
 
 
 def operator_spectrum(endo: TwoZeroEndo) -> dict:

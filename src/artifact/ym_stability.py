@@ -254,10 +254,11 @@ def curvature_quad_paths(F: GValuedForm, section: OneFormSection) -> dict:
     """
     algebra = F.algebra
     image = apply_curvature_action(F, section)
-    # the seven values added in row order, as one at a time
-    direct = np.add.reduce(
-        np.real(inner_vec(algebra, image.vectors, section.vectors)), axis=0
-    )
+    direct = 0.0
+    for i in range(FORM_INDEX_COUNT):
+        direct += inner_vec(
+            algebra, image.vectors[i], section.vectors[i]
+        ).real
     grid = curvature_components_grid(F)
     flipped = 0.0
     for j in range(FORM_INDEX_COUNT):
@@ -284,9 +285,8 @@ def algebraic_second_variation(
     """Zero-order second variation ``B -> B o Ric + 2 R_F(B)``.
 
     Returns the matrix on the stacked coefficient space together with
-    its spectrum in the invariant inner product, which is the algebra's
-    ``inner_scale`` times the plain one on the stack, so the spectrum is
-    that of the matrix's Hermitian part.  The matrix is one buffer: twice
+    its spectrum in the invariant inner product, that of its Hermitian
+    part (see :func:`weighted_spectrum`).  The matrix is one buffer: twice
     the coupling, with the Ricci part ``kron(Ric, I_d)`` added onto the
     diagonals of its d x d blocks in place, so no Ricci or identity
     array is formed; a stack of curvatures gives the stack of matrices

@@ -158,11 +158,13 @@ class TestInputParsing:
             load_payload(str(path))
 
     def test_named_algebras(self):
-        assert parse_algebra("su2").dim == 3
-        assert parse_algebra("so3").dim == 3
-        assert parse_algebra("so5").dim == 10
-        assert parse_algebra("su2_trace").inner_mode == "trace"
-        assert parse_algebra("abelian4").dim == 4
+        # a named algebra keeps its basis: no coefficient map comes back
+        for name, dim in (("su2", 3), ("so3", 3), ("so5", 10),
+                          ("su2_trace", 3), ("abelian4", 4)):
+            algebra, change = parse_algebra(name)
+            assert algebra.dim == dim
+            assert change is None
+        assert parse_algebra("su2_trace")[0].inner_mode == "trace"
         with pytest.raises(InputError):
             parse_algebra("sp4")
         # a superscript digit is a digit to str.isdigit, not to int()
@@ -179,7 +181,7 @@ class TestInputParsing:
                 [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, -1.0]]],
             ],
         }
-        algebra = parse_algebra(payload)
+        algebra, _ = parse_algebra(payload)
         assert algebra.dim == 3
         assert algebra.name == "custom su(2)"
 
@@ -497,8 +499,11 @@ class TestSkewedCustomAlgebra:
         payload = _skewed_su2_payload(_SU2_FORMS["generic_real"])
         given = np.array([[[complex(*z) for z in row] for row in m]
                           for m in payload["algebra"]["matrices"]])
-        algebra = parse_algebra(payload["algebra"])
+        algebra, change = parse_algebra(payload["algebra"])
         assert not np.allclose(algebra.basis, given)
+        # row i of the map holds the coefficients of the i-th given matrix
+        assert np.allclose(matrix_of(algebra, change), given,
+                           rtol=0, atol=1e-14)
         assert algebra.inner_scale == pytest.approx(8.0, rel=1e-14)
         skewed = parse_gform(payload)
         named = parse_gform(_SU2_FORMS["generic_real"])

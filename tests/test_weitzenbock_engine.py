@@ -514,10 +514,9 @@ def test_block_spectrum_matches_dense_weight_oracle(
     d, n, lead, offset, complex_values, perturbed, seed
 ):
     # operators self-adjoint in kron(I_n, gram) for a general Gram
-    # block, moved into coordinates where the block is c I as an algebra
-    # is re-based (by the Cholesky factor of the block): the package
-    # route there against the dense oracle and the Gram-root oracle in
-    # the given coordinates
+    # block, moved into coordinates where the block is the identity by
+    # the Gram root: the package route there against the dense oracle
+    # and the Gram-root oracle in the given coordinates
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((d, d))
     gram = a @ a.T + d * np.eye(d)
@@ -525,32 +524,45 @@ def test_block_spectrum_matches_dense_weight_oracle(
         _weighted_operator(rng, gram, n, offset, complex_values, perturbed)
         for _ in range(int(np.prod(lead)))
     ]).reshape(lead + (n * d, n * d))
-    to_spec = np.kron(np.eye(n), np.linalg.cholesky(gram).T)
-    got = weighted_spectrum(to_spec @ matrices @ np.linalg.inv(to_spec))
+    to_spec = np.kron(np.eye(n), _gram_root(gram, 0.5))
+    got = weighted_spectrum(
+        to_spec @ matrices @ np.kron(np.eye(n), _gram_root(gram, -0.5))
+    )
     want = weighted_spectrum_dense(matrices, np.kron(np.eye(n), gram))
     block = weighted_spectrum_gram_root(matrices, gram)
     assert got.keys() == want.keys() == block.keys()
     eigs, oracle = got["eigenvalues"], want["eigenvalues"]
     largest = np.max(np.abs(oracle), axis=-1)
     assert eigs.shape == oracle.shape == lead + (n * d,)
-    assert np.all(np.abs(eigs - oracle) <= 1e-10 * largest[..., None])
-    assert np.all(
-        np.abs(block["eigenvalues"] - oracle) <= 1e-10 * largest[..., None]
+    for route in (got, block):
+        assert np.all(
+            np.abs(route["eigenvalues"] - oracle)
+            <= 1e-10 * largest[..., None]
+        )
+        assert np.all(
+            np.abs(np.subtract(route["hermiticity_residual"],
+                               want["hermiticity_residual"]))
+            <= 1e-10 * np.maximum(want["hermiticity_residual"], largest)
+        )
+    # the Cholesky frame, the one algebra_from_basis re-bases by, gives
+    # the same eigenvalues; it differs from the root frame by an
+    # orthogonal map, so its largest residual entry is only bounded
+    to_spec = np.kron(np.eye(n), np.linalg.cholesky(gram).T)
+    cholesky = weighted_spectrum(
+        to_spec @ matrices @ np.linalg.inv(to_spec)
     )
-    # the Gram root is the same conjugation as the dense root
     assert np.all(
-        np.abs(np.subtract(block["hermiticity_residual"],
-                           want["hermiticity_residual"]))
-        <= 1e-10 * np.maximum(want["hermiticity_residual"], largest)
+        np.abs(cholesky["eigenvalues"] - oracle) <= 1e-10 * largest[..., None]
     )
-    # the Cholesky frame differs from the root frame by an orthogonal map
     if perturbed:
         assert _max_entry_within_norm_bounds(
-            got["hermiticity_residual"], want["hermiticity_residual"], n * d
+            cholesky["hermiticity_residual"],
+            want["hermiticity_residual"],
+            n * d,
         )
     else:
         assert np.all(
-            np.asarray(got["hermiticity_residual"]) <= 1e-10 * largest
+            np.asarray(cholesky["hermiticity_residual"]) <= 1e-10 * largest
         )
     # verdicts agree wherever the smallest eigenvalue lies more than ten
     # floors away from the threshold of that verdict, and on the zero
