@@ -475,7 +475,7 @@ def parse_gform(payload: dict) -> GValuedForm:
 
 def parse_transverse_ricci(payload: dict) -> TransverseRicci:
     if "ricci" not in payload:
-        return TransverseRicci.einstein(8.0)
+        return TransverseRicci.einstein()
     mat = _matrix_from_nested(payload["ricci"], "ricci")
     if mat.shape != (3, 3):
         raise InputError("field 'ricci': expected a 3x3 nested array")
@@ -487,7 +487,7 @@ def parse_transverse_ricci(payload: dict) -> TransverseRicci:
 
 def parse_ricci7(payload: dict) -> RicciTensor7:
     if "ricci7" not in payload:
-        return RicciTensor7.einstein(6.0)
+        return RicciTensor7.einstein()
     mat = _matrix_from_nested(payload["ricci7"], "ricci7")
     if mat.shape != (7, 7):
         raise InputError("field 'ricci7': expected a 7x7 nested array")
@@ -656,9 +656,7 @@ def _cmd_classify(cfg: JobConfig, model, payload, F) -> tuple:
 @_reads_form
 def _cmd_spectrum(cfg: JobConfig, model, payload, F) -> tuple:
     ricci = parse_transverse_ricci(payload)
-    f_endo = build_F_operator(
-        F, model, allow_non_instanton=True, tol=cfg.tolerance
-    )
+    f_endo = build_F_operator(F)
     spectra = combined_spectra(f_endo, ricci)
     report = {
         "spectra": spectra,

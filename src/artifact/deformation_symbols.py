@@ -76,6 +76,7 @@ __all__ = [
     "FULL_C",
     "BASIC_B",
     "RANK_RELATIVE_THRESHOLD",
+    "COEFFICIENT_DIMS",
     "SAMPLE_BLOCK",
     "QuotientSpaces",
     "build_quotient_spaces",
@@ -91,8 +92,13 @@ __all__ = [
 FULL_C = "FULL_C"
 BASIC_B = "BASIC_B"
 
-# singular values below this fraction of the largest one count as zero
+# singular values below this fraction of the largest one count as zero;
+# read at call time, as is every module constant below
 RANK_RELATIVE_THRESHOLD = 1e-9
+
+# coefficient algebra dimensions d of a sweep: every covector is counted
+# once per d
+COEFFICIENT_DIMS = (1, 3)
 
 # covectors per block of a sweep: the stacked maps of a block take a few
 # megabytes, whatever the sample count
@@ -276,26 +282,26 @@ def build_quotient_spaces(model: ContactModel) -> QuotientSpaces:
     return spaces
 
 
-def numerical_rank(
-    matrix: np.ndarray, threshold: float = RANK_RELATIVE_THRESHOLD
-) -> int:
-    """Rank by singular values relative to the largest one."""
+def numerical_rank(matrix: np.ndarray) -> int:
+    """Rank by singular values relative to the largest one: a value
+    counts when it exceeds ``RANK_RELATIVE_THRESHOLD`` times the largest
+    one, and an empty or zero matrix has rank zero."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.size == 0:
         return 0
-    return int(_stacked_ranks(matrix, threshold))
+    return int(_stacked_ranks(matrix))
 
 
-def _stacked_ranks(stack: np.ndarray, threshold: float) -> np.ndarray:
+def _stacked_ranks(stack: np.ndarray) -> np.ndarray:
     """Ranks of a stack of matrices (last two axes) by one stacked SVD.
 
-    A singular value counts when it exceeds ``threshold`` times the
-    largest one of its matrix; a matrix whose largest value is zero has
-    rank zero.
+    A singular value counts when it exceeds ``RANK_RELATIVE_THRESHOLD``
+    times the largest one of its matrix; a matrix whose largest value is
+    zero has rank zero.
     """
     values = np.linalg.svd(stack, compute_uv=False)
     top = values.max(axis=-1, initial=0.0)
-    count = np.sum(values > threshold * top[..., None], axis=-1)
+    count = np.sum(values > RANK_RELATIVE_THRESHOLD * top[..., None], axis=-1)
     return np.where(top == 0.0, 0, count)
 
 
@@ -371,17 +377,17 @@ def _stage_rows(dims, ranks) -> list:
 
 
 def exactness_report(
-    xi,
-    q: QuotientSpaces,
-    which: str = FULL_C,
-    d: int = 1,
-    threshold: float = RANK_RELATIVE_THRESHOLD,
+    xi, q: QuotientSpaces, which: str = FULL_C, d: int = 1
 ) -> dict:
-    """Rank and exactness data of a symbol sequence at one covector."""
+    """Rank and exactness data of a symbol sequence at one covector.
+
+    Ranks come from :func:`numerical_rank`; the report's
+    ``rank_threshold`` is the ``RANK_RELATIVE_THRESHOLD`` they used.
+    """
     vec = np.asarray(xi, dtype=float)
     maps = _stage_maps(vec, q, which, d)
     dims = q.dims(which, d)
-    ranks = [numerical_rank(m, threshold) for m in maps]
+    ranks = [numerical_rank(m) for m in maps]
     compositions = [
         float(np.max(np.abs(maps[k + 1] @ maps[k])))
         for k in range(len(maps) - 1)
@@ -402,7 +408,7 @@ def exactness_report(
         "stages": stages,
         "exact_everywhere": bool(exact_all),
         "degenerate": bool(degenerate),
-        "rank_threshold": float(threshold),
+        "rank_threshold": float(RANK_RELATIVE_THRESHOLD),
     }
     return report
 
@@ -426,12 +432,7 @@ def _covector_blocks(seed: int, samples: int):
 
 
 def batch_exactness(
-    q: QuotientSpaces,
-    which: str = FULL_C,
-    seed: int = 0,
-    samples: int = 100,
-    dims: tuple = (1, 3),
-    threshold: float = RANK_RELATIVE_THRESHOLD,
+    q: QuotientSpaces, which: str = FULL_C, seed: int = 0, samples: int = 100
 ) -> dict:
     """Exactness sweep over random covectors plus the axis directions.
 
@@ -452,16 +453,16 @@ def batch_exactness(
     dimension ``d`` tensors every map with the identity, which multiplies
     each rank by ``d``.  Every stage then has kernel ``d (s_k - r_k)`` and
     image ``d r_{k-1}``, so exactness does not depend on ``d``: the stage
-    verdict is worked out once per rank pattern.  Every covector and ``d``
-    counts as one report, as in a loop of :func:`exactness_report` (the
-    oracle route); the first three failures are reported in full by that
-    function.
+    verdict is worked out once per rank pattern.  Every covector and each
+    ``d`` of ``COEFFICIENT_DIMS`` counts as one report, as in a loop of
+    :func:`exactness_report` (the oracle route); the first three failures
+    are reported in full by that function.  Ranks use the same
+    ``RANK_RELATIVE_THRESHOLD`` as :func:`numerical_rank`.
     """
+    dims = COEFFICIENT_DIMS
     stage_dims = q.dims(which)
     tensors = q.symbol_tensors[which]
     checked, zero_axes, entries = q.probe_policies[which]
-    if any(d < 1 for d in dims):
-        raise ValueError("coefficient dimension must be at least 1")
     per_covector = len(dims)
     verdicts = {}
 
@@ -485,9 +486,7 @@ def batch_exactness(
             continue
         ranks = np.stack(
             [
-                _stacked_ranks(
-                    np.einsum("na,aij->nij", block, tensor), threshold
-                )
+                _stacked_ranks(np.einsum("na,aij->nij", block, tensor))
                 for tensor in tensors
             ],
             axis=1,
@@ -516,7 +515,7 @@ def batch_exactness(
         for row in failed[: 3 - len(failure_reports)]:
             for d in dims[: 3 - len(failure_reports)]:
                 failure_reports.append(
-                    exactness_report(block[row], q, which, int(d), threshold)
+                    exactness_report(block[row], q, which, int(d))
                 )
     out = {
         "which": which,

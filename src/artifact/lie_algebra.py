@@ -227,8 +227,10 @@ def _checked_spec(name, basis, structure, inner_scale, inner_mode,
 
 
 @functools.lru_cache(maxsize=_NAMED_CACHE_SIZE)
-def make_so(n: int, inner: str = "killing") -> LieAlgebraSpec:
-    """Real antisymmetric n x n matrices, basis E_ij - E_ji for i < j.
+def make_so(n: int) -> LieAlgebraSpec:
+    """Real antisymmetric n x n matrices, basis E_ij - E_ji for i < j,
+    with the negative Killing form as inner product (the negative trace
+    form for the abelian so(2)).
 
     For n = 5 the sign of the final generator is flipped, so that the
     triple of generators acting in the last three coordinates closes
@@ -245,7 +247,7 @@ def make_so(n: int, inner: str = "killing") -> LieAlgebraSpec:
             mats.append(m)
     if n == 5:
         mats[-1] = -mats[-1]
-    return algebra_from_basis(f"so({n})", np.array(mats), inner=inner)
+    return algebra_from_basis(f"so({n})", np.array(mats))
 
 
 @functools.lru_cache(maxsize=_NAMED_CACHE_SIZE)

@@ -331,7 +331,7 @@ def _suite_ricci_operator(model, seed, samples, tol) -> dict:
     """
     rng = np.random.default_rng(seed + 5)
     algebra = make_so(3)
-    endo = build_R_operator(TransverseRicci.einstein(8.0), algebra)
+    endo = build_R_operator(TransverseRicci.einstein(), algebra)
     identity_residual = float(
         np.max(np.abs(endo.matrix - 16.0 * np.eye(3 * algebra.dim)))
     )
@@ -495,7 +495,7 @@ def _suite_stiefel_pipeline(model, seed, samples, tol) -> dict:
     structure = structure_check(spec)
     sdci = sdci_verify(spec, model)
     witnesses = indefiniteness_search(
-        spec, model, seed=seed, samples=min(samples, 50)
+        spec, seed=seed, samples=min(samples, 50)
     )
     analytic = witnesses["analytic"]
     values_exact = (

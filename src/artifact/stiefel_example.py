@@ -77,11 +77,6 @@ SDCI_TOLERANCE = 1e-12
 # few megabytes, whatever the sample count
 SAMPLE_BLOCK = 4096
 
-# ambient Einstein constants in dimension 7: Ricci = 6 g, transverse
-# Ricci = 8 g on the horizontal distribution
-_AMBIENT_RICCI_SCALE = 6.0
-_TRANSVERSE_RICCI_SCALE = 8.0
-
 
 @dataclass(frozen=True)
 class StiefelSpec:
@@ -233,10 +228,7 @@ def structure_check(spec: StiefelSpec) -> dict:
 
 
 def indefiniteness_search(
-    spec: StiefelSpec,
-    model: ContactModel | None = None,
-    seed: int = 0,
-    samples: int = 200,
+    spec: StiefelSpec, seed: int = 0, samples: int = 200
 ) -> dict:
     """Witness sections of both signs for the curvature quadratic form.
 
@@ -252,6 +244,8 @@ def indefiniteness_search(
     the same stream as one ``(6, dim)`` draw per section, turned into one
     stack of sections and evaluated by :func:`quad_form_F_complex`.  The
     analytic witnesses go through :func:`quad_form_F` one at a time.
+    Everything is read from ``spec``: the curvature and the sections are
+    built on the fixed coefficient families, with no calibrated model.
     """
     if samples < 1:
         raise ValueError("need at least one random sample")
@@ -319,12 +313,9 @@ def stiefel_report(
     gauge = F.algebra
     structure = structure_check(spec)
     sdci = sdci_verify(spec, model)
-    indefinite = indefiniteness_search(spec, model, seed, samples)
-    ricci_t = TransverseRicci.einstein(_TRANSVERSE_RICCI_SCALE)
-    vanishing = vanishing_report(F, ricci_t, model)
-    stability = stability_report(
-        F, RicciTensor7.einstein(_AMBIENT_RICCI_SCALE), model
-    )
+    indefinite = indefiniteness_search(spec, seed, samples)
+    vanishing = vanishing_report(F, TransverseRicci.einstein(), model)
+    stability = stability_report(F, RicciTensor7.einstein(), model)
     fiber_norms = [
         float(norm_vec(gauge, row)) for row in np.eye(gauge.dim)
     ]

@@ -43,7 +43,6 @@ from .gauge_fields import (
     f_component_norm_matrix,
     f_components_from_gform,
     g_norm,
-    instanton_classify,
     phi_component_norm_matrix,
 )
 from .lie_algebra import (
@@ -96,7 +95,9 @@ class TransverseRicci:
 
     ``matrix[alpha - 1, mu - 1]`` holds the entry carrying one barred
     index alpha and one unbarred index mu; Hermitian symmetry ties the
-    two triangles.
+    two triangles.  The matrix is read-only, so what the operators read
+    of it (:attr:`pair_matrix`, :attr:`pair_spectrum`) is computed once
+    per tensor.
     """
 
     matrix: np.ndarray
@@ -125,9 +126,32 @@ class TransverseRicci:
         pair.setflags(write=False)
         return pair
 
+    @functools.cached_property
+    def pair_spectrum(self) -> tuple:
+        """What :func:`combined_spectra` reads of the pair matrix P,
+        computed once per tensor and read-only: the ascending eigenvalues
+        of its Hermitian part, its Hermiticity residual, and the shift c
+        when P equals ``c I_3`` entry for entry (each matrix of a stack
+        its own c), else None."""
+        pair = self.pair_matrix
+        eigenvalues, residual = _hermitian_spectrum(pair)
+        residual = np.asarray(residual)
+        for table in (eigenvalues, residual):
+            table.setflags(write=False)
+        shift = pair[..., 0, 0].real
+        if not np.array_equal(pair, shift[..., None, None] * np.eye(3)):
+            shift = None
+        return eigenvalues, residual, shift
+
     @classmethod
+    @functools.lru_cache(maxsize=_NAMED_CACHE_SIZE)
     def einstein(cls, scale: float = 8.0):
-        """Ricci tensor proportional to the transverse metric."""
+        """Ricci tensor proportional to the transverse metric.
+
+        The default 8.0 is the transverse Einstein constant in dimension
+        7.  The most recent ``_NAMED_CACHE_SIZE`` tensors are shared, so
+        their pair spectrum is solved once per process.
+        """
         return cls(matrix=scale * np.eye(3))
 
     @classmethod
@@ -243,28 +267,16 @@ def build_F_operator_from_components(fc: FComponents) -> TwoZeroEndo:
     return TwoZeroEndo(algebra=fc.algebra, matrix=matrix)
 
 
-def build_F_operator(
-    F: GValuedForm,
-    model: ContactModel,
-    allow_non_instanton: bool = False,
-    tol: float = 1e-9,
-) -> TwoZeroEndo:
-    """Curvature endomorphism of a 2-form curvature.
+def build_F_operator(F: GValuedForm) -> TwoZeroEndo:
+    """Curvature endomorphism of a 2-form curvature of any type.
 
-    The input must classify as type ``SD`` unless ``allow_non_instanton``
-    is set, in which case only the (1,1) table of the form enters.
+    Only the (1,1) table of the form enters; its (2,0)+(0,2) and
+    contact parts are dropped without a check, so the operator equals
+    :func:`build_F_operator_from_components` of the (1,1) part alone.
     """
-    if not allow_non_instanton:
-        label = instanton_classify(F, model, tol=tol)["label"]
-        if label != "SD":
-            raise ValueError(
-                f"curvature classifies as {label}, not SD; "
-                f"pass allow_non_instanton to proceed"
-            )
-    fc = f_components_from_gform(
-        F, tol=tol, strict=not allow_non_instanton
+    return build_F_operator_from_components(
+        f_components_from_gform(F, strict=False)
     )
-    return build_F_operator_from_components(fc)
 
 
 def apply_F_xi_path(
@@ -397,26 +409,6 @@ def _add_identity_blocks(out: np.ndarray, matrix, d: int) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=_NAMED_CACHE_SIZE)
-def _pair_spectrum(dtype: str, shape: tuple, raw: bytes) -> tuple:
-    """What :func:`combined_spectra` reads of a pair matrix P given by its
-    bytes, read-only: the ascending eigenvalues of its Hermitian part,
-    its Hermiticity residual, and the shift c when P equals ``c I_3``
-    entry for entry (each matrix of a stack its own c), else None.
-    Kept for the last ``_NAMED_CACHE_SIZE`` matrices, so a tensor
-    used for many calls, or rebuilt with the same entries, is solved
-    once."""
-    pair = np.frombuffer(raw, dtype=dtype).reshape(shape)
-    eigenvalues, residual = _hermitian_spectrum(pair)
-    residual = np.asarray(residual)
-    shift = pair[..., 0, 0].real
-    for table in (eigenvalues, residual):
-        table.setflags(write=False)
-    if not np.array_equal(pair, shift[..., None, None] * np.eye(3)):
-        shift = None
-    return eigenvalues, residual, shift
-
-
 def build_R_operator(ricci: TransverseRicci, algebra: LieAlgebraSpec) -> TwoZeroEndo:
     """Ricci endomorphism on stacked sections.
 
@@ -489,9 +481,9 @@ def combined_spectra(f_endo: TwoZeroEndo, ricci: TransverseRicci) -> dict:
     curvature spectrum shifted by c: one eigen-solve serves all three.
     Otherwise one :func:`weighted_spectrum` call solves the stack of the
     curvature operator and the combined one, a copy of the curvature
-    matrix with P added onto the diagonals of its d x d blocks.  P is
-    kept on the tensor, and the eigenvalues of its Hermitian part and the
-    Einstein test in a small cache keyed by P's bytes, so a tensor used
+    matrix with P added onto the diagonals of its d x d blocks.  P, the
+    eigenvalues of its Hermitian part and the Einstein test are kept on
+    the tensor (:attr:`TransverseRicci.pair_spectrum`), so a tensor used
     for many calls pays for them once.
 
     The curvature entry equals :func:`operator_spectrum` of ``f_endo`` bit
@@ -503,9 +495,7 @@ def combined_spectra(f_endo: TwoZeroEndo, ricci: TransverseRicci) -> dict:
     """
     d = f_endo.algebra.dim
     pair = ricci.pair_matrix
-    eigenvalues, residual, shift = _pair_spectrum(
-        pair.dtype.str, pair.shape, pair.tobytes()
-    )
+    eigenvalues, residual, shift = ricci.pair_spectrum
     ricci_spec = _spectrum_report(
         np.repeat(eigenvalues, d, axis=-1), residual.copy()
     )
@@ -610,8 +600,7 @@ def vanishing_report(
     )
 
     vanishes = (
-        (r_spec["positive"] and f_spec["positive"])
-        or (r_spec["positive"] and f_spec["nonnegative"])
+        (r_spec["positive"] and f_spec["nonnegative"])
         or energy_bound_holds
         or combined_spec["positive"]
     )

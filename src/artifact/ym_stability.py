@@ -47,6 +47,7 @@ from .flat_model import (
     left_wedge_matrix,
 )
 from .lie_algebra import (
+    _NAMED_CACHE_SIZE,
     BRACKET_NORM_BOUND,
     LieAlgebraSpec,
     _scalar,
@@ -148,11 +149,14 @@ class RicciTensor7:
         object.__setattr__(self, "matrix", mat)
 
     @classmethod
+    @functools.lru_cache(maxsize=_NAMED_CACHE_SIZE)
     def einstein(cls, scale: float = 6.0) -> "RicciTensor7":
         """Constant-multiple tensor ``scale * identity``.
 
         The default 6.0 is the constant of the Einstein normalization in
-        seven dimensions with three horizontal planes (2 * 3 = 6).
+        seven dimensions with three horizontal planes (2 * 3 = 6).  The
+        most recent ``_NAMED_CACHE_SIZE`` tensors are shared, so their
+        smallest eigenvalue is solved once per process.
         """
         return cls(np.eye(FORM_INDEX_COUNT) * float(scale))
 

@@ -331,7 +331,7 @@ def test_criterion_06_homogeneous_example():
         and sdci["component_trace"] < 1e-12
     )
 
-    search = indefiniteness_search(spec, MODEL, seed=0, samples=100)
+    search = indefiniteness_search(spec, seed=0, samples=100)
     plus = search["analytic"]["plus"]["doubled"]
     minus = search["analytic"]["minus"]["doubled"]
     signs_ok = (

@@ -364,8 +364,12 @@ class TestNumericalRank:
         assert numerical_rank(np.diag([1e-12, 1e-13])) == 2
         assert numerical_rank(np.diag([1e-12, 1e-22])) == 1
 
-    def test_threshold_parameter(self):
-        assert numerical_rank(np.diag([1.0, 1e-6]), threshold=1e-3) == 1
+    def test_threshold_parameter(self, monkeypatch):
+        # the cut is the module constant, read at call time
+        monkeypatch.setattr(
+            deformation_symbols, "RANK_RELATIVE_THRESHOLD", 1e-3
+        )
+        assert numerical_rank(np.diag([1.0, 1e-6])) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -420,12 +424,19 @@ def _oracle_covectors(seed, samples):
     return covectors
 
 
-def _oracle_reports(q, which, covectors, dims, threshold):
+def _oracle_reports(q, which, covectors, dims):
     """One exactness_report per covector and coefficient dimension."""
     return [
-        [exactness_report(vec, q, which, d, threshold) for d in dims]
+        [exactness_report(vec, q, which, d) for d in dims]
         for vec in covectors
     ]
+
+
+def _patch_sweep(mp, dims, threshold=RANK_RELATIVE_THRESHOLD):
+    """Set the sweep's coefficient dimensions and rank cut, which both
+    the batched route and the oracle read at call time."""
+    mp.setattr(deformation_symbols, "COEFFICIENT_DIMS", dims)
+    mp.setattr(deformation_symbols, "RANK_RELATIVE_THRESHOLD", threshold)
 
 
 def _oracle_sweep(which, seed, covectors, reports, dims):
@@ -491,8 +502,8 @@ def _oracle_sweep(which, seed, covectors, reports, dims):
     return out
 
 
-def _oracle(q, which, seed, covectors, dims, threshold):
-    reports = _oracle_reports(q, which, covectors, dims, threshold)
+def _oracle(q, which, seed, covectors, dims):
+    reports = _oracle_reports(q, which, covectors, dims)
     return _oracle_sweep(which, seed, covectors, reports, dims)
 
 
@@ -518,13 +529,13 @@ class TestBatchedSweepOracle:
     ):
         # sample counts at and next to multiples of a reduced block size
         samples = max(0, blocks * block + extra)
+        covectors = _oracle_covectors(seed, samples)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(deformation_symbols, "SAMPLE_BLOCK", block)
-            got = batch_exactness(
-                spaces, which, seed, samples, dims, threshold
-            )
-        covectors = _oracle_covectors(seed, samples)
-        assert got == _oracle(spaces, which, seed, covectors, dims, threshold)
+            _patch_sweep(mp, dims, threshold)
+            got = batch_exactness(spaces, which, seed, samples)
+            want = _oracle(spaces, which, seed, covectors, dims)
+        assert got == want
 
     @SWEEP_SETTINGS
     @given(
@@ -566,19 +577,16 @@ class TestBatchedSweepOracle:
                 "_covector_blocks",
                 lambda seed, samples: iter(blocks),
             )
-            got = batch_exactness(spaces, which, 0, 0, dims)
-        assert got == _oracle(
-            spaces, which, 0, covectors, dims, RANK_RELATIVE_THRESHOLD
-        )
+            _patch_sweep(mp, dims)
+            got = batch_exactness(spaces, which, 0, 0)
+        assert got == _oracle(spaces, which, 0, covectors, dims)
 
     @pytest.fixture(scope="class")
     def full_size(self, spaces):
         """Oracle reports for one block and two more covectors, at d=1."""
         covectors = _oracle_covectors(11, SAMPLE_BLOCK + 1)
         return covectors, {
-            which: _oracle_reports(
-                spaces, which, covectors, (1,), RANK_RELATIVE_THRESHOLD
-            )
+            which: _oracle_reports(spaces, which, covectors, (1,))
             for which in (FULL_C, BASIC_B)
         }
 
@@ -586,9 +594,12 @@ class TestBatchedSweepOracle:
     @pytest.mark.parametrize(
         "samples", [0, 1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1]
     )
-    def test_block_boundaries(self, spaces, full_size, which, samples):
+    def test_block_boundaries(
+        self, spaces, full_size, which, samples, monkeypatch
+    ):
         covectors, reports = full_size
-        got = batch_exactness(spaces, which, 11, samples, (1,))
+        _patch_sweep(monkeypatch, (1,))
+        got = batch_exactness(spaces, which, 11, samples)
         count = samples + 7
         want = _oracle_sweep(
             which, 11, covectors[:count], reports[which][:count], (1,)

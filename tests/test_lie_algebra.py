@@ -126,13 +126,12 @@ def test_abelian_closed_form_matches_basis_oracle(d):
 
 
 def test_killing_proportional_to_trace():
-    for factory, n, expected in (
-        (make_so, 3, 1.0),
-        (make_so, 5, 3.0),
-        (make_su, 2, 4.0),
+    for killing, expected in (
+        (make_so(3), 1.0),
+        (make_so(5), 3.0),
+        (make_su(2), 4.0),
     ):
-        killing = factory(n)
-        trace = factory(n, inner="trace")
+        trace = algebra_from_basis(killing.name, killing.basis, inner="trace")
         assert killing.inner_scale == expected * trace.inner_scale
         assert np.array_equal(killing.basis, trace.basis)
 
@@ -584,6 +583,6 @@ def test_pair_blocks_do_not_change_the_result(monkeypatch, so5):
         algebra_from_basis("open", _open_at_pair_0_2())
 
 
-def test_rejects_unknown_inner():
-    with pytest.raises(ValueError):
-        make_so(3, inner="exotic")
+def test_rejects_unknown_inner(so3):
+    with pytest.raises(ValueError, match="unknown inner mode"):
+        algebra_from_basis("so(3)", so3.basis, inner="exotic")

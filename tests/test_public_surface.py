@@ -41,11 +41,8 @@ KEPT_PARAMETERS = {
         "the benchmark's library_batch calls bidegree_split(form, model) "
         "positionally, as it calls project",
     ("weitzenbock_engine.py", "vanishing_report", "model"):
-        "the benchmark's library_batch and tests/test_acceptance.py call "
+        "the benchmark's library_batch calls "
         "vanishing_report(form, ricci, model) positionally",
-    ("stiefel_example.py", "indefiniteness_search", "model"):
-        "tests/test_acceptance.py calls indefiniteness_search(spec, model, "
-        "...) positionally",
 }
 # registry signatures: every command handler and selftest suite takes
 # the same arguments, whether it reads them or not
@@ -400,6 +397,20 @@ def test_every_import_is_read():
             if name not in read
         ]
     assert unused == []
+
+
+def test_declared_numpy_floor_covers_the_calls():
+    # np.vecdot is new in NumPy 2.0; Python 3.10 has no tomllib, so the
+    # declared floor is read from pyproject.toml by pattern
+    declared = re.search(
+        r'"numpy>=(\d+)\.(\d+)', (ROOT / "pyproject.toml").read_text()
+    )
+    assert declared
+    floor = (int(declared[1]), int(declared[2]))
+    calls = [path.name for path in PACKAGE.rglob("*.py")
+             if "np.vecdot(" in path.read_text()]
+    assert calls
+    assert floor >= (2, 0), calls
 
 
 def test_readme_quickstart_runs():

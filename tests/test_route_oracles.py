@@ -71,7 +71,6 @@ from artifact.weitzenbock_engine import (
     TwoZeroEndo,
     _add_identity_blocks,
     _identity_blocks,
-    _pair_spectrum,
     build_F_operator_from_components,
     build_R_operator,
     combined_spectra,
@@ -527,23 +526,32 @@ def test_two_form_families_read_only_and_equal_rebuild():
 
 
 def test_pair_spectrum_read_only_bounded_and_equal_rebuild():
-    pair = TransverseRicci.from_diagonal([1.0, 2.0, 4.0]).pair_matrix
-    _assert_read_only(pair)
-    key = (pair.dtype.str, pair.shape, pair.tobytes())
-    cached = _pair_spectrum(*key)
-    assert _pair_spectrum(*key) is cached
+    ricci = TransverseRicci.from_diagonal([1.0, 2.0, 4.0])
+    _assert_read_only(ricci.pair_matrix)
+    cached = ricci.pair_spectrum
+    assert ricci.pair_spectrum is cached
     eigenvalues, residual, shift = cached
     for array in (eigenvalues, residual):
         _assert_read_only(array)
-    rebuilt = _pair_spectrum.__wrapped__(*key)
+    # a tensor rebuilt with the same entries solves to the same spectrum
+    rebuilt = TransverseRicci(matrix=ricci.matrix).pair_spectrum
+    assert rebuilt is not cached
     assert np.array_equal(eigenvalues, rebuilt[0])
     assert residual == rebuilt[1] == 0.0 and shift is rebuilt[2] is None
     assert np.array_equal(eigenvalues, [3.0, 5.0, 6.0])
-    assert _pair_spectrum.cache_info().maxsize == _NAMED_CACHE_SIZE
+    # the Einstein tensors are shared, so their spectrum is solved once;
+    # only the most recent ones are kept
+    for cls in (TransverseRicci, RicciTensor7):
+        assert cls.einstein() is cls.einstein()
+        assert cls.einstein.cache_info().maxsize == _NAMED_CACHE_SIZE
     for k in range(2 * _NAMED_CACHE_SIZE + 3):
-        einstein = TransverseRicci.einstein(1.0 + k).pair_matrix
-        _pair_spectrum(einstein.dtype.str, einstein.shape, einstein.tobytes())
-        assert _pair_spectrum.cache_info().currsize <= _NAMED_CACHE_SIZE
+        einstein = TransverseRicci.einstein(1.0 + k)
+        assert einstein.pair_spectrum is einstein.pair_spectrum
+        shift = einstein.pair_spectrum[2]
+        _assert_read_only(shift)
+        assert shift == 2.0 * (1.0 + k)
+        currsize = TransverseRicci.einstein.cache_info().currsize
+        assert currsize <= _NAMED_CACHE_SIZE
 
 
 # ---------------------------------------------------------------------------

@@ -188,8 +188,8 @@ class TestSdci:
 
 
 class TestIndefiniteness:
-    def test_analytic_witnesses_exact(self, spec, model):
-        out = indefiniteness_search(spec, model, seed=0, samples=10)
+    def test_analytic_witnesses_exact(self, spec):
+        out = indefiniteness_search(spec, seed=0, samples=10)
         plus = out["analytic"]["plus"]
         minus = out["analytic"]["minus"]
         assert plus["quad"] == 4.0
@@ -202,39 +202,39 @@ class TestIndefiniteness:
         assert minus["display"] == -6.0
         assert out["indefinite"]
 
-    def test_display_value_is_scale_invariant(self, model):
+    def test_display_value_is_scale_invariant(self):
         # display = y2 * expansion and expansion = 6 / y2 exactly, so
         # the displayed pairing stays 6 at every metric scale
         for y2 in (3.0 / 8.0, 1.0, 2.0):
             out = indefiniteness_search(
-                build_stiefel(1.0, y2, 1.0), model, seed=0, samples=1
+                build_stiefel(1.0, y2, 1.0), seed=0, samples=1
             )
             assert out["analytic"]["plus"]["display"] == pytest.approx(6.0)
 
-    def test_witness_rows_recorded(self, spec, model):
-        out = indefiniteness_search(spec, model, seed=0, samples=1)
+    def test_witness_rows_recorded(self, spec):
+        out = indefiniteness_search(spec, seed=0, samples=1)
         rows = np.asarray(out["analytic"]["plus"]["rows"])
         assert rows.shape == (6, 3)
         assert rows[2, 1] == 1.0
         assert rows[4, 2] == 1.0
         assert np.count_nonzero(rows) == 2
 
-    def test_random_search_finds_both_signs(self, spec, model):
-        out = indefiniteness_search(spec, model, seed=0, samples=50)
+    def test_random_search_finds_both_signs(self, spec):
+        out = indefiniteness_search(spec, seed=0, samples=50)
         assert out["random"]["best_positive"] > 0.0
         assert out["random"]["best_negative"] < 0.0
 
-    def test_search_is_deterministic(self, spec, model):
-        first = indefiniteness_search(spec, model, seed=7, samples=25)
-        second = indefiniteness_search(spec, model, seed=7, samples=25)
+    def test_search_is_deterministic(self, spec):
+        first = indefiniteness_search(spec, seed=7, samples=25)
+        second = indefiniteness_search(spec, seed=7, samples=25)
         assert first == second
 
-    def test_sample_count_enforced(self, spec, model):
+    def test_sample_count_enforced(self, spec):
         with pytest.raises(ValueError):
-            indefiniteness_search(spec, model, samples=0)
+            indefiniteness_search(spec, samples=0)
 
 
-def _oracle_quads(spec, model, seed, samples):
+def _oracle_quads(spec, seed, samples):
     """Per-sample draws and quadratic forms, one section at a time."""
     F = alpha_curvature(spec)
     gauge = F.algebra
@@ -270,9 +270,9 @@ class TestBatchedSearchOracle:
     # values equal the per-sample ones exactly
 
     @pytest.fixture(scope="class")
-    def oracle_quads(self, spec, model):
+    def oracle_quads(self, spec):
         return {
-            seed: _oracle_quads(spec, model, seed, SAMPLE_BLOCK + 1)
+            seed: _oracle_quads(spec, seed, SAMPLE_BLOCK + 1)
             for seed in (0, 3, 2024)
         }
 
@@ -280,27 +280,25 @@ class TestBatchedSearchOracle:
     @pytest.mark.parametrize(
         "samples", [1, 2, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1]
     )
-    def test_matches_per_sample_loop(
-        self, spec, model, oracle_quads, seed, samples
-    ):
-        got = indefiniteness_search(spec, model, seed=seed, samples=samples)
+    def test_matches_per_sample_loop(self, spec, oracle_quads, seed, samples):
+        got = indefiniteness_search(spec, seed=seed, samples=samples)
         want = _oracle_random(seed, oracle_quads[seed][:samples])
         assert got["random"] == want
 
-    def test_matches_away_from_einstein(self, model):
+    def test_matches_away_from_einstein(self):
         spec = build_stiefel(1.0, 2.0, 0.5)
-        got = indefiniteness_search(spec, model, seed=9, samples=300)
-        quads = _oracle_quads(spec, model, 9, 300)
+        got = indefiniteness_search(spec, seed=9, samples=300)
+        quads = _oracle_quads(spec, 9, 300)
         assert got["random"] == _oracle_random(9, quads)
 
-    def test_search_independent_of_block_size(self, spec, model):
+    def test_search_independent_of_block_size(self, spec):
         samples = SAMPLE_BLOCK + 100
-        whole = indefiniteness_search(spec, model, seed=4, samples=samples)
+        whole = indefiniteness_search(spec, seed=4, samples=samples)
         for block in (7, 97, 1000):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(stiefel_example, "SAMPLE_BLOCK", block)
                 assert indefiniteness_search(
-                    spec, model, seed=4, samples=samples
+                    spec, seed=4, samples=samples
                 ) == whole
 
     @pytest.mark.parametrize("seed", [0, 17])
@@ -410,5 +408,5 @@ class TestStiefelReport:
         spec = build_stiefel()
         assert shared["sdci"] == sdci_verify(spec, model)
         assert shared["indefiniteness"] == indefiniteness_search(
-            spec, model, seed=3, samples=20
+            spec, seed=3, samples=20
         )

@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from artifact.flat_model import calibrate_model, standard_two_form_families
+from artifact.flat_model import (
+    REEB_INDEX,
+    KForm,
+    calibrate_model,
+    standard_two_form_families,
+)
 from artifact.gauge_fields import (
     f_components_from_w,
     g_norm,
@@ -31,6 +36,7 @@ from artifact.weitzenbock_engine import (
     TransverseRicci,
     TwoZeroEndo,
     V_QUAD_TO_OPERATOR_FACTOR,
+    _spectrum_report,
     apply_F_xi_path,
     build_F_operator,
     build_F_operator_from_components,
@@ -311,23 +317,28 @@ class TestCurvatureOperator:
             scale = max(first.norm_20() * second.norm_20(), 1.0)
             assert endo.adjoint_residual(first, second) <= 1e-10 * scale
 
-    def test_build_from_form_requires_instanton(self, su2, model):
-        rng = np.random.default_rng(15)
-        b = rng.standard_normal((6, 3))
-        v_family = standard_two_form_families()["v"]
-        F = gform_from_terms(su2, 2, list(zip(v_family, b)))
-        with pytest.raises(ValueError):
-            build_F_operator(F, model)
-
-    def test_build_from_form_matches_components(self, su2, model):
+    def test_build_from_form_matches_components(self, su2):
         rng = np.random.default_rng(16)
         a = rng.standard_normal((8, 3))
         F = gform_from_w_coefficients(su2, a)
-        endo_form = build_F_operator(F, model)
+        endo_form = build_F_operator(F)
         endo_direct = build_F_operator_from_components(
             f_components_from_w(su2, a)
         )
         assert np.allclose(endo_form.matrix, endo_direct.matrix, atol=1e-13)
+        # (2,0)+(0,2) and contact parts beside the (1,1) part are dropped:
+        # on integer coefficients every sum is exact, so the operator
+        # equals that of the (1,1) part alone bit for bit
+        others = list(standard_two_form_families()["v"]) + [
+            KForm.basis(k, REEB_INDEX) for k in range(1, REEB_INDEX)
+        ]
+        a = rng.integers(-4, 5, size=(8, 3)).astype(float)
+        b = rng.integers(-4, 5, size=(len(others), 3)).astype(float)
+        pure = gform_from_w_coefficients(su2, a)
+        mixed = pure + gform_from_terms(su2, 2, list(zip(others, b)))
+        assert np.array_equal(
+            build_F_operator(mixed).matrix, build_F_operator(pure).matrix
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +461,51 @@ class TestWeightedSpectrum:
         spec = operator_spectrum(build_F_operator_from_components(fc))
         assert spec["hermiticity_residual"] <= 1e-10
         assert spec["eigenvalues"].shape == (9,)
+
+
+# the two verdict thresholds of a spectrum report, in floors of its
+# largest eigenvalue magnitude
+_VERDICT_THRESHOLDS = {"positive": 1.0, "nonnegative": -1.0}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lead=st.sampled_from([(), (1,), (4,), (2, 3)]),
+    size=st.integers(2, 6),
+    data=st.data(),
+)
+def test_positive_implies_nonnegative(lead, size, data):
+    # stacks of spectra that are zero or whose smallest eigenvalue sits
+    # 0, +-1 or +-10 floors from either verdict threshold; the vanishing
+    # verdict relies on positive implying nonnegative
+    spectra, offsets = [], []
+    for _ in range(int(np.prod(lead, dtype=int))):
+        thresholds = [None, *_VERDICT_THRESHOLDS.values()]
+        offset = data.draw(st.sampled_from(thresholds))
+        if offset is None:
+            spectra.append(np.zeros(size))
+            offsets.append(None)
+            continue
+        offset += data.draw(st.sampled_from([-10.0, -1.0, 0.0, 1.0, 10.0]))
+        largest = data.draw(st.sampled_from([1e-300, 1e-3, 1.0, 16.0, 1e300]))
+        low = offset * POSITIVITY_RELATIVE_FLOOR * largest
+        middle = data.draw(st.lists(st.floats(0.0, 1.0), min_size=size - 2,
+                                    max_size=size - 2))
+        spectra.append(np.sort(
+            [low, largest] + [low + t * (largest - low) for t in middle]
+        ))
+        offsets.append(offset)
+    spectrum = np.array(spectra).reshape(lead + (size,))
+    report = _spectrum_report(spectrum, np.zeros(lead))
+    positive = np.asarray(report["positive"])
+    nonnegative = np.asarray(report["nonnegative"])
+    assert positive.shape == nonnegative.shape == lead
+    assert np.all(nonnegative[positive])
+    # ten floors from a threshold, the verdict is decided
+    for index, offset in zip(np.ndindex(lead), offsets):
+        for key, threshold in _VERDICT_THRESHOLDS.items():
+            if offset is not None and abs(offset - threshold) == 10.0:
+                assert np.asarray(report[key])[index] == (offset > threshold)
 
 
 # smallest eigenvalue of the block-spectrum operators, in floors of the
