@@ -151,6 +151,8 @@ class JobConfig:
             raise InputError(f"unknown command {self.command!r}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise InputError("tolerance must be a positive finite number")
+        if self.seed < 0:
+            raise InputError(f"seed must be non-negative, not {self.seed}")
         if self.samples < 1:
             raise InputError("samples must be at least 1")
         if self.format not in ("json", "csv"):

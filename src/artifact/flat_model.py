@@ -140,6 +140,17 @@ def _wedge_table(p: int, q: int) -> tuple:
 _WEDGE = {(p, q): _wedge_table(p, q) for p in range(8) for q in range(8 - p)}
 
 
+def _wedge_incidence(p: int, q: int) -> np.ndarray:
+    """Signed incidence of ``_WEDGE[p, q]``: entry ``(t, k)`` is the sign
+    with which pair ``k`` lands on the monomial of row ``t``, zero off
+    its target.  Its product with per-pair values adds them into the
+    monomials of degree ``p + q``."""
+    target, _, _, sign = _WEDGE[p, q]
+    out = np.zeros((len(_BASIS_KEYS[p + q]), len(target)))
+    out[target, np.arange(len(target))] = sign
+    return out
+
+
 def _signed_map(source_masks: np.ndarray, target_masks: np.ndarray,
                 sign, target_degree: int) -> tuple:
     """(source, target, sign, size) of a map between monomial bases."""

@@ -55,6 +55,7 @@ from .flat_model import (
     CalibrationError,
     ContactModel,
     _locate,
+    _wedge_incidence,
     basis_keys,
     standard_two_form_families,
 )
@@ -69,6 +70,7 @@ from .form_decomposition import (
 from .lie_algebra import (
     LieAlgebraSpec,
     _scalar,
+    bracket_vec,
     inner_vec,
     norm_vec,
 )
@@ -221,29 +223,29 @@ def g_wedge_bracket(phi: GValuedForm, psi: GValuedForm) -> GValuedForm:
     the matrix entries of both forms, and the tests against a bracket
     of scalar entry forms.
 
-    The contraction is one matrix product: the outer products of the
-    paired coefficient vectors, flattened to ``d * d`` columns, times the
-    structure constants reshaped to ``(d * d, d)``.  Two stacks of forms
-    of the same shape give the stack of their brackets.
+    Every pair of monomials is bracketed in one :func:`bracket_vec` call,
+    and the signed pair brackets are added into their target monomials
+    by one product with the signed incidence of the wedge table.  Two
+    stacks of forms of the same shape give the stack of their brackets.
     """
     if phi.algebra is not psi.algebra:
         raise ValueError("forms take values in different algebras")
     total_degree = phi.degree + psi.degree
     if total_degree > 7:
         raise ValueError("bracket degree exceeds the fiber dimension")
-    target, left, right, sign = _WEDGE[phi.degree, psi.degree]
-    d = phi.algebra.dim
-    outer = psi.matrix[right][..., :, None] * phi.matrix[left][..., None, :]
-    brackets = (
-        outer.reshape(outer.shape[:-2] + (d * d,))
-        @ phi.algebra.structure.reshape(d * d, d)
+    _, left, right, _ = _WEDGE[phi.degree, psi.degree]
+    brackets = bracket_vec(phi.algebra, psi.matrix[right], phi.matrix[left])
+    incidence = _wedge_incidence(phi.degree, psi.degree)
+    # the pair axis contracted by one real product, the real and imaginary
+    # parts of the brackets standing side by side as its columns
+    columns = np.ascontiguousarray(brackets, dtype=complex).reshape(
+        len(left), -1
     )
-    matrix = np.zeros(
-        (len(basis_keys(total_degree)),) + brackets.shape[1:], dtype=complex
+    matrix = (incidence @ columns.view(np.float64)).view(complex)
+    return GValuedForm._wrap(
+        phi.algebra, total_degree,
+        matrix.reshape((len(incidence),) + brackets.shape[1:]),
     )
-    signs = sign.reshape((-1,) + (1,) * (brackets.ndim - 1))
-    np.add.at(matrix, target, signs * brackets)
-    return GValuedForm._wrap(phi.algebra, total_degree, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +302,13 @@ class TwoZeroSection:
         return _scalar(np.sqrt(np.maximum(value, 0.0)))
 
 
-def _as_rows(algebra: LieAlgebraSpec, rows, count: int) -> np.ndarray:
-    """Rows of shape ``(..., count, dim)``; leading axes run over a stack."""
-    arr = np.asarray(rows, dtype=complex)
+def _as_rows(algebra: LieAlgebraSpec, rows, count: int,
+             dtype=complex) -> np.ndarray:
+    """Rows of shape ``(..., count, dim)``; leading axes run over a stack.
+
+    ``dtype=None`` keeps the dtype of ``rows``.
+    """
+    arr = np.asarray(rows, dtype=dtype)
     if arr.ndim < 2 or arr.shape[-2:] != (count, algebra.dim):
         raise ValueError(
             f"expected a (..., {count}, {algebra.dim}) coefficient array"
@@ -317,12 +323,22 @@ def two_zero_from_v_coefficients(
 
     ``b_rows`` has shape ``(..., 6, dim)``, its leading axes running over
     a stack of sections; row ``k`` of the section is
-    ``(b[..., 2k, :] - i b[..., 2k + 1, :]) / 2``.
+    ``(b[..., 2k, :] - i b[..., 2k + 1, :]) / 2``.  The real and
+    imaginary parts of that expression are written straight into the
+    section's array, which real rows fill without a complex product; the
+    components equal the complex expression bit for bit.
     """
-    b = np.moveaxis(_as_rows(algebra, b_rows, 6), -2, 0)
-    return TwoZeroSection(
-        algebra, np.ascontiguousarray((b[0::2] - 1j * b[1::2]) / 2.0)
-    )
+    b = np.moveaxis(_as_rows(algebra, b_rows, 6, dtype=None), -2, 0)
+    even, odd = b[0::2], b[1::2]
+    phi = np.empty(even.shape, dtype=complex)
+    if np.iscomplexobj(b):
+        np.add(even.real, odd.imag, out=phi.real)
+        np.subtract(even.imag, odd.real, out=phi.imag)
+    else:
+        phi.real = even
+        np.subtract(0.0, odd, out=phi.imag)
+    phi *= 0.5
+    return TwoZeroSection(algebra, phi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,11 +396,19 @@ _W_GRAM = (_W_VECTORS @ _W_VECTORS.conj().T).real
 def gform_from_w_coefficients(algebra: LieAlgebraSpec, a_rows) -> GValuedForm:
     """The 2-form ``sum_i a_i w_i`` as a :class:`GValuedForm`.
 
-    Rows of shape ``(..., 8, dim)`` give the stack of their forms.
+    Rows of shape ``(..., 8, dim)`` give the stack of their forms.  The
+    family's entries are 0 and +-1, at most two per monomial, so every
+    coefficient is exact whatever the order of its sum.
     """
-    a = _as_rows(algebra, a_rows, 8)
+    a = _as_rows(algebra, a_rows, 8, dtype=None)
+    # one real product of the family's real entries with the rows, the
+    # real and imaginary parts of complex rows side by side as columns
+    dtype = complex if np.iscomplexobj(a) else float
+    columns = np.moveaxis(a.astype(dtype, copy=False), -2, 0).reshape(8, -1)
+    product = (_W_VECTORS.real.T @ columns.view(np.float64)).view(dtype)
+    matrix = product.astype(complex, copy=False)
     return GValuedForm._wrap(
-        algebra, 2, np.einsum("tk,...td->k...d", _W_VECTORS, a)
+        algebra, 2, matrix.reshape((len(matrix),) + a.shape[:-2] + a.shape[-1:])
     )
 
 

@@ -32,6 +32,7 @@ kernels agree bit for bit.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,6 +93,17 @@ class LieAlgebraSpec:
     def dim(self) -> int:
         return self.basis.shape[0]
 
+    @functools.cached_property
+    def _real_tables(self) -> tuple | None:
+        """``(basis, coeff_pinv)`` as real arrays when neither has an
+        imaginary part, else None; computed on first use."""
+        if self.basis.imag.any() or self.coeff_pinv.imag.any():
+            return None
+        tables = (self.basis.real.copy(), self.coeff_pinv.real.copy())
+        for table in tables:
+            table.setflags(write=False)
+        return tables
+
 
 def killing_matrix(structure: np.ndarray) -> np.ndarray:
     """Gram matrix of the Killing form, traced through ad matrices."""
@@ -106,20 +118,24 @@ def _trace_gram(basis: np.ndarray) -> np.ndarray:
     return gram.real
 
 
-def _structure_constants(mats: np.ndarray) -> tuple:
-    """Structure constants and coefficient pseudo-inverse of a basis."""
-    d = mats.shape[0]
-    flat = mats.reshape(d, -1)
+def _coefficient_pinv(flat: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse extracting coefficients on the rows of ``flat``, the
+    flattened basis matrices.  An orthogonal basis has an exact closed
+    form, which keeps integer structure constants exact."""
     overlap = flat @ flat.conj().T
     diag = np.real(np.diag(overlap)).copy()
     if np.array_equal(overlap, np.diag(np.diag(overlap))) and np.all(
         diag > 0.0
     ):
-        # orthogonal basis: the coefficient extraction has an exact
-        # closed form, which keeps integer structure constants exact
-        pinv = flat.conj() / diag[:, None]
-    else:
-        pinv = np.linalg.pinv(flat.T)
+        return flat.conj() / diag[:, None]
+    return np.linalg.pinv(flat.T)
+
+
+def _structure_constants(mats: np.ndarray) -> tuple:
+    """Structure constants and coefficient pseudo-inverse of a basis."""
+    d = mats.shape[0]
+    flat = mats.reshape(d, -1)
+    pinv = _coefficient_pinv(flat)
     if np.linalg.matrix_rank(flat) < d:
         raise ValueError("basis matrices are linearly dependent")
 
@@ -338,7 +354,7 @@ def subalgebra_spec(
         np.asarray(parent.structure[np.ix_(picks, picks, picks)]),
         parent.inner_scale,
         parent.inner_mode,
-        np.linalg.pinv(basis.reshape(len(picks), -1).T),
+        _coefficient_pinv(basis.reshape(len(picks), -1)),
     )
 
 
@@ -348,31 +364,85 @@ def _scalar(value):
     return value.item() if value.ndim == 0 else value
 
 
+def _columns(u: np.ndarray, lead: tuple, d: int) -> np.ndarray:
+    """The ``(d, m)`` view of a ``(..., d)`` array broadcast to ``lead``:
+    column ``n`` is the vector of sample ``n``, ``m = prod(lead)``.  A
+    single vector is one ``(d, 1)`` column, which broadcasts in turn."""
+    if u.ndim == 1:
+        return u[:, None]
+    if u.shape[:-1] != lead:
+        u = np.broadcast_to(u, lead + (d,))
+    return u.reshape(math.prod(lead), d).T
+
+
+def _bracket_columns(spec: LieAlgebraSpec, u, v) -> np.ndarray:
+    """[u, v] of ``(d, m)`` arrays whose columns are coefficient vectors.
+
+    With the sample axis last, each outer product ``u_i v_j`` is one long
+    complex elementwise product over the samples, and the ``(d*d, m)``
+    block of them is contracted with the ``(d, d*d)`` view of the
+    structure constants as one real matrix product, the real and
+    imaginary parts of the products standing side by side as its
+    columns.  Real and complex columns take the same complex route, so a
+    bracket does not depend on the dtype of its arguments, nor on the
+    number of samples beside it.
+    """
+    d = spec.dim
+    m = u.shape[-1] if v.shape[-1] == 1 else v.shape[-1]
+    outer = np.empty((d, d, m), dtype=complex)
+    np.multiply(u[:, None, :], v[None, :, :], out=outer)
+    columns = outer.reshape(d * d, -1).view(np.float64)
+    return (spec.structure.reshape(d * d, d).T @ columns).view(complex)
+
+
 def bracket_vec(spec: LieAlgebraSpec, u, v) -> np.ndarray:
     """[u, v] through the structure constants.
 
-    The outer products ``u_i v_j`` are contracted with the structure
-    constants as one matrix product against their ``(d*d, d)`` view.
+    The stacks are turned into ``(d, m)`` column arrays, sample axis last,
+    and bracketed by one structure-constant contraction over all samples
+    (:func:`_bracket_columns`).
     """
     d = spec.dim
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    outer = u[..., :, None] * v[..., None, :]
-    flat = outer.reshape(outer.shape[:-2] + (d * d,))
-    return flat @ spec.structure.reshape(d * d, d)
+    u = np.asarray(u)
+    v = np.asarray(v)
+    lead = u.shape[:-1]
+    if v.shape[:-1] != lead:
+        lead = np.broadcast_shapes(lead, v.shape[:-1])
+    flat = _bracket_columns(spec, _columns(u, lead, d), _columns(v, lead, d))
+    # back to one contiguous row per sample, as a single bracket has it, so
+    # that reductions over the algebra axis add in the same order
+    return np.ascontiguousarray(flat.T).reshape(lead + (d,))
+
+
+def _real_or_complex(spec: LieAlgebraSpec, values) -> tuple:
+    """``values`` as an array with the tables it meets: real values on an
+    algebra with real tables stay real, anything else becomes complex."""
+    values = np.asarray(values)
+    tables = spec._real_tables
+    if tables is None or np.iscomplexobj(values):
+        return values.astype(complex, copy=False), (spec.basis, spec.coeff_pinv)
+    return values.astype(float, copy=False), tables
 
 
 def matrix_of(spec: LieAlgebraSpec, u) -> np.ndarray:
-    """The matrix represented by a coefficient vector."""
-    return np.einsum(
-        "...i,iab->...ab", np.asarray(u, dtype=complex), spec.basis
-    )
+    """The matrix represented by a coefficient vector.
+
+    One matrix product of the coefficients with the flattened basis;
+    real coefficients on a real basis give real matrices.
+    """
+    u, (basis, _) = _real_or_complex(spec, u)
+    n = basis.shape[-1]
+    flat = u @ basis.reshape(spec.dim, n * n)
+    return flat.reshape(u.shape[:-1] + (n, n))
 
 
 def coeffs_of(spec: LieAlgebraSpec, mat) -> np.ndarray:
-    """Coefficient vector of a matrix; rejects matrices outside the span."""
-    m = np.asarray(mat, dtype=complex)
-    coeff = m.reshape(m.shape[:-2] + (-1,)) @ spec.coeff_pinv.T
+    """Coefficient vector of a matrix; rejects matrices outside the span.
+
+    Real matrices of an algebra with a real basis give real coefficients.
+    """
+    m, (_, pinv) = _real_or_complex(spec, mat)
+    coeff = m.reshape(m.shape[:-2] + (-1,)) @ pinv.T
     resid = np.linalg.norm(matrix_of(spec, coeff) - m, axis=(-2, -1))
     scale = np.maximum(np.linalg.norm(m, axis=(-2, -1)), 1.0)
     if np.any(resid > _SPAN_TOLERANCE * scale):
@@ -428,27 +498,33 @@ def bracket_norm_check(
 
     Draws real and complex coefficient pairs plus every basis pair,
     records the maximum ratio, and compares it with the sqrt(2) bound.
-    The pairs are drawn one by one (whether a pair is complex is itself
-    random) and the ratios are evaluated on the stack of all of them.
+    Whether a pair is complex is itself random, so the pairs are drawn
+    one by one: per pair one ``standard_normal`` of both real parts, one
+    uniform draw, and for a complex pair one ``standard_normal`` of both
+    imaginary parts, each written into its row of a preallocated array
+    (the stream of a ``standard_normal(d)`` per vector and part).  The
+    basis pairs follow the drawn ones, and the ratios are evaluated on
+    the whole stack.
     """
     rng = np.random.default_rng(seed)
     d = spec.dim
-    first, second = [], []
-    for _ in range(samples):
-        u = rng.standard_normal(d)
-        v = rng.standard_normal(d)
-        if rng.random() < 0.5:
-            u = u + 1j * rng.standard_normal(d)
-            v = v + 1j * rng.standard_normal(d)
-        first.append(u)
-        second.append(v)
+    # (pair, first or second, algebra)
+    drawn = max(samples, 0)
+    real = np.zeros((drawn + d * d, 2, d))
+    imag = np.zeros_like(real)
+    normal, uniform = rng.standard_normal, rng.random
+    for re_row, im_row in zip(real[:drawn], imag[:drawn]):
+        normal(out=re_row)
+        if uniform() < 0.5:
+            normal(out=im_row)
     basis = np.eye(d)
-    for i in range(d):
-        for j in range(d):
-            first.append(basis[i])
-            second.append(basis[j])
-    first = np.array(first, dtype=complex)
-    second = np.array(second, dtype=complex)
+    real[drawn:, 0] = np.repeat(basis, d, axis=0)
+    real[drawn:, 1] = np.tile(basis, (d, 1))
+    # (first or second, pair, algebra): each side one contiguous stack
+    first, second = np.empty((2,) + real[:, 0].shape, dtype=complex)
+    for side, part in ((first, 0), (second, 1)):
+        side.real = real[:, part]
+        side.imag = imag[:, part]
     scale = norm_vec(spec, first) * norm_vec(spec, second)
     keep = scale != 0.0
     ratios = norm_vec(spec, bracket_vec(spec, first[keep], second[keep]))

@@ -10,6 +10,13 @@ report order; :func:`run_selftest` runs them all and is what the
 sample-by-sample loops the stacked suites replaced are the labelled
 oracles of ``tests/test_selftest_oracles.py``, which parametrises over
 ``SUITES``.
+
+Stacks are shaped for few, long array operations: brackets run with the
+sample axis last (``lie_algebra.bracket_vec``), pair loops over form
+indices are one stacked call, draws that interleave normal and uniform
+values are written sample by sample into preallocated rows (the same
+stream as one draw call per value), and real data stay real where the
+algebra allows it, as the so(3) entry matrices of ``gauge_roundtrips``.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import numpy as np
 from .flat_model import (
     _WEDGE,
     PAIRS,
+    _wedge_incidence,
     calibration_constants,
     nearest_mixing_eigenvalues,
     standard_two_form_families,
@@ -146,32 +154,38 @@ def _suite_eigenvalue_blocks(model, seed, samples, tol) -> dict:
     }
 
 
+def _worst(residuals) -> float:
+    """Largest absolute entry, 0.0 for an empty stack."""
+    return float(np.max(np.abs(residuals), initial=0.0))
+
+
 def _suite_projections(model, seed, samples, tol) -> dict:
+    """Idempotence, mutual orthogonality and completeness of the four
+    block projectors.
+
+    Completeness is checked on a stack of random vectors, recomposed by
+    one product with the sum of the projectors.
+    """
     rng = np.random.default_rng(seed)
     count = min(samples, 10000)
     vectors = rng.standard_normal((21, count))
     projectors = eigenspace_projectors(model)
     labels = sorted(projectors)
     worst = 0.0
-    recomposed = np.zeros_like(vectors)
     for a in labels:
         pa = projectors[a]
         worst = max(worst, float(np.max(np.abs(pa @ pa - pa))))
-        recomposed = recomposed + pa @ vectors
         for b in labels:
             if a < b:
                 worst = max(
                     worst,
                     float(np.max(np.abs(projectors[a] @ projectors[b]))),
                 )
-    worst = max(worst, float(np.max(np.abs(recomposed - vectors))))
+    recomposed = sum(projectors[a] for a in labels) @ vectors
+    recomposed -= vectors
+    worst = max(worst, _worst(recomposed))
     return {"passed": bool(worst <= 1e-12), "worst_residual": worst,
             "samples": count}
-
-
-def _worst(residuals) -> float:
-    """Largest absolute entry, 0.0 for an empty stack."""
-    return float(np.max(np.abs(residuals), initial=0.0))
 
 
 def _suite_bidegree_roundtrip(model, seed, samples, tol) -> dict:
@@ -232,8 +246,10 @@ def _suite_gauge_roundtrips(model, seed, samples, tol) -> dict:
     complex components -> form.  The bracket of two 1-forms is taken by
     ``g_wedge_bracket`` (structure constants) and, as the second route,
     through the matrix entries of both forms: the commutators of the
-    entry matrices are added into the monomials through the wedge table
-    and pulled back to coefficients once per monomial.  The oracle loop
+    entry matrices are added into the monomials by the signed incidence
+    of the wedge table and pulled back to coefficients once per
+    monomial.  The basis of so(3) and the draws are real, so the entry
+    matrices and their commutators are real arrays.  The oracle loop
     brackets one pair of forms at a time through their scalar entry
     forms.
     """
@@ -258,14 +274,12 @@ def _suite_gauge_roundtrips(model, seed, samples, tol) -> dict:
     psi = GValuedForm.from_matrix(algebra, 1, one_forms[1])
     lhs = g_wedge_bracket(phi, psi)
     # entry route: e^I ^ e^J carries psi_J phi_I - phi_I psi_J as matrices
-    target, left, right, sign = _WEDGE[1, 1]
-    first = matrix_of(algebra, psi.matrix)[right]
-    second = matrix_of(algebra, phi.matrix)[left]
-    entries = np.zeros((len(lhs.matrix),) + first.shape[1:], dtype=complex)
-    np.add.at(
-        entries, target,
-        sign[:, None, None, None] * (first @ second - second @ first),
-    )
+    _, left, right, _ = _WEDGE[1, 1]
+    first = matrix_of(algebra, one_forms[1])[right]
+    second = matrix_of(algebra, one_forms[0])[left]
+    commutators = first @ second - second @ first
+    entries = _wedge_incidence(1, 1) @ commutators.reshape(len(left), -1)
+    entries = entries.reshape((len(lhs.matrix),) + commutators.shape[1:])
     worst_wedge = _worst(lhs.matrix - coeffs_of(algebra, entries))
     passed = max(worst_w, worst_complex, worst_wedge) <= 1e-10
     return {
@@ -325,8 +339,9 @@ def _suite_ricci_operator(model, seed, samples, tol) -> dict:
     """The Ricci endomorphism against its diagonal formula.
 
     Uniform and normal draws alternate, so they are drawn sample by
-    sample; the operators of all diagonal tensors are built as one stack
-    and their quadratic forms compared with
+    sample, each into its row of a preallocated stack; the operators of
+    all diagonal tensors are built as one stack and their quadratic
+    forms compared with
     ``sum (r_mu + r_nu) ||phi_{mu nu}||^2``.
     """
     rng = np.random.default_rng(seed + 5)
@@ -335,13 +350,14 @@ def _suite_ricci_operator(model, seed, samples, tol) -> dict:
     identity_residual = float(
         np.max(np.abs(endo.matrix - 16.0 * np.eye(3 * algebra.dim)))
     )
-    values, rows = [], []
-    for _ in range(min(samples, 100)):
-        values.append(rng.uniform(0.5, 4.0, size=3))
-        rows.append(rng.standard_normal((6, algebra.dim)))
-    values = np.array(values)
+    count = min(samples, 100)
+    values = np.empty((count, 3))
+    rows = np.empty((count, 6, algebra.dim))
+    for value_row, row in zip(values, rows):
+        value_row[:] = rng.uniform(0.5, 4.0, size=3)
+        rng.standard_normal(out=row)
     ricci = TransverseRicci.from_diagonal(values)
-    section = two_zero_from_v_coefficients(algebra, np.array(rows))
+    section = two_zero_from_v_coefficients(algebra, rows)
     quad = np.real(build_R_operator(ricci, algebra).quad(section))
     expected = 0.0
     for mu, nu in PAIRS:
@@ -361,25 +377,27 @@ def _suite_selfadjointness(model, seed, samples, tol) -> dict:
     """<M phi, psi> against <phi, M psi> for the curvature and Ricci terms.
 
     Draws are mixed (normal and uniform), so they are taken sample by
-    sample; both operators and both pairings are evaluated on the stacks.
+    sample, each into its row of a preallocated stack; both operators and
+    both pairings are evaluated on the stacks.
     """
     rng = np.random.default_rng(seed + 6)
     algebra = make_su(2)
-    a_rows, values, phi_rows, psi_rows = [], [], [], []
-    for _ in range(min(samples, 100)):
-        a_rows.append(rng.standard_normal((8, algebra.dim)))
-        values.append(rng.uniform(0.5, 4.0, size=3))
-        phi_rows.append(rng.standard_normal((6, algebra.dim)))
-        psi_rows.append(rng.standard_normal((6, algebra.dim)))
-    F = gform_from_w_coefficients(algebra, np.array(a_rows))
+    count = min(samples, 100)
+    a_rows = np.empty((count, 8, algebra.dim))
+    values = np.empty((count, 3))
+    # per sample: the phi rows, then the psi rows
+    section_rows = np.empty((count, 2, 6, algebra.dim))
+    for a_row, value_row, pair in zip(a_rows, values, section_rows):
+        rng.standard_normal(out=a_row)
+        value_row[:] = rng.uniform(0.5, 4.0, size=3)
+        rng.standard_normal(out=pair)
+    F = gform_from_w_coefficients(algebra, a_rows)
     f_endo = build_F_operator_from_components(
         f_components_from_gform(F)
     )
-    r_endo = build_R_operator(
-        TransverseRicci.from_diagonal(np.array(values)), algebra
-    )
-    phi = two_zero_from_v_coefficients(algebra, np.array(phi_rows))
-    psi = two_zero_from_v_coefficients(algebra, np.array(psi_rows))
+    r_endo = build_R_operator(TransverseRicci.from_diagonal(values), algebra)
+    phi = two_zero_from_v_coefficients(algebra, section_rows[:, 0])
+    psi = two_zero_from_v_coefficients(algebra, section_rows[:, 1])
     worst = max(
         _worst(endo.adjoint_residual(phi, psi)) for endo in (f_endo, r_endo)
     )

@@ -48,6 +48,8 @@ from .gauge_fields import (
 from .lie_algebra import (
     _NAMED_CACHE_SIZE,
     LieAlgebraSpec,
+    _bracket_columns,
+    _columns,
     _scalar,
     ad_matrix,
     bracket_vec,
@@ -279,6 +281,14 @@ def build_F_operator(F: GValuedForm) -> TwoZeroEndo:
     )
 
 
+# apply_F_xi_path: output row r gathers three terms t, each the bracket
+# of _XI_SIGNS[r, t] times section row _XI_ROWS[t] with the component
+# F_{t+1, _XI_COLUMNS[r]}bar (0-based column)
+_XI_ROWS = [2, 1, 0]
+_XI_COLUMNS = [2, 1, 0]
+_XI_SIGNS = np.array([[-1.0, 1.0, -1.0], [1.0, -1.0, 1.0], [-1.0, 1.0, -1.0]])
+
+
 def apply_F_xi_path(
     fc: FComponents, section: TwoZeroSection
 ) -> TwoZeroSection:
@@ -290,22 +300,29 @@ def apply_F_xi_path(
     * out_12 = [phi_32, F_13bar] + [phi_13, F_23bar] + [phi_21, F_33bar]
     * out_13 = [phi_23, F_12bar] + [phi_31, F_22bar] + [phi_12, F_32bar]
     * out_23 = [phi_32, F_11bar] + [phi_13, F_21bar] + [phi_21, F_31bar]
+
+    The nine brackets are one stacked :func:`bracket_vec` call, and each
+    row adds its three terms in the order written.
     """
     algebra = fc.algebra
     if section.algebra is not algebra:
         raise ValueError("section belongs to a different algebra")
-    br = lambda x, y: bracket_vec(algebra, x, y)
-    phi12, phi13, phi23 = section.phi
-    out12 = (
-        br(-phi23, fc.at(1, 3)) + br(phi13, fc.at(2, 3)) + br(-phi12, fc.at(3, 3))
-    )
-    out13 = (
-        br(phi23, fc.at(1, 2)) + br(-phi13, fc.at(2, 2)) + br(phi12, fc.at(3, 2))
-    )
-    out23 = (
-        br(-phi23, fc.at(1, 1)) + br(phi13, fc.at(2, 1)) + br(-phi12, fc.at(3, 1))
-    )
-    return TwoZeroSection(algebra, np.stack([out12, out13, out23]))
+    d = algebra.dim
+    lead = np.broadcast_shapes(section.phi.shape[1:-1], fc.table.shape[2:-1])
+    phi = np.broadcast_to(section.phi, (3,) + lead + (d,))
+    table = np.broadcast_to(fc.table, (3, 3) + lead + (d,))
+    # [r, t]: the signed section row and the curvature component of term t
+    signs = _XI_SIGNS.reshape(_XI_SIGNS.shape + (1,) * (phi.ndim - 1))
+    left = signs * phi[_XI_ROWS]
+    right = table[:, _XI_COLUMNS].swapaxes(0, 1)
+    terms = bracket_vec(algebra, left, right)
+    return TwoZeroSection(algebra, terms[:, 0] + terms[:, 1] + terms[:, 2])
+
+
+# the three terms of the bracket route of the curvature quadratic form:
+# the rows of the section bracketed, and the (mu, nu) index of the
+# curvature component whose real part pairs with their bracket
+_QUAD_TERMS = (((1, 2), (0, 1)), ((0, 2), (2, 0)), ((0, 1), (1, 2)))
 
 
 def quad_form_F_complex(
@@ -317,35 +334,41 @@ def quad_form_F_complex(
     Re F_31bar> + <[phi_12, phi_13], Re F_23bar> }`` with the
     complex-bilinear pairing, matching the bilinear operator route
     :meth:`TwoZeroEndo.quad_bilinear`.
+
+    A stack is evaluated in column layout, one coefficient vector per
+    column and the sample axis last: each bracket is one contraction
+    over all samples, and each pairing ``c sum_k [.,.]_k Re F_k`` is one
+    product and one sum over the d rows.  The three terms are added in
+    the order written.
     """
     algebra = fc.algebra
     if section.algebra is not algebra:
         raise ValueError("section belongs to a different algebra")
-    re_part = lambda mu, nu: (fc.at(mu, nu) + np.conj(fc.at(mu, nu))) / 2.0
-    # the second slots are real vectors, so the sesquilinear inner
-    # evaluates the bilinear pairing verbatim
-    return 2.0 * (
-        inner_vec(
-            algebra,
-            bracket_vec(algebra, section.phi13, section.phi23),
-            re_part(1, 2),
-        )
-        + inner_vec(
-            algebra,
-            bracket_vec(algebra, section.phi12, section.phi23),
-            re_part(3, 1),
-        )
-        + inner_vec(
-            algebra,
-            bracket_vec(algebra, section.phi12, section.phi13),
-            re_part(2, 3),
-        )
-    )
+    d = algebra.dim
+    lead = section.phi.shape[1:-1]
+    if fc.table.shape[2:-1] != lead:
+        lead = np.broadcast_shapes(lead, fc.table.shape[2:-1])
+    phi = [_columns(row, lead, d) for row in section.phi]
+    terms = []
+    for (left, right), (mu, nu) in _QUAD_TERMS:
+        bracket = _bracket_columns(algebra, phi[left], phi[right])
+        # Re F, the second slot, is a real vector: the bilinear pairing
+        # is the sesquilinear one
+        real_part = _columns(fc.table[mu, nu].real, lead, d)
+        pairing = np.multiply(bracket, real_part).sum(axis=0)
+        terms.append(algebra.inner_scale * pairing)
+    total = 2.0 * (terms[0] + terms[1] + terms[2])
+    return _scalar(total.reshape(lead))
 
 
 def quad_form_F(fc: FComponents, section: TwoZeroSection) -> float:
     """Real part of :func:`quad_form_F_complex` on one section."""
     return float(quad_form_F_complex(fc, section).real)
+
+
+# the bracketed v rows of v_basis_quad_form, in the order of its formula
+_V_LEFT = [2, 3, 0, 1, 0, 1]
+_V_RIGHT = [4, 5, 4, 5, 2, 3]
 
 
 def v_basis_quad_form(
@@ -362,20 +385,18 @@ def v_basis_quad_form(
     which equals ``V_QUAD_TO_OPERATOR_FACTOR`` times the operator
     quadratic form in the pair-sum convention.
     """
-    b = np.asarray(b_rows, dtype=complex)
-    a = np.asarray(a_rows, dtype=complex)
+    b = np.asarray(b_rows)
+    a = np.asarray(a_rows)
     if (b.ndim < 2 or a.ndim < 2 or b.shape[-2:] != (6, algebra.dim)
             or a.shape[-2:] != (8, algebra.dim)):
         raise ValueError("expected (6, dim) and (8, dim) coefficient arrays")
-    b = np.moveaxis(b, -2, 0)
-    a = np.moveaxis(a, -2, 0)
-    br = lambda x, y: bracket_vec(algebra, x, y)
-    total = (
-        inner_vec(algebra, br(b[2], b[4]) - br(b[3], b[5]), a[0])
-        - inner_vec(algebra, br(b[0], b[4]) - br(b[1], b[5]), a[2])
-        + inner_vec(algebra, br(b[0], b[2]) - br(b[1], b[3]), a[4])
-    )
-    return _scalar(np.real(total))
+    # the six brackets as one stack: [b3, b5], [b4, b6], [b1, b5], ...;
+    # the stacked row axis stays next to the algebra axis, so that the
+    # sample axes of b and a broadcast
+    brackets = bracket_vec(algebra, b[..., _V_LEFT, :], b[..., _V_RIGHT, :])
+    differences = brackets[..., 0::2, :] - brackets[..., 1::2, :]
+    terms = inner_vec(algebra, differences, a[..., [0, 2, 4], :])
+    return _scalar(np.real(terms[..., 0] - terms[..., 1] + terms[..., 2]))
 
 
 def _identity_blocks(matrix, d: int) -> np.ndarray:

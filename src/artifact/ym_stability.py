@@ -228,22 +228,36 @@ def curvature_action_oneforms(F: GValuedForm) -> np.ndarray:
     return out.reshape(stack + (size, size))
 
 
+def _common_stack(F: GValuedForm, section: OneFormSection) -> tuple:
+    """The curvature grid and the section rows broadcast to one stack of
+    samples, ``(7, 7, ..., d)`` and ``(7, ..., d)``; a curvature without an
+    imaginary part gives a real grid."""
+    grid = curvature_components_grid(F)
+    if not grid.imag.any():
+        grid = grid.real
+    d = F.algebra.dim
+    lead = np.broadcast_shapes(grid.shape[2:-1], section.vectors.shape[1:-1])
+    return (
+        np.broadcast_to(grid, grid.shape[:2] + lead + (d,)),
+        np.broadcast_to(section.vectors, (FORM_INDEX_COUNT,) + lead + (d,)),
+    )
+
+
 def apply_curvature_action(
     F: GValuedForm, section: OneFormSection
 ) -> OneFormSection:
-    """Section route for the same map: ``(R_F B)_i = sum_j [F_{ji}, B_j]``."""
+    """Section route for the same map: ``(R_F B)_i = sum_j [F_{ji}, B_j]``.
+
+    The brackets of every grid entry ``F_{ji}`` with ``B_j`` are one
+    stacked :func:`bracket_vec` call (the zero diagonal of the grid
+    brackets to zero), added over ``j`` in order; a curvature without an
+    imaginary part is bracketed in real arithmetic.
+    """
     if section.algebra is not F.algebra:
         raise ValueError("section and curvature use different algebras")
-    grid = curvature_components_grid(F)
-    rows = np.zeros(section.vectors.shape, dtype=complex)
-    for i in range(FORM_INDEX_COUNT):
-        acc = np.zeros(rows.shape[1:], dtype=complex)
-        for j in range(FORM_INDEX_COUNT):
-            if j != i:
-                acc += bracket_vec(
-                    F.algebra, grid[j, i], section.vectors[j]
-                )
-        rows[i] = acc
+    grid, vectors = _common_stack(F, section)
+    brackets = bracket_vec(F.algebra, grid, vectors[:, None])
+    rows = brackets.sum(axis=0)
     return OneFormSection(F.algebra, _require_real(rows, "curvature action"))
 
 
@@ -254,23 +268,18 @@ def curvature_quad_paths(F: GValuedForm, section: OneFormSection) -> dict:
     ``sum_i <(R_F B)_i, B_i>``; the flipped path moves the bracket onto
     the section, ``sum_{j,i} <F_{ji}, [B_j, B_i]>``.  Invariance of the
     inner product makes them equal, which is checked term by term in
-    the tests.
+    the tests.  Each path is one stacked pairing, over the seven rows and
+    over the 49 ordered pairs of rows (the diagonal terms vanish), whose
+    terms are added in row order.
     """
     algebra = F.algebra
     image = apply_curvature_action(F, section)
-    direct = 0.0
-    for i in range(FORM_INDEX_COUNT):
-        direct += inner_vec(
-            algebra, image.vectors[i], section.vectors[i]
-        ).real
-    grid = curvature_components_grid(F)
-    flipped = 0.0
-    for j in range(FORM_INDEX_COUNT):
-        for i in range(FORM_INDEX_COUNT):
-            if j == i:
-                continue
-            br = bracket_vec(algebra, section.vectors[j], section.vectors[i])
-            flipped += inner_vec(algebra, grid[j, i], br).real
+    direct = np.real(inner_vec(algebra, image.vectors, section.vectors))
+    grid, vectors = _common_stack(F, section)
+    brackets = bracket_vec(algebra, vectors[:, None], vectors[None, :])
+    flipped = np.real(inner_vec(algebra, grid, brackets))
+    direct = direct.sum(axis=0)
+    flipped = flipped.reshape((-1,) + flipped.shape[2:]).sum(axis=0)
     return {
         "pair_with_section": _scalar(direct),
         "pair_with_curvature": _scalar(flipped),

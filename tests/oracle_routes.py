@@ -140,6 +140,15 @@ def g_wedge_bracket_entry_path(phi, psi):
     return out
 
 
+def two_zero_complex_expression(b_rows):
+    """Oracle route for ``gauge_fields.two_zero_from_v_coefficients``: the
+    components as the complex expression ``(b[0::2] - 1j * b[1::2]) / 2``
+    over the row axis moved to the front, with no real and imaginary
+    parts written apart."""
+    b = np.moveaxis(np.asarray(b_rows, dtype=complex), -2, 0)
+    return np.ascontiguousarray((b[0::2] - 1j * b[1::2]) / 2.0)
+
+
 def gform_from_terms(algebra, degree, terms):
     """Sum of ``form (x) vector`` terms with scalar :class:`KForm` parts:
     the outer products, added term by term."""

@@ -119,6 +119,8 @@ class TestConfig:
             JobConfig(**{**base, "tolerance": 0.0})
         with pytest.raises(InputError):
             JobConfig(**{**base, "samples": 0})
+        with pytest.raises(InputError, match="seed"):
+            JobConfig(**{**base, "seed": -1})
         with pytest.raises(InputError):
             JobConfig(**{**base, "format": "xml"})
 
@@ -534,6 +536,24 @@ class TestExitCodes:
     def test_zero_samples_exits_two(self, capsys):
         assert main(["selftest", "--samples", "0"]) == 2
         assert "samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, seed", [("selftest", "-1"), ("stiefel", "-5"),
+                          ("calibrate", "-1")]
+    )
+    def test_negative_seed_flag_exits_two(self, capsys, command, seed):
+        # rejected with the flag named, before any generator sees it
+        assert main([command, "--seed", seed]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"seed must be non-negative, not {seed}" in err
+
+    def test_negative_seed_environment_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setenv("ARTIFACT_SEED", "-2")
+        assert main(["stiefel"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "seed must be non-negative, not -2" in err
 
     def test_bad_tolerance_exits_two(self, capsys):
         assert main(["selftest", "--tol", "-1"]) == 2

@@ -20,6 +20,7 @@ from artifact.gauge_fields import (
 )
 from artifact.lie_algebra import make_so, make_su
 from artifact.weitzenbock_engine import quad_form_F, quad_form_F_complex
+from oracle_routes import two_zero_complex_expression
 
 ALGEBRAS = {"su2": make_su(2), "so3": make_so(3), "so5": make_so(5)}
 LAYOUT_SETTINGS = settings(max_examples=30, deadline=None)
@@ -167,3 +168,22 @@ def test_layout_shape_validation():
         FComponents(su2, np.zeros((3, 2, 3)))
     with pytest.raises(ValueError):
         FComponents(su2, np.zeros((3, 3, 7, 2)))
+
+
+@pytest.mark.parametrize("lead", [(), (7,), (0,), (2, 3)])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_two_zero_matches_complex_expression_bit_for_bit(lead, kind):
+    # rows with zeros included: the real and imaginary parts written
+    # apart reproduce every bit of the complex expression
+    algebra = ALGEBRAS["su2"]
+    rng = np.random.default_rng(len(lead) + 11)
+    rows = rng.standard_normal(lead + (6, algebra.dim))
+    rows[rows > 1.0] = 0.0
+    if kind == "complex":
+        imag = rng.standard_normal(rows.shape)
+        imag[imag < -1.0] = 0.0
+        rows = rows + 1j * imag
+    got = two_zero_from_v_coefficients(algebra, rows).phi
+    want = two_zero_complex_expression(rows)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

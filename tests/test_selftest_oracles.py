@@ -24,7 +24,10 @@ import artifact.selftest as selftest
 import artifact.weitzenbock_engine as weitzenbock_engine
 import artifact.ym_stability as ym_stability
 from artifact.flat_model import KForm, calibrate_model
-from artifact.form_decomposition import complex_components
+from artifact.form_decomposition import (
+    complex_components,
+    eigenspace_projectors,
+)
 from artifact.gauge_fields import (
     GValuedForm,
     f_components_from_gform,
@@ -110,6 +113,29 @@ def oracle_bracket_norm_check(spec, samples=1000, seed=0, tol=1e-9):
         "passed": max_ratio <= BRACKET_NORM_BOUND + tol,
         "samples": samples,
     }
+
+
+def oracle_projections(model, seed, samples, tol) -> dict:
+    rng = np.random.default_rng(seed)
+    count = min(samples, 10000)
+    vectors = rng.standard_normal((21, count))
+    projectors = eigenspace_projectors(model)
+    labels = sorted(projectors)
+    worst = 0.0
+    recomposed = np.zeros_like(vectors)
+    for a in labels:
+        pa = projectors[a]
+        worst = max(worst, float(np.max(np.abs(pa @ pa - pa))))
+        recomposed = recomposed + pa @ vectors
+        for b in labels:
+            if a < b:
+                worst = max(
+                    worst,
+                    float(np.max(np.abs(projectors[a] @ projectors[b]))),
+                )
+    worst = max(worst, float(np.max(np.abs(recomposed - vectors))))
+    return {"passed": bool(worst <= 1e-12), "worst_residual": worst,
+            "samples": count}
 
 
 def oracle_bidegree_roundtrip(model, seed, samples, tol) -> dict:
@@ -420,7 +446,8 @@ def assert_reports_agree(batched: dict, oracle: dict):
 
 def test_every_loop_suite_has_an_oracle():
     assert set(PAIRS) == {
-        "bidegree_roundtrip", "lie_dual_path", "gauge_roundtrips",
+        "projections", "bidegree_roundtrip", "lie_dual_path",
+        "gauge_roundtrips",
         "curvature_operator", "ricci_operator", "selfadjointness",
         "estimate_chain", "second_variation",
     }
@@ -443,13 +470,17 @@ def test_stacked_suite_matches_oracle(name, seed, samples):
     )
 
 
-@pytest.mark.parametrize("seed", (0, 3))
-def test_bracket_norm_check_matches_oracle(seed):
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**16), samples=st.sampled_from((0, 1, 299, 500, 501)))
+@example(seed=0, samples=300)
+@example(seed=3, samples=300)
+def test_bracket_norm_check_matches_oracle(seed, samples):
     for spec in (make_su(2, inner="trace"), make_so(3), make_so(5)):
-        got = bracket_norm_check(spec, samples=300, seed=seed)
-        expected = oracle_bracket_norm_check(spec, samples=300, seed=seed)
+        got = bracket_norm_check(spec, samples=samples, seed=seed)
+        expected = oracle_bracket_norm_check(spec, samples=samples, seed=seed)
         assert got["max_ratio"] == expected["max_ratio"]
         assert got["passed"] == expected["passed"]
+        assert got["samples"] == expected["samples"] == samples
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +490,19 @@ def test_bracket_norm_check_matches_oracle(seed):
 
 def scaled(func, factor):
     return lambda *args, **kwargs: func(*args, **kwargs) * factor
+
+
+def test_mutation_projections(monkeypatch):
+    def perturbed(model):
+        projectors = dict(eigenspace_projectors(model))
+        label = sorted(projectors)[0]
+        projectors[label] = projectors[label] * (1 + 1e-9)
+        return projectors
+
+    monkeypatch.setattr(selftest, "eigenspace_projectors", perturbed)
+    report = selftest._suite_projections(MODEL, 0, 20, 1e-9)
+    assert not report["passed"]
+    assert report["worst_residual"] > 1e-12
 
 
 def test_mutation_bidegree_roundtrip(monkeypatch):
