@@ -428,7 +428,7 @@ PAIRS = {
 }
 
 # every per-suite sample cap, and the counts at and around each
-CAPS = (50, 100, 150, 200, 500)
+CAPS = (50, 100, 150, 200, 500, 10000)
 COUNTS = sorted({1} | {cap + step for cap in CAPS for step in (-1, 0, 1)})
 
 
